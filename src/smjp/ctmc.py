@@ -243,43 +243,69 @@ def build_time_grid(seq, omega: float, seed: int | np.random.Generator) -> TimeG
 
     Every event timestamp passes through bit-identically; each inter-event
     interval gains Poisson(omega) virtual points carrying no observation
-    and inheriting the interval's opening action.
+    and inheriting the interval's opening action. The random stream is
+    consumed exactly as by one :func:`sample_virtual_times` call per
+    interval, in time order, so the grid equals what those calls give.
     """
     times = np.asarray(seq.times, dtype=np.float64)
     obs = np.asarray(seq.observations, dtype=np.int64)
     acts = np.asarray(seq.actions, dtype=np.int64)
     if times.size and not np.all(np.diff(times) > 0):
         raise NonMonotoneTimestamps("event timestamps must be strictly increasing")
+    lo, hi = times[:-1], times[1:]
+    expected = omega * (hi - lo)
+    if lo.size:
+        if lo[0] < 0:
+            raise SmjpError("interval must start at a non-negative time")
+        if omega <= 0:
+            raise OmegaTooSmall(f"omega must be positive, got {omega!r}")
+        over = np.flatnonzero(expected > MAX_EXPECTED_VIRTUAL)
+        if over.size:
+            i = int(over[0])
+            raise VirtualTimeOverflow(
+                f"{expected[i]:.3g} expected virtual points in interval {i} "
+                f"({lo[i]!r}, {hi[i]!r}); omega or the interval length is misconfigured"
+            )
     rng = as_rng(seed)
 
-    chunks_t: list[np.ndarray] = []
-    chunks_tag: list[np.ndarray] = []
-    chunks_obs: list[np.ndarray] = []
-    chunks_act: list[np.ndarray] = []
-    for i in range(times.size):
-        chunks_t.append(times[i : i + 1])
-        chunks_tag.append(np.array([TAG_EVENT], dtype=np.int8))
-        chunks_obs.append(obs[i : i + 1])
-        chunks_act.append(acts[i : i + 1])
-        if i + 1 < times.size:
-            vt = sample_virtual_times(omega, (times[i], times[i + 1]), rng)
-            if vt.size:
-                chunks_t.append(vt)
-                chunks_tag.append(np.full(vt.size, TAG_VIRTUAL, dtype=np.int8))
-                chunks_obs.append(np.full(vt.size, NO_OBSERVATION, dtype=np.int64))
-                chunks_act.append(np.full(vt.size, acts[i], dtype=np.int64))
-    if not chunks_t:
-        return TimeGrid(np.empty(0), np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    grid_t = np.concatenate(chunks_t)
-    grid_tag = np.concatenate(chunks_tag)
-    grid_obs = np.concatenate(chunks_obs)
-    grid_act = np.concatenate(chunks_act)
-    # Drop virtual points that collided with an event time (measure zero,
-    # but floats can tie); event times are never dropped.
-    keep = np.ones(grid_t.size, dtype=bool)
-    dup = np.nonzero(np.diff(grid_t) <= 0)[0]
-    for d in dup:
-        keep[d if grid_tag[d] == TAG_VIRTUAL else d + 1] = False
-    if not keep.all():
-        grid_t, grid_tag, grid_obs, grid_act = (a[keep] for a in (grid_t, grid_tag, grid_obs, grid_act))
+    # Only the draws run per interval: a Poisson count, then that many
+    # uniforms when it is positive.
+    poisson, uniform = rng.poisson, rng.uniform
+    draws: list[np.ndarray] = []
+    counts: list[int] = []
+    for mu, a, b in zip(expected.tolist(), lo.tolist(), hi.tolist()):
+        k = poisson(mu)
+        counts.append(k)
+        if k:
+            draws.append(uniform(a, b, size=k))
+    vt = np.concatenate(draws) if draws else np.empty(0)
+    iv = np.repeat(np.arange(lo.size), counts)
+    # Keep points strictly inside their interval (floats can land on an
+    # endpoint), so no virtual point can tie an event and equal times share
+    # an interval; then sort by (interval, time) and drop repeats.
+    inside = (vt > lo[iv]) & (vt < hi[iv])
+    vt, iv = vt[inside], iv[inside]
+    order = np.lexsort((vt, iv))
+    vt, iv = vt[order], iv[order]
+    fresh = np.ones(vt.size, dtype=bool)
+    fresh[1:] = vt[1:] != vt[:-1]
+    vt, iv = vt[fresh], iv[fresh]
+
+    # Event i follows the i events and the virtual points of intervals
+    # before it; a virtual point follows the events 0..interval.
+    n = times.size
+    ev_pos = np.arange(n)
+    ev_pos[1:] += np.cumsum(np.bincount(iv, minlength=max(n - 1, 0)))
+    v_pos = np.arange(vt.size) + iv + 1
+    size = n + vt.size
+    grid_t = np.empty(size)
+    grid_t[ev_pos] = times
+    grid_t[v_pos] = vt
+    grid_tag = np.full(size, TAG_VIRTUAL, dtype=np.int8)
+    grid_tag[ev_pos] = TAG_EVENT
+    grid_obs = np.full(size, NO_OBSERVATION, dtype=np.int64)
+    grid_obs[ev_pos] = obs
+    grid_act = np.empty(size, dtype=np.int64)
+    grid_act[ev_pos] = acts
+    grid_act[v_pos] = acts[iv]
     return TimeGrid(grid_t, grid_tag, grid_obs, grid_act)

@@ -48,6 +48,10 @@ STRUCTURAL_TOL = 1e-6
 
 MODEL_HEADER = "smjp-model v1"
 
+# Matrix entries per block of the likelihood reduction (512 KiB of
+# float64), which bounds its memory on long grids.
+_REDUCE_BLOCK_ENTRIES = 1 << 16
+
 
 class ZeroProbabilityObservation(SmjpError):
     """An observation has probability zero under every reachable state."""
@@ -259,6 +263,45 @@ def _filter_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple
         alpha[i + 1] = v / ci
         c[i + 1] = ci
     return alpha, c
+
+
+def _grid_loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
+    """Log-likelihood of one grid by pairwise reduction of the step
+    matrices ``M_t = B_{k_t} diag(e_{t+1})`` (log-depth in the grid
+    length instead of one Python step per grid point).
+
+    Leaves and product nodes are scaled to unit sum with the log scales
+    carried separately; an odd node count folds the leading node into the
+    running start vector. If any mass is zero or non-finite, the step
+    filter reruns the grid: it raises the usual error for an impossible
+    observation and otherwise returns the likelihood.
+    """
+    t, n = e.shape
+    block = max(1, _REDUCE_BLOCK_ENTRIES // (n * n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = e[0] / n
+        mass = v.sum()
+        v /= mass
+        ll = np.log(mass)
+        for lo in range(0, t - 1, block):
+            hi = min(t - 1, lo + block)
+            nodes = chains[kidx[lo:hi]]
+            nodes *= e[lo + 1 : hi + 1, None, :]
+            while nodes.shape[0]:
+                mass = nodes.sum(axis=(1, 2))
+                nodes /= mass[:, None, None]
+                ll += np.log(mass).sum()
+                if nodes.shape[0] % 2:
+                    v = v @ nodes[0]
+                    mass = v.sum()
+                    v /= mass
+                    ll += np.log(mass)
+                    nodes = nodes[1:]
+                nodes = nodes[0::2] @ nodes[1::2]
+    if np.isfinite(ll):
+        return float(ll)
+    _, c = _filter_scaled(chains, e, kidx)
+    return float(np.log(c).sum())
 
 
 def _smooth_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -582,15 +625,15 @@ def held_out_loglik(model: SwitchingSMJP, sequences: Sequence[EventSequence], co
     """
     if not sequences:
         raise SmjpError("need at least one sequence to evaluate")
+    if config.eval_grids < 1:
+        raise SmjpError(f"eval_grids must be at least 1, got {config.eval_grids}")
     total = 0.0
     for seq in sequences:
         lls = []
         for g in range(config.eval_grids):
             grid = build_time_grid(seq, model.omega, derive_rng(config.seed, 2, g))
             _check_grid(model, grid)
-            e = _emission_table(model, grid)
-            _, c = _filter_scaled(model.chain_stack, e, grid.actions)
-            lls.append(np.log(c).sum())
+            lls.append(_grid_loglik(model.chain_stack, _emission_table(model, grid), grid.actions))
         total += float(np.mean(lls))
     return total
 
@@ -703,6 +746,8 @@ def fit_best(sequences: Sequence[EventSequence], n_states: int, config: FitConfi
     the fit with the best held-out log-likelihood."""
     if not sequences:
         raise SmjpError("need at least one training sequence")
+    if config.restarts < 1:
+        raise SmjpError(f"restarts must be at least 1, got {config.restarts}")
     rate = float(np.mean([s.event_rate for s in sequences]))
     best: FitReport | None = None
     for r in range(config.restarts):
@@ -715,10 +760,8 @@ def fit_best(sequences: Sequence[EventSequence], n_states: int, config: FitConfi
             rate,
         )
         report = fit(init, sequences, config)
-        score = report.heldout_ll if np.isfinite(report.heldout_ll) else report.train_ll_trace[-1]
-        if best is None or score > _report_score(best):
+        if best is None or _report_score(report) > _report_score(best):
             best = report
-    assert best is not None
     return best
 
 

@@ -201,6 +201,24 @@ class TestErrorExitCodes:
         rc = run(["quantize", "--out", tmp_path / "q", "--points", pfile, "--k-locations", 5, "--seed", 0])
         assert rc == EXIT_DOMAIN
 
+    def test_zero_eval_grids(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        capsys.readouterr()
+        rc = run(["fit", "--out", tmp_path / "x", "--events", data / "events.csv", "--seed", 0,
+                  "--n-states", 2, "--restarts", 1, "--eval-grids", 0])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == ["error: eval_grids must be at least 1, got 0"]
+
+    def test_zero_restarts(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        capsys.readouterr()
+        rc = run(["fit", "--out", tmp_path / "x", "--events", data / "events.csv", "--seed", 0,
+                  "--n-states", 2, "--restarts", 0])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == ["error: restarts must be at least 1, got 0"]
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("not_a_real_knob = 3\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from smjp.core import Alphabet, derive_rng, matrix_exponential, validate_generator
+from smjp.core import Alphabet, SmjpError, derive_rng, matrix_exponential, validate_generator
 from smjp.ctmc import (
     NO_OBSERVATION,
     TAG_EVENT,
@@ -234,6 +234,101 @@ class TestBuildTimeGrid:
         g2 = build_time_grid(seq, 2.0, seed=2)
         assert not np.array_equal(g1.times, g2.times)
         assert np.array_equal(g1.times[g1.tags == TAG_EVENT], g2.times[g2.tags == TAG_EVENT])
+
+
+def reference_grid(seq, omega, rng):
+    """Loop reference for build_time_grid: one sample_virtual_times call
+    per interval, in time order, on the shared stream ``rng``."""
+    times, tags, obs, acts = [], [], [], []
+    n = len(seq.times)
+    for i in range(n):
+        times.append(seq.times[i])
+        tags.append(TAG_EVENT)
+        obs.append(seq.observations[i])
+        acts.append(seq.actions[i])
+        if i + 1 < n:
+            vt = sample_virtual_times(omega, (seq.times[i], seq.times[i + 1]), rng)
+            times.extend(vt)
+            tags.extend([TAG_VIRTUAL] * vt.size)
+            obs.extend([NO_OBSERVATION] * vt.size)
+            acts.extend([seq.actions[i]] * vt.size)
+    return (
+        np.asarray(times, dtype=np.float64),
+        np.asarray(tags, dtype=np.int8),
+        np.asarray(obs, dtype=np.int64),
+        np.asarray(acts, dtype=np.int64),
+    )
+
+
+def assert_same_stream_and_grid(seqs_and_omegas, seed):
+    """build_time_grid on one Generator matches the loop reference on a
+    twin Generator bit for bit, and both streams stay in lockstep."""
+    ref_rng, rng = derive_rng(seed, 2), derive_rng(seed, 2)
+    for seq, omega in seqs_and_omegas:
+        want = reference_grid(seq, omega, ref_rng)
+        grid = build_time_grid(seq, omega, rng)
+        for field, expected in zip(("times", "tags", "observations", "actions"), want):
+            got = getattr(grid, field)
+            assert got.dtype == expected.dtype, field
+            assert np.array_equal(got, expected), field
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+class TestGridStream:
+    def test_random_sequences_match_reference(self):
+        rng = derive_rng(31)
+        cases = []
+        for scale, omega in ((0.05, 3.0), (1.0, 0.7), (1.0, 2.0), (4.0, 5.0)):
+            n = int(rng.integers(50, 200))
+            times = 0.5 + np.cumsum(rng.exponential(scale, size=n))
+            cases.append((make_sequence(times, rng.integers(0, 2, n), rng.integers(0, 2, n)), omega))
+        assert_same_stream_and_grid(cases, seed=1)
+
+    def test_zero_draw_intervals(self):
+        seq = make_sequence(np.linspace(1.0, 20.0, 30), act=np.arange(30) % 2)
+        assert_same_stream_and_grid([(seq, 1e-9), (seq, 0.05)], seed=2)
+
+    def test_large_expected_count_branch(self):
+        # omega * dt >= 10 takes numpy's other Poisson sampler.
+        seq = make_sequence([0.0, 1.0, 3.0, 3.5, 10.0], act=[0, 1, 0, 1, 1])
+        assert_same_stream_and_grid([(seq, 12.0), (seq, 40.0)], seed=3)
+
+    def test_single_event_and_empty_sequence(self):
+        one = make_sequence([2.5], obs=[1], act=[1])
+        empty = make_sequence([])
+        assert_same_stream_and_grid([(one, 3.0), (empty, 3.0), (one, 3.0)], seed=4)
+        grid = build_time_grid(one, 3.0, seed=0)
+        assert np.array_equal(grid.times, [2.5]) and grid.observations[0] == 1
+        assert len(build_time_grid(empty, 3.0, seed=0)) == 0
+
+    def test_points_on_endpoints_are_dropped(self):
+        # A one-ulp interval: every uniform draw rounds onto an endpoint, so
+        # the strict-interior rule alone keeps virtual points off events.
+        a, b = 1.0, np.nextafter(1.0, 2.0)
+        seq = make_sequence([a, b], obs=[0, 1], act=[1, 0])
+        omega = 5.0 / (b - a)
+        drew = 0
+        for s in range(20):
+            grid = build_time_grid(seq, omega, derive_rng(s))
+            assert np.array_equal(grid.times, [a, b])
+            assert np.array_equal(grid.tags, [TAG_EVENT, TAG_EVENT])
+            assert np.array_equal(grid.observations, [0, 1])
+            drew += derive_rng(s).poisson(omega * (b - a)) > 0
+        assert drew >= 15
+        assert_same_stream_and_grid([(seq, omega)] * 5, seed=5)
+
+    def test_validation_precedes_any_draw(self):
+        rng = derive_rng(6)
+        before = rng.bit_generator.state
+        with pytest.raises(SmjpError, match="non-negative"):
+            build_time_grid(make_sequence([-1.0, 1.0]), 1.0, rng)
+        with pytest.raises(OmegaTooSmall):
+            build_time_grid(make_sequence([0.0, 1.0]), 0.0, rng)
+        with pytest.raises(VirtualTimeOverflow, match="interval 2 "):
+            build_time_grid(make_sequence([0.0, 1.0, 2.0, 1e6, 2e6]), 50.0, rng)
+        np.testing.assert_equal(rng.bit_generator.state, before)
+        # With no interval there is nothing to validate or draw.
+        assert len(build_time_grid(make_sequence([1.0]), -1.0, rng)) == 1
 
 
 class TestUniformizationInvariant:

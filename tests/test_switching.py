@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from smjp.core import derive_rng, index_alphabet, logsumexp
 from smjp.ctmc import NO_OBSERVATION, build_time_grid, uniformize
 from smjp.events import EventSequence, split_chronological
 from smjp.foraging import ToyConfig, generate_toy
+from smjp import switching
+from smjp.core import SmjpError
 from smjp.switching import (
     EmptyStatistics,
     FitConfig,
@@ -22,6 +25,9 @@ from smjp.switching import (
     SufficientStats,
     ZeroProbabilityObservation,
     _accumulate_stats,
+    _emission_table,
+    _filter_scaled,
+    _grid_loglik,
     backward,
     fit,
     fit_best,
@@ -336,6 +342,11 @@ class TestFit:
         assert np.asarray(report.final_model.emission).shape == (2, 3, 2)
         assert np.isfinite(report.heldout_ll)
 
+    def test_fit_best_rejects_zero_restarts(self):
+        toy = toy_sequences(length=60)
+        with pytest.raises(SmjpError, match="restarts must be at least 1"):
+            fit_best([toy.sequence], 2, FitConfig(restarts=0))
+
     def test_alphabet_mismatch_rejected(self):
         toy = toy_sequences(length=60)
         other = EventSequence(
@@ -390,6 +401,75 @@ class TestHeldOut:
             ll, _, _ = enumerate_paths(toy.model, grid)
             lls.append(ll)
         assert got == pytest.approx(np.mean(lls), abs=1e-10)
+
+
+    def test_rejects_zero_eval_grids(self):
+        toy = toy_sequences(length=50, seed=3)
+        with pytest.raises(SmjpError, match="eval_grids must be at least 1"):
+            held_out_loglik(toy.model, [toy.sequence], FitConfig(eval_grids=0))
+
+    def test_impossible_symbol_same_error_as_forward(self):
+        toy = toy_sequences(length=60, seed=8)
+        emission = np.array(toy.model.emission)
+        emission[:, 1] = 0.0
+        emission /= emission.sum(axis=1, keepdims=True)
+        model = replace(toy.model, emission=emission)
+        cfg = FitConfig(eval_grids=1, seed=3)
+        grid = build_time_grid(toy.sequence, model.omega, derive_rng(cfg.seed, 2, 0))
+        with pytest.raises(ZeroProbabilityObservation) as want:
+            forward(model, grid)
+        with pytest.raises(ZeroProbabilityObservation) as got:
+            held_out_loglik(model, [toy.sequence], cfg)
+        assert str(got.value) == str(want.value)
+        assert "grid step" in str(got.value)
+
+
+def step_loglik(model, grid):
+    """The step filter's log-likelihood: the reference for _grid_loglik."""
+    _, c = _filter_scaled(model.chain_stack, _emission_table(model, grid), grid.actions)
+    return float(np.log(c).sum())
+
+
+class TestGridLoglik:
+    def test_long_grid_per_action_emission(self):
+        rng = derive_rng(23)
+        model = random_model(rng, 6, 2, 3)
+        model = replace(model, emission=np.stack([rng.dirichlet(np.ones(3), size=6) for _ in range(2)]))
+        grid = random_grid(rng, 20_000, 2, 3)
+        got = _grid_loglik(model.chain_stack, _emission_table(model, grid), grid.actions)
+        _, ref = forward_logspace(model, grid)
+        # The log-domain oracle itself drifts ~1e-13 relative over 20k steps.
+        assert got == pytest.approx(ref, rel=1e-12)
+        assert got == pytest.approx(step_loglik(model, grid), abs=1e-9)
+
+    def test_blocks_and_odd_lengths(self, monkeypatch):
+        rng = derive_rng(24)
+        model = random_model(rng, 3, 2, 4)
+        monkeypatch.setattr(switching, "_REDUCE_BLOCK_ENTRIES", 9 * 7)
+        for length in (1, 2, 3, 7, 8, 9, 50, 333):
+            grid = random_grid(rng, length, 2, 4)
+            got = _grid_loglik(model.chain_stack, _emission_table(model, grid), grid.actions)
+            assert got == pytest.approx(step_loglik(model, grid), abs=1e-10)
+
+    def test_tiny_emission_stays_finite(self):
+        toy = toy_sequences(length=200, seed=9)
+        emission = np.array(toy.model.emission)
+        emission[:, 1] = 1e-300
+        emission /= emission.sum(axis=1, keepdims=True)
+        model = replace(toy.model, emission=emission)
+        cfg = FitConfig(eval_grids=2, seed=5)
+        got = held_out_loglik(model, [toy.sequence], cfg)
+        grids = [build_time_grid(toy.sequence, model.omega, derive_rng(cfg.seed, 2, g)) for g in range(2)]
+        assert np.isfinite(got)
+        assert got == pytest.approx(np.mean([step_loglik(model, g) for g in grids]), abs=1e-9)
+
+    def test_subnormal_emission_matches_step_filter(self):
+        emission = np.array([[1.0 - 1e-320, 1e-320], [1.0 - 1e-320, 1e-320]])
+        model = model_from_chains(np.full((1, 2, 2), 0.5), emission)
+        grid = event_grid([1, 0, 1, 0], [0, 0, 0, 0])
+        got = _grid_loglik(model.chain_stack, _emission_table(model, grid), grid.actions)
+        assert np.isfinite(got)
+        assert got == pytest.approx(step_loglik(model, grid), abs=1e-9)
 
 
 class TestSelectNumStates:
