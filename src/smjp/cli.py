@@ -67,6 +67,10 @@ class UsageError(SmjpError):
     pass
 
 
+class InputParseError(SmjpError):
+    """A line of a matrix or agent-truth input file does not parse."""
+
+
 def _log(msg: str) -> None:
     if os.environ.get("SMJP_LOG"):
         print(msg, file=sys.stderr)
@@ -123,33 +127,11 @@ class RunConfig:
     k_locations: int = 4
 
     def fit_config(self) -> FitConfig:
-        return FitConfig(
-            seed=self.seed,
-            inner_iterations=self.inner_iterations,
-            outer_cap=self.outer_cap,
-            tol=self.tol,
-            inner_tol=self.inner_tol,
-            grids_per_iteration=self.grids_per_iteration,
-            eval_grids=self.eval_grids,
-            restarts=self.restarts,
-            holdout_fraction=self.holdout_fraction,
-            plateau_eps=self.plateau_eps,
-            omega_factor=self.omega_factor,
-            omega_prior_scale=self.omega_prior_scale,
-            emission_floor=self.emission_floor,
-            per_action_emission=self.per_action_emission,
-        )
+        return FitConfig(**{f.name: getattr(self, f.name) for f in fields(FitConfig)})
 
     def world_config(self) -> WorldConfig:
-        return WorldConfig(
-            box_means=(self.box_mean_1, self.box_mean_2),
-            press_cost=self.press_cost,
-            switch_cost=self.switch_cost,
-            reward_value=self.reward_value,
-            travel_time=self.travel_time,
-            decision_tick=self.decision_tick,
-            discount=self.discount,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(WorldConfig) if f.name != "box_means"}
+        return WorldConfig(box_means=(self.box_mean_1, self.box_mean_2), **shared)
 
     def toy_config(self) -> ToyConfig:
         return ToyConfig(
@@ -225,12 +207,13 @@ def _fmt(x: float) -> str:
 
 class Workspace:
     """Collects the files a command reads and writes, then renders the
-    manifest. Writing is centralized so digests stay consistent."""
+    manifest. Writing is centralized so digests stay consistent. The
+    output directory is created when the first output is requested, so a
+    command that fails before writing leaves none behind."""
 
     def __init__(self, command: str, out_dir: str, config: RunConfig):
         self.command = command
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.config = config
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
@@ -240,6 +223,7 @@ class Workspace:
         return path
 
     def path(self, name: str) -> Path:
+        self.dir.mkdir(parents=True, exist_ok=True)
         p = self.dir / name
         self.outputs.append(p)
         return p
@@ -283,7 +267,7 @@ def read_labeled_matrix(path: str) -> tuple[np.ndarray, list[str], list[str]]:
         first = fh.readline().rstrip("\n")
         if first != "# smjp-matrix v1":
             raise UsageError(f"{path}: not a labeled-matrix file")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if line.startswith("# rows:"):
                 rows_labels = line[len("# rows:"):].split()
@@ -292,7 +276,12 @@ def read_labeled_matrix(path: str) -> tuple[np.ndarray, list[str], list[str]]:
             elif line.startswith("#") or not line.strip():
                 continue
             else:
-                data.append([float(x) for x in line.split()])
+                try:
+                    data.append([float(x) for x in line.split()])
+                except ValueError:
+                    raise InputParseError(f"{path}:{lineno}: bad matrix row {line!r}") from None
+                if len(data[-1]) != len(data[0]):
+                    raise InputParseError(f"{path}:{lineno}: expected {len(data[0])} columns, got {len(data[-1])}")
     return np.asarray(data), rows_labels, cols_labels
 
 
@@ -425,16 +414,19 @@ def _read_truth(path: str) -> tuple[np.ndarray, np.ndarray, int]:
         first = fh.readline().rstrip("\n")
         if first != "# smjp-agent-truth v1":
             raise UsageError(f"{path}: not an agent-truth file")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
-            if line.startswith("# n_z:"):
-                n_z = int(line[len("# n_z:"):])
-            elif line.startswith("#") or not line.strip() or line.startswith("time,"):
-                continue
-            else:
-                parts = line.split(",")
-                times.append(float(parts[0]))
-                zs.append(int(parts[1]))
+            try:
+                if line.startswith("# n_z:"):
+                    n_z = int(line[len("# n_z:"):])
+                elif line.startswith("#") or not line.strip() or line.startswith("time,"):
+                    continue
+                else:
+                    parts = line.split(",")
+                    times.append(float(parts[0]))
+                    zs.append(int(parts[1]))
+            except (ValueError, IndexError):
+                raise InputParseError(f"{path}:{lineno}: bad truth line {line!r}") from None
     if n_z <= 0:
         raise UsageError(f"{path}: missing n_z header")
     return np.asarray(times), np.asarray(zs, dtype=np.int64), n_z
@@ -682,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-PARSE_ERRORS = (EventParseError, ModelFormatError, FileNotFoundError)
+PARSE_ERRORS = (EventParseError, ModelFormatError, InputParseError, FileNotFoundError)
 NUMERIC_ERRORS = (NonFiniteLikelihood, NonConvergence, ZeroProbabilityObservation)
 
 

@@ -35,8 +35,6 @@ from .core import (
     StochasticMatrix,
     derive_rng,
     index_alphabet,
-    log_domain_dot,
-    logsumexp,
     validate_generator,
 )
 from .ctmc import NO_OBSERVATION, TimeGrid, build_time_grid, default_omega, uniformize
@@ -219,6 +217,12 @@ class SufficientStats:
         )
 
 
+def _require_positive(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise SmjpError(f"{name} must be at least 1, got {value}")
+
+
 def _check_grid(model: SwitchingSMJP, grid: TimeGrid) -> None:
     if len(grid) == 0:
         raise InconsistentShapes("grid is empty")
@@ -230,17 +234,16 @@ def _check_grid(model: SwitchingSMJP, grid: TimeGrid) -> None:
         raise InconsistentShapes("grid observation index outside the model's alphabet")
 
 
-def _emission_table(model: SwitchingSMJP, grid: TimeGrid) -> np.ndarray:
-    """(T, N) likelihood of each grid point's observation per state;
-    virtual points contribute ones."""
-    t, n = len(grid), model.n_states
-    e = np.ones((t, n))
+def _emission_table(emission: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """(T, N) likelihood of each grid point's observation per state from an
+    (N, O) or per-action (K, N, O) emission array; virtual points
+    contribute ones."""
+    e = np.ones((len(grid), emission.shape[-2]))
     mask = grid.observations != NO_OBSERVATION
-    if mask.any():
-        if model.per_action_emission:
-            e[mask] = model.emission[grid.actions[mask], :, grid.observations[mask]]
-        else:
-            e[mask] = model.emission[:, grid.observations[mask]].T
+    if emission.ndim == 3:
+        e[mask] = emission[grid.actions[mask], :, grid.observations[mask]]
+    else:
+        e[mask] = emission[:, grid.observations[mask]].T
     return e
 
 
@@ -326,55 +329,20 @@ def forward(model: SwitchingSMJP, grid: TimeGrid) -> tuple[np.ndarray, float]:
         Log probability of all observations on this grid.
     """
     _check_grid(model, grid)
-    e = _emission_table(model, grid)
-    alpha, c = _filter_scaled(model.chain_stack, e, grid.actions)
+    alpha, c = _filter_scaled(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
     logc = np.cumsum(np.log(c))
     with np.errstate(divide="ignore"):
         log_alpha = np.log(alpha) + logc[:, None]
     return log_alpha, float(logc[-1])
 
 
-def forward_logspace(model: SwitchingSMJP, grid: TimeGrid) -> tuple[np.ndarray, float]:
-    """Reference forward filter computed entirely in the log domain.
-
-    Slower than :func:`forward`; kept as an independent implementation for
-    cross-checking the scaled recursion on long sequences.
-    """
-    _check_grid(model, grid)
-    e = _emission_table(model, grid)
-    chains = model.chain_stack
-    t, n = e.shape
-    log_alpha = np.empty((t, n))
-    with np.errstate(divide="ignore"):
-        log_e = np.log(e)
-        log_alpha[0] = log_e[0] - np.log(n)
-    for i in range(t - 1):
-        log_alpha[i + 1] = log_domain_dot(log_alpha[i], chains[grid.actions[i]]) + log_e[i + 1]
-    ll = logsumexp(log_alpha[-1])
-    if not np.isfinite(ll):
-        raise ZeroProbabilityObservation("sequence has zero probability under the model")
-    return log_alpha, float(ll)
-
-
 def backward(model: SwitchingSMJP, grid: TimeGrid) -> np.ndarray:
-    """Backward smoother; ``log_beta[T-1]`` is the zero vector."""
-    _check_grid(model, grid)
-    e = _emission_table(model, grid)
-    chains = model.chain_stack
-    t, n = e.shape
-    kidx = grid.actions
-    beta = np.empty((t, n))
-    log_scale = np.zeros(t)
-    beta[t - 1] = 1.0
-    for i in range(t - 2, -1, -1):
-        v = chains[kidx[i]] @ (e[i + 1] * beta[i + 1])
-        m = v.max()
-        if not (np.isfinite(m) and m > 0):
-            raise ZeroProbabilityObservation(f"zero backward mass at grid step {i}")
-        beta[i] = v / m
-        log_scale[i] = log_scale[i + 1] + np.log(m)
-    with np.errstate(divide="ignore"):
-        return np.log(beta) + log_scale[:, None]
+    """Backward smoother; ``log_beta[T-1]`` is the zero vector.
+
+    The scaled smoother with the forward normalizers folded back in:
+    ``log beta_t = log beta_hat_t + sum_{s > t} log c_s``.
+    """
+    return forward_backward(model, grid).log_beta
 
 
 def posterior_xi(
@@ -388,7 +356,9 @@ def posterior_xi(
     ``xi[t, i, j]`` is the posterior probability of being in state i at
     grid step t and state j at step t+1; each slice is normalized.
     ``gamma[t]`` marginalizes ``xi[t]`` over the destination (the final
-    step comes from the filter/smoother product).
+    step comes from the filter/smoother product). Each row of the log
+    inputs is shifted by its maximum before leaving the log domain, so
+    only ratios within a row matter.
     """
     _check_grid(model, grid)
     t, n = len(grid), model.n_states
@@ -396,49 +366,37 @@ def posterior_xi(
         raise InconsistentShapes(
             f"posterior inputs {log_alpha.shape}/{log_beta.shape} do not match grid/model ({t}, {n})"
         )
-    e = _emission_table(model, grid)
-    with np.errstate(divide="ignore"):
-        log_b = np.log(model.chain_stack)
-        log_e = np.log(e)
-    xi = np.empty((t - 1, n, n)) if t > 1 else np.empty((0, n, n))
-    for i in range(t - 1):
-        s = log_alpha[i][:, None] + log_b[grid.actions[i]] + (log_e[i + 1] + log_beta[i + 1])[None, :]
-        z = logsumexp(s.ravel())
-        if not np.isfinite(z):
-            raise ZeroProbabilityObservation(f"zero posterior mass at grid step {i}")
-        xi[i] = np.exp(s - z)
-    gamma = np.empty((t, n))
-    if t > 1:
-        gamma[: t - 1] = xi.sum(axis=2)
-    last = log_alpha[t - 1] + log_beta[t - 1]
-    gamma[t - 1] = np.exp(last - logsumexp(last))
-    return xi, gamma
+    with np.errstate(invalid="ignore"):
+        a = np.exp(log_alpha - log_alpha.max(axis=1, keepdims=True))
+        b = np.exp(log_beta - log_beta.max(axis=1, keepdims=True))
+    w = _emission_table(model.emission, grid)[1:] * b[1:]
+    xi = a[:-1, :, None] * model.chain_stack[grid.actions[:-1]] * w[:, None, :]
+    last = a[-1] * b[-1]
+    mass = np.append(xi.sum(axis=(1, 2)), last.sum())
+    bad = ~(np.isfinite(mass) & (mass > 0))
+    if bad.any():
+        raise ZeroProbabilityObservation(f"zero posterior mass at grid step {int(np.argmax(bad))}")
+    xi /= mass[:-1, None, None]
+    return xi, np.vstack([xi.sum(axis=2), last / mass[-1]])
 
 
 def forward_backward(model: SwitchingSMJP, grid: TimeGrid) -> ForwardBackwardResult:
     """One full smoothing pass via the scaled recursions."""
     _check_grid(model, grid)
-    e = _emission_table(model, grid)
-    chains = model.chain_stack
-    kidx = grid.actions
+    e = _emission_table(model.emission, grid)
+    chains, kidx = model.chain_stack, grid.actions
     alpha, c = _filter_scaled(chains, e, kidx)
     beta = _smooth_scaled(chains, e, kidx, c)
-    t, n = e.shape
     logc = np.cumsum(np.log(c))
     with np.errstate(divide="ignore"):
         log_alpha = np.log(alpha) + logc[:, None]
         log_beta = np.log(beta) + (logc[-1] - logc)[:, None]
-    gamma = alpha * beta
-    if t > 1:
-        w = (e[1:] * beta[1:]) / c[1:, None]
-        xi = alpha[:-1, :, None] * chains[kidx[:-1]] * w[:, None, :]
-    else:
-        xi = np.empty((0, n, n))
+    w = (e[1:] * beta[1:]) / c[1:, None]
     return ForwardBackwardResult(
         log_alpha=log_alpha,
         log_beta=log_beta,
-        gamma=gamma,
-        xi=xi,
+        gamma=alpha * beta,
+        xi=alpha[:-1, :, None] * chains[kidx[:-1]] * w[:, None, :],
         log_likelihood=float(logc[-1]),
         per_step_scaling=c,
     )
@@ -451,47 +409,28 @@ def _accumulate_stats(
     stats: SufficientStats,
 ) -> float:
     """E-step on one grid with the working parameter arrays; adds expected
-    counts into ``stats`` and returns the grid log-likelihood."""
-    t = len(grid)
-    n = chains.shape[1]
-    k = chains.shape[0]
-    kidx = grid.actions
-    obs = grid.observations
-    e = np.ones((t, n))
-    mask = obs != NO_OBSERVATION
-    if mask.any():
-        if emission.ndim == 3:
-            e[mask] = emission[kidx[mask], :, obs[mask]]
-        else:
-            e[mask] = emission[:, obs[mask]].T
+    counts into ``stats`` and returns the grid log-likelihood.
+
+    The transition counts of action a are ``B_a * (alpha_hat^T @ w)`` over
+    the steps taken under a, with ``w = e[1:] * beta_hat[1:] / c[1:]``:
+    the sum of the pair posteriors without forming them step by step.
+    """
+    kidx, obs = grid.actions, grid.observations
+    e = _emission_table(emission, grid)
     alpha, c = _filter_scaled(chains, e, kidx)
     beta = _smooth_scaled(chains, e, kidx, c)
-
-    if t > 1:
-        chunk = max(1, int(2_000_000 // (n * n)))
-        for lo in range(0, t - 1, chunk):
-            hi = min(t - 1, lo + chunk)
-            w = (e[lo + 1 : hi + 1] * beta[lo + 1 : hi + 1]) / c[lo + 1 : hi + 1][:, None]
-            xi = alpha[lo:hi, :, None] * chains[kidx[lo:hi]] * w[:, None, :]
-            for a in range(k):
-                sel = kidx[lo:hi] == a
-                if sel.any():
-                    stats.trans[a] += xi[sel].sum(axis=0)
-        stats.action_steps += np.bincount(kidx[: t - 1], minlength=k)
-
-    gamma = alpha * beta
-    n_obs = emission.shape[-1]
+    steps = kidx[:-1]
+    w = (e[1:] * beta[1:]) / c[1:, None]
+    for a in np.unique(steps):
+        sel = steps == a
+        stats.trans[a] += chains[a] * (alpha[:-1][sel].T @ w[sel])
+    stats.action_steps += np.bincount(steps, minlength=chains.shape[0])
+    seen = obs != NO_OBSERVATION
+    gamma = (alpha * beta)[seen]
     if emission.ndim == 3:
-        for a in range(k):
-            for o in range(n_obs):
-                sel = mask & (kidx == a) & (obs == o)
-                if sel.any():
-                    stats.emit[a, :, o] += gamma[sel].sum(axis=0)
+        np.add.at(stats.emit, (kidx[seen], slice(None), obs[seen]), gamma)
     else:
-        for o in range(n_obs):
-            sel = mask & (obs == o)
-            if sel.any():
-                stats.emit[:, o] += gamma[sel].sum(axis=0)
+        np.add.at(stats.emit.T, obs[seen], gamma)
     stats.n_grids += 1
     return float(np.log(c).sum())
 
@@ -625,15 +564,14 @@ def held_out_loglik(model: SwitchingSMJP, sequences: Sequence[EventSequence], co
     """
     if not sequences:
         raise SmjpError("need at least one sequence to evaluate")
-    if config.eval_grids < 1:
-        raise SmjpError(f"eval_grids must be at least 1, got {config.eval_grids}")
+    _require_positive(eval_grids=config.eval_grids)
     total = 0.0
     for seq in sequences:
         lls = []
         for g in range(config.eval_grids):
             grid = build_time_grid(seq, model.omega, derive_rng(config.seed, 2, g))
             _check_grid(model, grid)
-            lls.append(_grid_loglik(model.chain_stack, _emission_table(model, grid), grid.actions))
+            lls.append(_grid_loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions))
         total += float(np.mean(lls))
     return total
 
@@ -649,6 +587,7 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
     """
     if not sequences:
         raise SmjpError("need at least one training sequence")
+    _require_positive(eval_grids=config.eval_grids)
     for seq in sequences:
         if seq.observation_alphabet.labels != init.observations.labels:
             raise InconsistentShapes(f"sequence {seq.id!r} observation alphabet differs from the model's")
@@ -664,8 +603,7 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
         return train_ll
 
     if config.inner_iterations == 0 or config.outer_cap == 0:
-        hll = signal(init, np.nan) if holdout else float("nan")
-        return FitReport(init, (), (), (), hll, 0, False)
+        return FitReport(init, (), (), (), signal(init, float("nan")), 0, False)
 
     model = init
     train_trace: list[float] = []
@@ -746,8 +684,7 @@ def fit_best(sequences: Sequence[EventSequence], n_states: int, config: FitConfi
     the fit with the best held-out log-likelihood."""
     if not sequences:
         raise SmjpError("need at least one training sequence")
-    if config.restarts < 1:
-        raise SmjpError(f"restarts must be at least 1, got {config.restarts}")
+    _require_positive(n_states=n_states, restarts=config.restarts)
     rate = float(np.mean([s.event_rate for s in sequences]))
     best: FitReport | None = None
     for r in range(config.restarts):
@@ -793,6 +730,7 @@ def select_num_states(
     n_values = list(n_range)
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise SmjpError("state-count range must be non-empty and ascending")
+    _require_positive(restarts=config.restarts)
     lls: list[float] = []
     reports: dict[int, FitReport] = {}
     failures: dict[int, str] = {}

@@ -1,13 +1,20 @@
-"""Shared fixtures: small random models, random grids, and the exhaustive
-path-enumeration oracle used to check the recursions."""
+"""Shared fixtures: small random models, random grids, and the two
+oracles used to check the recursions: exhaustive path enumeration and a
+forward filter computed entirely in the log domain."""
 
 import itertools
 
 import numpy as np
 
-from smjp.core import index_alphabet
+from smjp.core import index_alphabet, log_domain_dot, logsumexp
 from smjp.ctmc import NO_OBSERVATION, TAG_EVENT, TAG_VIRTUAL, TimeGrid
-from smjp.switching import SwitchingSMJP, update_generator
+from smjp.switching import (
+    SwitchingSMJP,
+    ZeroProbabilityObservation,
+    _check_grid,
+    _emission_table,
+    update_generator,
+)
 
 
 def random_model(rng, n_states, n_actions, n_observations, omega=None, concentration=1.0):
@@ -90,3 +97,25 @@ def enumerate_paths(model, grid):
         for i in range(t - 1):
             xi[i, path[i], path[i + 1]] += w
     return np.log(total), gamma / total, xi / total
+
+
+def forward_logspace(model, grid):
+    """Reference forward filter computed entirely in the log domain.
+
+    Slower than the scaled filter; an independent implementation for
+    cross-checking it on long sequences.
+    """
+    _check_grid(model, grid)
+    e = _emission_table(model.emission, grid)
+    chains = model.chain_stack
+    t, n = e.shape
+    log_alpha = np.empty((t, n))
+    with np.errstate(divide="ignore"):
+        log_e = np.log(e)
+        log_alpha[0] = log_e[0] - np.log(n)
+    for i in range(t - 1):
+        log_alpha[i + 1] = log_domain_dot(log_alpha[i], chains[grid.actions[i]]) + log_e[i + 1]
+    ll = logsumexp(log_alpha[-1])
+    if not np.isfinite(ll):
+        raise ZeroProbabilityObservation("sequence has zero probability under the model")
+    return log_alpha, float(ll)

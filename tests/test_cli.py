@@ -2,6 +2,7 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from smjp.cli import EXIT_DOMAIN, EXIT_PARSE, EXIT_USAGE, main
 from smjp.core import derive_rng
@@ -233,3 +234,60 @@ class TestErrorExitCodes:
         manifest = (out / "manifest.txt").read_text()
         assert "toy_length = 150" in manifest
         assert "seed = 9" in manifest
+
+    def test_select_states_zero_restarts(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(toy_args(data, length=150))
+        capsys.readouterr()
+        rc = run(["select-states", "--out", tmp_path / "x", "--events", data / "events.csv", "--seed", 0,
+                  "--range", "2:3", "--restarts", 0])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == ["error: restarts must be at least 1, got 0"]
+
+    def test_zero_eval_grids_without_holdout(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        capsys.readouterr()
+        rc = run(["fit", "--out", tmp_path / "x", "--events", data / "events.csv", "--seed", 0,
+                  "--n-states", 2, "--restarts", 1, "--eval-grids", 0, "--holdout-fraction", 0])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == ["error: eval_grids must be at least 1, got 0"]
+
+    def test_zero_states(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        capsys.readouterr()
+        rc = run(["fit", "--out", tmp_path / "x", "--events", data / "events.csv", "--seed", 0,
+                  "--n-states", 0, "--restarts", 1])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == ["error: n_states must be at least 1, got 0"]
+
+    def test_failed_command_leaves_no_out_dir(self, tmp_path):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        out = tmp_path / "X"
+        rc = run(["fit", "--out", out, "--events", data / "events.csv", "--seed", 0,
+                  "--n-states", 2, "--restarts", 0])
+        assert rc == EXIT_DOMAIN
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["0.1 zz", "0.1 0.2 0.3"])
+    def test_malformed_joint_row(self, tmp_path, capsys, row):
+        joint = tmp_path / "joint.csv"
+        joint.write_text(f"# smjp-matrix v1\n# name: joint\n# rows: a b\n# cols: x y\n0.1 0.2\n{row}\n")
+        rc = run(["cocluster", "--out", tmp_path / "co", "--joint", joint, "--rows", 2, "--cols", 2, "--seed", 0])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{joint}:6:" in err[0]
+
+    def test_malformed_truth_row(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        truth = tmp_path / "truth.csv"
+        truth.write_text("# smjp-agent-truth v1\n# n_z: 2\ntime,z,location,rewarded,belief_bin\n0.1,zz,0,0,0\n")
+        capsys.readouterr()
+        rc = run(["correspond", "--out", tmp_path / "c", "--model", data / "true_model.smjp",
+                  "--events", data / "events.csv", "--truth", truth, "--seed", 0])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{truth}:4:" in err[0]

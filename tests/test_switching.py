@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     enumerate_paths,
     event_grid,
+    forward_logspace,
     model_from_chains,
     random_grid,
     random_model,
@@ -33,7 +34,6 @@ from smjp.switching import (
     fit_best,
     forward,
     forward_backward,
-    forward_logspace,
     held_out_loglik,
     inner_em,
     load_model,
@@ -177,6 +177,55 @@ class TestForwardBackwardResult:
         assert ll_fast == pytest.approx(ll_ref, abs=1e-8)
         finite = np.isfinite(log_alpha_ref)
         assert np.abs(log_alpha_fast[finite] - log_alpha_ref[finite]).max() < 1e-6
+
+
+class TestScaledCore:
+    """forward, backward, posterior_xi and the E-step are views of one
+    scaled filter/smoother pair; these pin them to each other."""
+
+    @pytest.mark.parametrize("per_action", [False, True])
+    def test_accumulated_stats_are_sums_of_posteriors(self, per_action):
+        rng = derive_rng(25)
+        for _ in range(10):
+            n, k, o = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            model = random_model(rng, n, k, o)
+            if per_action:
+                model = replace(model, emission=np.stack([rng.dirichlet(np.ones(o), size=n) for _ in range(k)]))
+            grid = random_grid(rng, int(rng.integers(1, 300)), k, o)
+            stats = SufficientStats.zeros(n, k, o, per_action)
+            ll = _accumulate_stats(model.chain_stack, np.asarray(model.emission), grid, stats)
+            res = forward_backward(model, grid)
+            trans = np.zeros((k, n, n))
+            emit = np.zeros(stats.emit.shape)
+            for i in range(len(grid)):
+                if i + 1 < len(grid):
+                    trans[grid.actions[i]] += res.xi[i]
+                obs = grid.observations[i]
+                if obs == NO_OBSERVATION:
+                    continue
+                if per_action:
+                    emit[grid.actions[i], :, obs] += res.gamma[i]
+                else:
+                    emit[:, obs] += res.gamma[i]
+            np.testing.assert_allclose(stats.trans, trans, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(stats.emit, emit, rtol=1e-12, atol=0)
+            assert ll == pytest.approx(res.log_likelihood, rel=1e-12)
+            assert np.array_equal(stats.action_steps, np.bincount(grid.actions[:-1], minlength=k))
+
+    def test_posterior_xi_matches_forward_backward_long_grid(self):
+        rng = derive_rng(26)
+        model = random_model(rng, 4, 2, 3)
+        grid = random_grid(rng, 10_000, 2, 3)
+        log_alpha, _ = forward(model, grid)
+        xi, gamma = posterior_xi(model, log_alpha, backward(model, grid), grid)
+        res = forward_backward(model, grid)
+        assert np.abs(xi - res.xi).max() < 1e-9
+        assert np.abs(gamma - res.gamma).max() < 1e-9
+
+    def test_backward_rejects_impossible_symbol(self):
+        model = model_from_chains(np.full((1, 2, 2), 0.5), np.array([[1.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(ZeroProbabilityObservation):
+            backward(model, event_grid([0, 1, 0], [0, 0, 0]))
 
 
 class TestMStep:
@@ -347,6 +396,22 @@ class TestFit:
         with pytest.raises(SmjpError, match="restarts must be at least 1"):
             fit_best([toy.sequence], 2, FitConfig(restarts=0))
 
+    def test_fit_best_rejects_zero_states(self):
+        toy = toy_sequences(length=60)
+        with pytest.raises(SmjpError, match="^n_states must be at least 1, got 0$"):
+            fit_best([toy.sequence], 0, FitConfig())
+
+    @pytest.mark.parametrize("holdout_fraction", [0.0, 0.2])
+    def test_fit_rejects_zero_eval_grids_before_any_grid(self, monkeypatch, holdout_fraction):
+        def no_grids(*args, **kwargs):
+            raise AssertionError("a grid was built before eval_grids was checked")
+
+        monkeypatch.setattr(switching, "build_time_grid", no_grids)
+        toy = toy_sequences(length=60)
+        cfg = FitConfig(eval_grids=0, holdout_fraction=holdout_fraction)
+        with pytest.raises(SmjpError, match="^eval_grids must be at least 1, got 0$"):
+            fit(toy.model, [toy.sequence], cfg)
+
     def test_alphabet_mismatch_rejected(self):
         toy = toy_sequences(length=60)
         other = EventSequence(
@@ -426,7 +491,7 @@ class TestHeldOut:
 
 def step_loglik(model, grid):
     """The step filter's log-likelihood: the reference for _grid_loglik."""
-    _, c = _filter_scaled(model.chain_stack, _emission_table(model, grid), grid.actions)
+    _, c = _filter_scaled(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
     return float(np.log(c).sum())
 
 
@@ -436,7 +501,7 @@ class TestGridLoglik:
         model = random_model(rng, 6, 2, 3)
         model = replace(model, emission=np.stack([rng.dirichlet(np.ones(3), size=6) for _ in range(2)]))
         grid = random_grid(rng, 20_000, 2, 3)
-        got = _grid_loglik(model.chain_stack, _emission_table(model, grid), grid.actions)
+        got = _grid_loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
         _, ref = forward_logspace(model, grid)
         # The log-domain oracle itself drifts ~1e-13 relative over 20k steps.
         assert got == pytest.approx(ref, rel=1e-12)
@@ -448,7 +513,7 @@ class TestGridLoglik:
         monkeypatch.setattr(switching, "_REDUCE_BLOCK_ENTRIES", 9 * 7)
         for length in (1, 2, 3, 7, 8, 9, 50, 333):
             grid = random_grid(rng, length, 2, 4)
-            got = _grid_loglik(model.chain_stack, _emission_table(model, grid), grid.actions)
+            got = _grid_loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
             assert got == pytest.approx(step_loglik(model, grid), abs=1e-10)
 
     def test_tiny_emission_stays_finite(self):
@@ -467,7 +532,7 @@ class TestGridLoglik:
         emission = np.array([[1.0 - 1e-320, 1e-320], [1.0 - 1e-320, 1e-320]])
         model = model_from_chains(np.full((1, 2, 2), 0.5), emission)
         grid = event_grid([1, 0, 1, 0], [0, 0, 0, 0])
-        got = _grid_loglik(model.chain_stack, _emission_table(model, grid), grid.actions)
+        got = _grid_loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
         assert np.isfinite(got)
         assert got == pytest.approx(step_loglik(model, grid), abs=1e-9)
 
@@ -502,6 +567,15 @@ class TestSelectNumStates:
         toy = toy_sequences(length=60)
         with pytest.raises(Exception):
             select_num_states([toy.sequence], [3, 2], FitConfig())
+
+    def test_zero_restarts_rejected_before_candidates(self, monkeypatch):
+        def no_fits(*args, **kwargs):
+            raise AssertionError("a candidate was fitted before restarts was checked")
+
+        monkeypatch.setattr(switching, "fit_best", no_fits)
+        toy = toy_sequences(length=60)
+        with pytest.raises(SmjpError, match="^restarts must be at least 1, got 0$"):
+            select_num_states([toy.sequence], [2, 3], FitConfig(restarts=0))
 
 
 class TestSerialization:
