@@ -1,19 +1,22 @@
 """Command-line pipeline.
 
 Every command reads an optional ``key = value`` config file plus flag
-overrides, writes its data products plus a ``manifest.txt`` (command,
-resolved config, input/output digests) into ``--out``, and is byte-for-
-byte deterministic under a fixed ``--seed``. The ``SMJP_LOG`` environment
-variable only controls progress chatter on stderr, never results.
+overrides and returns its data products as ``{file name: text}``;
+``main`` then writes them plus a ``manifest.txt`` (command, resolved
+config, input/output digests) into ``--out``. Outputs are byte-for-byte
+deterministic under a fixed ``--seed``, and a command that fails writes
+nothing. The ``SMJP_LOG`` environment variable only controls progress
+chatter on stderr, never results.
 
-Exit codes: 2 usage/config errors, 3 input parse errors, 4 domain
-validation errors, 5 numeric failures.
+Exit codes: 2 usage/config errors, 3 unreadable or malformed input files,
+4 domain validation errors, 5 numeric failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -34,7 +37,7 @@ from .analysis import (
     state_correspondence,
 )
 from .core import SmjpError
-from .events import EventParseError, EventSequence, parse_event_file, split_chronological, write_event_file
+from .events import EventParseError, parse_event_file, split_chronological, write_event_file
 from .foraging import (
     NonConvergence,
     ToyConfig,
@@ -68,7 +71,7 @@ class UsageError(SmjpError):
 
 
 class InputParseError(SmjpError):
-    """A line of a matrix or agent-truth input file does not parse."""
+    """A matrix, agent-truth or points input file is malformed."""
 
 
 def _log(msg: str) -> None:
@@ -145,28 +148,28 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_CASTS = {"int": int, "float": float}
 
 
 def _parse_value(name: str, raw: str):
     kind = _FIELD_TYPES[name]
     raw = raw.strip()
-    if kind in ("int", int):
-        return int(raw)
-    if kind in ("float", float):
-        return float(raw)
-    if kind in ("bool", bool):
+    if kind == "bool":
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise UsageError(f"bad boolean {raw!r} for config key {name}")
-    return raw
+    try:
+        return _CASTS.get(kind, str)(raw)
+    except ValueError:
+        raise UsageError(f"bad {kind} {raw!r} for config key {name}") from None
 
 
 def load_run_config(path: str) -> dict:
     """Read ``key = value`` lines; unknown keys are an error."""
     overrides: dict = {}
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -205,35 +208,38 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _text(write, obj, *rest) -> str:
+    """What ``write(obj, fh, *rest)`` (``save_model``, ``write_event_file``) writes."""
+    buf = io.StringIO()
+    write(obj, buf, *rest)
+    return buf.getvalue()
+
+
 class Workspace:
-    """Collects the files a command reads and writes, then renders the
-    manifest. Writing is centralized so digests stay consistent. The
-    output directory is created when the first output is requested, so a
-    command that fails before writing leaves none behind."""
+    """Collects the files a command reads; once the command has returned
+    its outputs, writes them and the manifest. A command that fails
+    therefore leaves no ``--out`` directory behind."""
 
     def __init__(self, command: str, out_dir: str, config: RunConfig):
         self.command = command
         self.dir = Path(out_dir)
+        if self.dir.exists() and not self.dir.is_dir():
+            raise UsageError(f"--out {out_dir}: exists and is not a directory")
         self.config = config
         self.inputs: list[Path] = []
-        self.outputs: list[Path] = []
 
     def note_input(self, path: str) -> str:
         self.inputs.append(Path(path))
         return path
 
-    def path(self, name: str) -> Path:
+    def finish(self, outputs: dict[str, str]) -> Path:
         self.dir.mkdir(parents=True, exist_ok=True)
-        p = self.dir / name
-        self.outputs.append(p)
-        return p
-
-    def write_text(self, name: str, text: str) -> Path:
-        p = self.path(name)
-        p.write_text(text)
-        return p
-
-    def finish(self) -> Path:
+        for name, text in outputs.items():
+            (self.dir / name).write_text(text)
         lines = ["smjp-manifest v1", f"command: {self.command}", f"package: smjp {__version__}", "config:"]
         for f in sorted(_FIELD_TYPES):
             value = getattr(self.config, f)
@@ -242,31 +248,28 @@ class Workspace:
         for p in self.inputs:
             lines.append(f"  {p.name} sha256={_sha256(p)}")
         lines.append("outputs:")
-        for p in self.outputs:
-            lines.append(f"  {p.name} sha256={_sha256(p)}")
+        for name in outputs:
+            lines.append(f"  {name} sha256={_sha256(self.dir / name)}")
         manifest = self.dir / "manifest.txt"
-        manifest.write_text("\n".join(lines) + "\n")
+        manifest.write_text(_lines(lines))
         return manifest
 
 
-def write_labeled_matrix(path: Path, name: str, matrix: np.ndarray, rows: list[str], cols: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write("# smjp-matrix v1\n")
-        fh.write(f"# name: {name}\n")
-        fh.write("# rows: " + " ".join(rows) + "\n")
-        fh.write("# cols: " + " ".join(cols) + "\n")
-        for row in np.atleast_2d(matrix):
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+def _matrix_text(name: str, matrix: np.ndarray, rows, cols) -> str:
+    lines = ["# smjp-matrix v1", f"# name: {name}",
+             "# rows: " + " ".join(map(str, rows)), "# cols: " + " ".join(map(str, cols))]
+    lines += [" ".join(_fmt(x) for x in row) for row in np.atleast_2d(matrix)]
+    return _lines(lines)
 
 
 def read_labeled_matrix(path: str) -> tuple[np.ndarray, list[str], list[str]]:
     rows_labels: list[str] = []
     cols_labels: list[str] = []
     data: list[list[float]] = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         first = fh.readline().rstrip("\n")
         if first != "# smjp-matrix v1":
-            raise UsageError(f"{path}: not a labeled-matrix file")
+            raise InputParseError(f"{path}: not a labeled-matrix file")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if line.startswith("# rows:"):
@@ -282,71 +285,45 @@ def read_labeled_matrix(path: str) -> tuple[np.ndarray, list[str], list[str]]:
                     raise InputParseError(f"{path}:{lineno}: bad matrix row {line!r}") from None
                 if len(data[-1]) != len(data[0]):
                     raise InputParseError(f"{path}:{lineno}: expected {len(data[0])} columns, got {len(data[-1])}")
+    if not data:
+        raise InputParseError(f"{path}: no matrix rows")
     return np.asarray(data), rows_labels, cols_labels
 
 
-def _load_events(ws: Workspace, path: str) -> EventSequence:
-    ws.note_input(path)
-    return parse_event_file(path)
-
-
-def _load_model(ws: Workspace, path: str):
-    ws.note_input(path)
-    return load_model(path)
-
-
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands. Each returns its outputs as {file name: text}, in manifest order.
 
-def cmd_simulate_toy(args) -> int:
-    cfg = resolve_config(args)
-    ws = Workspace("simulate-toy", args.out, cfg)
+def cmd_simulate_toy(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     toy = generate_toy(cfg.toy_config(), cfg.seed)
-    write_event_file(toy.sequence, str(ws.path("events.csv")))
-    with open(ws.path("states.csv"), "w") as fh:
-        fh.write("# smjp-toy-states v1\n")
-        fh.write("time,state\n")
-        for t, s in zip(toy.sequence.times, toy.states):
-            fh.write(f"{_fmt(t)},{toy.model.states.label(int(s))}\n")
-    save_model(toy.model, str(ws.path("true_model.smjp")), {"source": "simulate-toy", "seed": str(cfg.seed)})
-    ws.finish()
+    states = ["# smjp-toy-states v1", "time,state"]
+    states += [f"{_fmt(t)},{toy.model.states.label(int(s))}" for t, s in zip(toy.sequence.times, toy.states)]
     _log(f"simulate-toy: {len(toy.sequence)} events")
-    return 0
+    return {
+        "events.csv": _text(write_event_file, toy.sequence),
+        "states.csv": _lines(states),
+        "true_model.smjp": _text(save_model, toy.model, {"source": "simulate-toy", "seed": str(cfg.seed)}),
+    }
 
 
-def cmd_simulate_foraging(args) -> int:
-    cfg = resolve_config(args)
-    ws = Workspace("simulate-foraging", args.out, cfg)
+def cmd_simulate_foraging(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     mdp = solve_belief_mdp(cfg.world_config(), cfg.m_bins, cfg.diffusion_eps)
     if not policy_is_nontrivial(mdp):
         print("warning: solved policy is trivial for this configuration", file=sys.stderr)
     seq, trace = simulate_agent(mdp, cfg.horizon, cfg.seed)
-    write_event_file(seq, str(ws.path("events.csv")))
-    with open(ws.path("truth_z.csv"), "w") as fh:
-        fh.write("# smjp-agent-truth v1\n")
-        fh.write(f"# m_bins: {mdp.m_bins}\n")
-        fh.write(f"# n_z: {trace.n_z}\n")
-        fh.write("time,z,location,rewarded,belief_bin\n")
-        for i in range(trace.times.shape[0]):
-            fh.write(
-                f"{_fmt(trace.times[i])},{int(trace.z[i])},{int(trace.location[i])},"
-                f"{int(trace.rewarded[i])},{int(trace.belief_bin[i])}\n"
-            )
-    with open(ws.path("policy.csv"), "w") as fh:
-        fh.write("# smjp-policy v1\n")
-        fh.write("state,location,bin_box1,bin_box2,action,value\n")
-        for s in range(mdp.n_states):
-            loc, b0, b1 = mdp.state_parts(s)
-            fh.write(f"{s},{loc},{b0},{b1},{mdp.policy[s]},{_fmt(mdp.values[s])}\n")
-    ws.finish()
+    truth = ["# smjp-agent-truth v1", f"# m_bins: {mdp.m_bins}", f"# n_z: {trace.n_z}",
+             "time,z,location,rewarded,belief_bin"]
+    truth += [f"{_fmt(t)},{int(z)},{int(loc)},{int(r)},{int(b)}"
+              for t, z, loc, r, b in zip(trace.times, trace.z, trace.location, trace.rewarded, trace.belief_bin)]
+    policy = ["# smjp-policy v1", "state,location,bin_box1,bin_box2,action,value"]
+    for s in range(mdp.n_states):
+        loc, b0, b1 = mdp.state_parts(s)
+        policy.append(f"{s},{loc},{b0},{b1},{mdp.policy[s]},{_fmt(mdp.values[s])}")
     _log(f"simulate-foraging: {len(seq)} events, {int(trace.rewarded.sum())} rewards")
-    return 0
+    return {"events.csv": _text(write_event_file, seq), "truth_z.csv": _lines(truth), "policy.csv": _lines(policy)}
 
 
-def cmd_fit(args) -> int:
-    cfg = resolve_config(args)
-    ws = Workspace("fit", args.out, cfg)
-    seq = _load_events(ws, args.events)
+def cmd_fit(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+    seq = parse_event_file(ws.note_input(args.events))
     report = fit_best([seq], cfg.n_states, cfg.fit_config())
     meta = {
         "heldout_loglik": _fmt(report.heldout_ll),
@@ -354,66 +331,57 @@ def cmd_fit(args) -> int:
         "converged": str(report.converged),
         "seed": str(cfg.seed),
     }
-    save_model(report.final_model, str(ws.path("model.smjp")), meta)
     lines = ["smjp-fit-report v1", f"n_states: {cfg.n_states}", f"iterations: {report.iterations}",
              f"converged: {report.converged}", f"heldout_loglik: {_fmt(report.heldout_ll)}"]
     if report.actions_without_data:
         lines.append("actions_without_data: " + " ".join(str(a) for a in report.actions_without_data))
     for i, (tr, hl) in enumerate(zip(report.train_ll_trace, report.heldout_trace)):
         lines.append(f"outer {i}: train={_fmt(tr)} heldout={_fmt(hl)}")
-    ws.write_text("fit_report.txt", "\n".join(lines) + "\n")
-    ws.finish()
     _log(f"fit: heldout={report.heldout_ll:.3f} after {report.iterations} outer iterations")
-    return 0
+    return {"model.smjp": _text(save_model, report.final_model, meta), "fit_report.txt": _lines(lines)}
 
 
-def _parse_range(text: str) -> list[int]:
-    if ":" not in text:
-        return [int(text)]
-    lo, hi = text.split(":", 1)
-    lo_i, hi_i = int(lo), int(hi)
+def _parse_range(flag: str, text: str) -> list[int]:
+    lo, sep, hi = text.partition(":")
+    try:
+        lo_i = int(lo)
+        hi_i = int(hi) if sep else lo_i
+    except ValueError:
+        raise UsageError(f"{flag}: bad range {text!r}") from None
     if hi_i < lo_i:
-        raise UsageError(f"bad range {text!r}")
+        raise UsageError(f"{flag}: bad range {text!r}")
     return list(range(lo_i, hi_i + 1))
 
 
-def cmd_select_states(args) -> int:
-    cfg = resolve_config(args)
-    ws = Workspace("select-states", args.out, cfg)
-    seq = _load_events(ws, args.events)
-    selection = select_num_states([seq], _parse_range(args.range), cfg.fit_config())
+def cmd_select_states(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+    n_values = _parse_range("--range", args.range)
+    seq = parse_event_file(ws.note_input(args.events))
+    selection = select_num_states([seq], n_values, cfg.fit_config())
     lines = ["# smjp-state-selection v1", f"# chosen: {selection.chosen_n}", "n_states,heldout_loglik"]
-    for n, ll in zip(selection.n_values, selection.heldout_lls):
-        lines.append(f"{n},{_fmt(ll)}")
-    ws.write_text("state_selection.csv", "\n".join(lines) + "\n")
-    ws.finish()
+    lines += [f"{n},{_fmt(ll)}" for n, ll in zip(selection.n_values, selection.heldout_lls)]
     _log(f"select-states: chose {selection.chosen_n}")
-    return 0
+    return {"state_selection.csv": _lines(lines)}
 
 
-def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
-    ws = Workspace("evaluate", args.out, cfg)
-    model, meta = _load_model(ws, args.model)
-    seq = _load_events(ws, args.events)
+def cmd_evaluate(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+    model, _ = load_model(ws.note_input(args.model))
+    seq = parse_event_file(ws.note_input(args.events))
     if cfg.holdout_fraction > 0 and args.use_holdout:
         _, seq = split_chronological(seq, cfg.holdout_fraction)
     ll = held_out_loglik(model, [seq], cfg.fit_config())
-    lines = ["smjp-evaluation v1", f"events: {len(seq)}", f"eval_grids: {cfg.eval_grids}", f"loglik: {_fmt(ll)}"]
-    ws.write_text("evaluation.txt", "\n".join(lines) + "\n")
-    ws.finish()
     print(_fmt(ll))
-    return 0
+    return {"evaluation.txt": _lines(["smjp-evaluation v1", f"events: {len(seq)}",
+                                      f"eval_grids: {cfg.eval_grids}", f"loglik: {_fmt(ll)}"])}
 
 
 def _read_truth(path: str) -> tuple[np.ndarray, np.ndarray, int]:
     times: list[float] = []
     zs: list[int] = []
     n_z = 0
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         first = fh.readline().rstrip("\n")
         if first != "# smjp-agent-truth v1":
-            raise UsageError(f"{path}: not an agent-truth file")
+            raise InputParseError(f"{path}: not an agent-truth file")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             try:
@@ -428,48 +396,39 @@ def _read_truth(path: str) -> tuple[np.ndarray, np.ndarray, int]:
             except (ValueError, IndexError):
                 raise InputParseError(f"{path}:{lineno}: bad truth line {line!r}") from None
     if n_z <= 0:
-        raise UsageError(f"{path}: missing n_z header")
+        raise InputParseError(f"{path}: missing n_z header")
     return np.asarray(times), np.asarray(zs, dtype=np.int64), n_z
 
 
-def cmd_correspond(args) -> int:
-    cfg = resolve_config(args)
-    ws = Workspace("correspond", args.out, cfg)
-    model, _ = _load_model(ws, args.model)
-    seq = _load_events(ws, args.events)
-    ws.note_input(args.truth)
-    t_truth, z, n_z = _read_truth(args.truth)
+def cmd_correspond(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+    model, _ = load_model(ws.note_input(args.model))
+    seq = parse_event_file(ws.note_input(args.events))
+    t_truth, z, n_z = _read_truth(ws.note_input(args.truth))
     if t_truth.shape[0] != len(seq) or not np.array_equal(t_truth, seq.times):
         raise GridMisalignment("truth timestamps do not match the event sequence")
     gamma = event_state_posterior(model, seq, cfg.fit_config())
     onehot = np.zeros((z.shape[0], n_z))
     onehot[np.arange(z.shape[0]), z] = 1.0
     corr = state_correspondence(gamma, onehot)
-    s_labels = list(model.states.labels)
+    s_labels = model.states.labels
     z_labels = [f"z{i}" for i in range(n_z)]
-    write_labeled_matrix(ws.path("correspondence.csv"), "joint", corr.joint, s_labels, z_labels)
-    write_labeled_matrix(ws.path("conditional.csv"), "agent-given-state", corr.conditional, s_labels, z_labels)
-    ws.finish()
-    return 0
+    return {
+        "correspondence.csv": _matrix_text("joint", corr.joint, s_labels, z_labels),
+        "conditional.csv": _matrix_text("agent-given-state", corr.conditional, s_labels, z_labels),
+    }
 
 
-def cmd_cocluster(args) -> int:
-    cfg = resolve_config(args)
-    ws = Workspace("cocluster", args.out, cfg)
-    ws.note_input(args.joint)
-    joint, row_labels, col_labels = read_labeled_matrix(args.joint)
-    rows = _parse_range(args.rows)
-    cols = _parse_range(args.cols)
+def cmd_cocluster(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+    rows = _parse_range("--rows", args.rows)
+    cols = _parse_range("--cols", args.cols)
+    joint, _, _ = read_labeled_matrix(ws.note_input(args.joint))
+    outputs: dict[str, str] = {}
     lines = ["smjp-cocluster v1"]
     if len(rows) > 1 or len(cols) > 1:
         sel = select_cocluster_sizes(joint, rows, cols, cfg.seed, cfg.cocluster_restarts)
         k_rows, k_cols = sel.chosen
-        surf = ["# smjp-matrix v1", "# name: cocluster-loss-surface",
-                "# rows: " + " ".join(str(r) for r in sel.row_sizes),
-                "# cols: " + " ".join(str(c) for c in sel.col_sizes)]
-        for row in sel.loss_surface:
-            surf.append(" ".join(_fmt(x) for x in row))
-        ws.write_text("loss_surface.csv", "\n".join(surf) + "\n")
+        outputs["loss_surface.csv"] = _matrix_text("cocluster-loss-surface", sel.loss_surface,
+                                                   sel.row_sizes, sel.col_sizes)
         lines.append(f"chosen_sizes: {k_rows} {k_cols}")
     else:
         k_rows, k_cols = rows[0], cols[0]
@@ -481,15 +440,12 @@ def cmd_cocluster(args) -> int:
         "row_assignment: " + " ".join(str(int(c)) for c in result.row_assignment),
         "col_assignment: " + " ".join(str(int(c)) for c in result.col_assignment),
     ]
-    ws.write_text("cocluster.txt", "\n".join(lines) + "\n")
-    ws.finish()
-    return 0
+    outputs["cocluster.txt"] = _lines(lines)
+    return outputs
 
 
-def cmd_operators(args) -> int:
-    cfg = resolve_config(args)
-    ws = Workspace("operators", args.out, cfg)
-    model, _ = _load_model(ws, args.model)
+def cmd_operators(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+    model, _ = load_model(ws.note_input(args.model))
     k = model.n_actions
     lines = ["smjp-operators v1", f"threshold: {_fmt(cfg.operator_threshold)}",
              f"persistence_frac: {_fmt(cfg.persistence_frac)}"]
@@ -511,15 +467,11 @@ def cmd_operators(args) -> int:
         lines.append(f"modularity: {_fmt(sub.modularity)}")
         for comm in sub.persistent_subspaces:
             lines.append("persistent: " + " ".join(model.states.label(s) for s in comm))
-    ws.write_text("operators.txt", "\n".join(lines) + "\n")
-    ws.finish()
-    return 0
+    return {"operators.txt": _lines(lines)}
 
 
-def cmd_intervals(args) -> int:
-    cfg = resolve_config(args)
-    ws = Workspace("intervals", args.out, cfg)
-    seq = _load_events(ws, args.events)
+def cmd_intervals(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+    seq = parse_event_file(ws.note_input(args.events))
     width = cfg.bin_width if cfg.bin_width > 0 else None
     result = interval_stats(seq, observation=args.observation, action=args.action, bin_width=width)
     lines = [
@@ -536,14 +488,12 @@ def cmd_intervals(args) -> int:
     ]
     for lo, hi, c in zip(result.hist_edges[:-1], result.hist_edges[1:], result.hist_counts):
         lines.append(f"{_fmt(lo)},{_fmt(hi)},{int(c)}")
-    ws.write_text("intervals.txt", "\n".join(lines) + "\n")
-    ws.finish()
-    return 0
+    return {"intervals.txt": _lines(lines)}
 
 
 def _read_points(path: str) -> np.ndarray:
     rows = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#") or line.startswith("x,"):
@@ -552,46 +502,41 @@ def _read_points(path: str) -> np.ndarray:
             try:
                 rows.append([float(p) for p in parts])
             except ValueError:
-                raise UsageError(f"{path}:{lineno}: bad point line {line!r}") from None
+                raise InputParseError(f"{path}:{lineno}: bad point line {line!r}") from None
     if not rows:
-        raise UsageError(f"{path}: no points found")
+        raise InputParseError(f"{path}: no points found")
     return np.asarray(rows)
 
 
-def cmd_quantize(args) -> int:
-    cfg = resolve_config(args)
-    ws = Workspace("quantize", args.out, cfg)
-    ws.note_input(args.points)
-    points = _read_points(args.points)
+def cmd_quantize(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+    points = _read_points(ws.note_input(args.points))
     result = quantize_locations(points, cfg.k_locations, cfg.seed)
-    with open(ws.path("labels.csv"), "w") as fh:
-        fh.write("# smjp-quantize-labels v1\n")
-        fh.write("index,label\n")
-        for i, lab in enumerate(result.labels):
-            fh.write(f"{i},{int(lab)}\n")
-    with open(ws.path("centroids.csv"), "w") as fh:
-        fh.write("# smjp-quantize-centroids v1\n")
-        fh.write(f"# inertia: {_fmt(result.inertia)}\n")
-        fh.write("label," + ",".join(f"dim{d}" for d in range(points.shape[1])) + "\n")
-        for c, row in enumerate(result.centroids):
-            fh.write(f"{c}," + ",".join(_fmt(x) for x in row) + "\n")
-    ws.finish()
-    return 0
+    labels = ["# smjp-quantize-labels v1", "index,label"]
+    labels += [f"{i},{int(lab)}" for i, lab in enumerate(result.labels)]
+    centroids = ["# smjp-quantize-centroids v1", f"# inertia: {_fmt(result.inertia)}",
+                 "label," + ",".join(f"dim{d}" for d in range(points.shape[1]))]
+    centroids += [f"{c}," + ",".join(_fmt(x) for x in row) for c, row in enumerate(result.centroids)]
+    return {"labels.csv": _lines(labels), "centroids.csv": _lines(centroids)}
 
 
 # ---------------------------------------------------------------------------
 # Argument wiring.
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _subparser(sub, name: str, func, help: str, *inputs: str) -> argparse.ArgumentParser:
+    """A command's parser with the common flags and one required flag per input file."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--seed", type=int, default=None, help="root seed for every random stream")
     p.add_argument("--config", type=str, default=None, help="key = value config file")
     p.add_argument("--out", type=str, required=True, help="output directory")
+    for flag in inputs:
+        p.add_argument(f"--{flag}", required=True)
+    p.set_defaults(func=func)
+    return p
 
 
 def _add_override(p: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
-        kind = _FIELD_TYPES[name]
-        typer = int if kind in ("int", int) else float if kind in ("float", float) else str
+        typer = _CASTS.get(_FIELD_TYPES[name], str)
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typer, default=None)
 
 
@@ -600,101 +545,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"smjp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate-toy", help="sample a known switching chain")
-    _add_common(p)
+    p = _subparser(sub, "simulate-toy", cmd_simulate_toy, "sample a known switching chain")
     _add_override(p, "toy_states", "toy_observations", "toy_actions", "toy_length", "toy_event_rate", "toy_concentration")
-    p.set_defaults(func=cmd_simulate_toy)
 
-    p = sub.add_parser("simulate-foraging", help="simulate the two-box planner")
-    _add_common(p)
+    p = _subparser(sub, "simulate-foraging", cmd_simulate_foraging, "simulate the two-box planner")
     _add_override(p, "horizon", "box_mean_1", "box_mean_2", "press_cost", "switch_cost",
                   "reward_value", "travel_time", "decision_tick", "discount", "m_bins", "diffusion_eps")
-    p.set_defaults(func=cmd_simulate_foraging)
 
-    p = sub.add_parser("fit", help="fit a model to an event file")
-    _add_common(p)
-    p.add_argument("--events", required=True)
+    p = _subparser(sub, "fit", cmd_fit, "fit a model to an event file", "events")
     _add_override(p, "n_states", "inner_iterations", "outer_cap", "tol", "restarts",
                   "grids_per_iteration", "eval_grids", "holdout_fraction", "emission_floor")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("select-states", help="held-out likelihood curve over state counts")
-    _add_common(p)
-    p.add_argument("--events", required=True)
+    p = _subparser(sub, "select-states", cmd_select_states, "held-out likelihood curve over state counts",
+                   "events")
     p.add_argument("--range", required=True, help="inclusive range like 2:8")
     _add_override(p, "inner_iterations", "outer_cap", "tol", "restarts", "eval_grids",
                   "holdout_fraction", "plateau_eps")
-    p.set_defaults(func=cmd_select_states)
 
-    p = sub.add_parser("evaluate", help="score an event file under a saved model")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--events", required=True)
+    p = _subparser(sub, "evaluate", cmd_evaluate, "score an event file under a saved model", "model", "events")
     p.add_argument("--use-holdout", action="store_true",
                    help="evaluate only the chronological holdout tail (as fit does)")
     _add_override(p, "eval_grids", "holdout_fraction")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("correspond", help="joint distribution of model states and agent truth")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--events", required=True)
-    p.add_argument("--truth", required=True)
+    p = _subparser(sub, "correspond", cmd_correspond, "joint distribution of model states and agent truth",
+                   "model", "events", "truth")
     _add_override(p, "eval_grids")
-    p.set_defaults(func=cmd_correspond)
 
-    p = sub.add_parser("cocluster", help="information-theoretic co-clustering of a joint matrix")
-    _add_common(p)
-    p.add_argument("--joint", required=True)
+    p = _subparser(sub, "cocluster", cmd_cocluster, "information-theoretic co-clustering of a joint matrix",
+                   "joint")
     p.add_argument("--rows", required=True, help="cluster count or range like 2:6")
     p.add_argument("--cols", required=True)
     _add_override(p, "cocluster_restarts")
-    p.set_defaults(func=cmd_cocluster)
 
-    p = sub.add_parser("operators", help="joint action operators and their subgraphs")
-    _add_common(p)
-    p.add_argument("--model", required=True)
+    p = _subparser(sub, "operators", cmd_operators, "joint action operators and their subgraphs", "model")
     _add_override(p, "operator_threshold", "persistence_frac")
-    p.set_defaults(func=cmd_operators)
 
-    p = sub.add_parser("intervals", help="interval statistics for filtered events")
-    _add_common(p)
-    p.add_argument("--events", required=True)
+    p = _subparser(sub, "intervals", cmd_intervals, "interval statistics for filtered events", "events")
     p.add_argument("--observation", default=None)
     p.add_argument("--action", default=None)
     _add_override(p, "bin_width")
-    p.set_defaults(func=cmd_intervals)
 
-    p = sub.add_parser("quantize", help="k-means location quantization")
-    _add_common(p)
-    p.add_argument("--points", required=True)
+    p = _subparser(sub, "quantize", cmd_quantize, "k-means location quantization", "points")
     _add_override(p, "k_locations")
-    p.set_defaults(func=cmd_quantize)
 
     return parser
 
 
-PARSE_ERRORS = (EventParseError, ModelFormatError, InputParseError, FileNotFoundError)
-NUMERIC_ERRORS = (NonFiniteLikelihood, NonConvergence, ZeroProbabilityObservation)
+# First matching row wins, so the SmjpError catch-all comes last.
+EXIT_CODES = (
+    (UsageError, EXIT_USAGE),
+    ((EventParseError, ModelFormatError, InputParseError, OSError), EXIT_PARSE),
+    ((NonFiniteLikelihood, NonConvergence, ZeroProbabilityObservation), EXIT_NUMERIC),
+    (SmjpError, EXIT_DOMAIN),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        cfg = resolve_config(args)
+        ws = Workspace(args.command, args.out, cfg)
+        ws.finish(args.func(args, cfg, ws))
+        return 0
+    except (SmjpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except SmjpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -808,7 +808,7 @@ def save_model(model: SwitchingSMJP, target: str | TextIO, metadata: dict[str, s
 def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
     """Parse a model document written by :func:`save_model`."""
     own = isinstance(source, str)
-    fh: TextIO = open(source, "r") if own else source
+    fh: TextIO = open(source, "r", errors="replace") if own else source
     try:
         lines = [ln.rstrip("\n") for ln in fh]
     finally:

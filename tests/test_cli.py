@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smjp import cli
 from smjp.cli import EXIT_DOMAIN, EXIT_PARSE, EXIT_USAGE, main
 from smjp.core import derive_rng
 
@@ -291,3 +292,96 @@ class TestErrorExitCodes:
         assert rc == EXIT_PARSE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{truth}:4:" in err[0]
+
+    def test_out_naming_a_file_rejected_before_work(self, tmp_path, capsys, monkeypatch):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        monkeypatch.setattr(cli, "generate_toy", lambda *a: pytest.fail("command ran before --out was checked"))
+        rc = run(toy_args(afile))
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: --out {afile}: exists and is not a directory"]
+        assert afile.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("flag", ["--events", "--config"])
+    def test_directory_as_input_file(self, tmp_path, capsys, flag):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        capsys.readouterr()
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        inputs = {"--events": data / "events.csv", flag: adir}
+        rc = run(["fit", "--out", tmp_path / "x", "--seed", 0, "--n-states", 2, "--restarts", 1]
+                 + [a for pair in inputs.items() for a in pair])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Is a directory" in err[0] and str(adir) in err[0]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("x,y\n0.0,0.0\n0.1,zz\n", "{path}:3: bad point line '0.1,zz'"),
+        ("# no points\nx,y\n", "{path}: no points found"),
+    ])
+    def test_malformed_points(self, tmp_path, capsys, body, message):
+        pfile = tmp_path / "p.csv"
+        pfile.write_text(body)
+        rc = run(["quantize", "--out", tmp_path / "q", "--points", pfile, "--k-locations", 1, "--seed", 0])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=pfile)]
+
+    def test_header_only_joint(self, tmp_path, capsys):
+        joint = tmp_path / "joint.csv"
+        joint.write_text("# smjp-matrix v1\n# name: joint\n# rows: a b\n# cols: x y\n")
+        rc = run(["cocluster", "--out", tmp_path / "co", "--joint", joint, "--rows", 2, "--cols", 2, "--seed", 0])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err.splitlines() == [f"error: {joint}: no matrix rows"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["select-states", "--events", "{events}", "--range", "2:x"], "--range: bad range '2:x'"),
+        (["cocluster", "--joint", "{joint}", "--rows", "x", "--cols", "2"], "--rows: bad range 'x'"),
+        (["simulate-toy", "--config", "{config}"], "bad int 'x' for config key seed"),
+    ])
+    def test_bad_number_in_usage_input(self, tmp_path, capsys, args, message):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        joint = tmp_path / "joint.csv"
+        joint.write_text("# smjp-matrix v1\n# name: joint\n# rows: a b\n# cols: x y\n0.5 0.0\n0.0 0.5\n")
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = x\n")
+        capsys.readouterr()
+        paths = {"events": data / "events.csv", "joint": joint, "config": config}
+        rc = run([a.format(**paths) for a in args] + ["--out", tmp_path / "x"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == ["error: " + message]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, flag, code", [
+        (["simulate-toy"], "--config", EXIT_USAGE),
+        (["cocluster", "--rows", "2", "--cols", "2"], "--joint", EXIT_PARSE),
+        (["quantize"], "--points", EXIT_PARSE),
+        (["operators"], "--model", EXIT_PARSE),
+    ])
+    def test_undecodable_bytes(self, tmp_path, capsys, command, flag, code):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe 1 2\n")
+        rc = run(command + [flag, bad, "--out", tmp_path / "x", "--seed", 0])
+        assert rc == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, body, message", [
+        ("--joint", "# not a matrix\n0.5 0.5\n", "{path}: not a labeled-matrix file"),
+        ("--truth", "time,z\n0.1,0\n", "{path}: not an agent-truth file"),
+        ("--truth", "# smjp-agent-truth v1\ntime,z\n0.1,0\n", "{path}: missing n_z header"),
+    ])
+    def test_wrong_header(self, tmp_path, capsys, flag, body, message):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        capsys.readouterr()
+        if flag == "--joint":
+            args = ["cocluster", "--rows", 2, "--cols", 2, "--joint", bad]
+        else:
+            args = ["correspond", "--model", data / "true_model.smjp", "--events", data / "events.csv", "--truth", bad]
+        rc = run(args + ["--out", tmp_path / "x", "--seed", 0])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=bad)]
