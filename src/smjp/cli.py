@@ -9,7 +9,9 @@ nothing. The ``SMJP_LOG`` environment variable only controls progress
 chatter on stderr, never results.
 
 Exit codes: 2 usage/config errors, 3 unreadable or malformed input files,
-4 domain validation errors, 5 numeric failures.
+4 domain validation errors, 5 numeric failures. A malformed input prints
+``error: FILE:LINE: message``, or ``error: FILE: message`` when no single
+line is at fault, and exits 3.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .analysis import (
     select_cocluster_sizes,
     state_correspondence,
 )
-from .core import SmjpError
-from .events import EventParseError, parse_event_file, split_chronological, write_event_file
+from .core import InputFormatError, SmjpError, read_lines, write_text
+from .events import parse_event_file, split_chronological, write_event_file
 from .foraging import (
     NonConvergence,
     ToyConfig,
@@ -50,7 +52,6 @@ from .foraging import (
 from .quantize import quantize_locations
 from .switching import (
     FitConfig,
-    ModelFormatError,
     NonFiniteLikelihood,
     ZeroProbabilityObservation,
     fit_best,
@@ -68,10 +69,6 @@ EXIT_NUMERIC = 5
 
 class UsageError(SmjpError):
     pass
-
-
-class InputParseError(SmjpError):
-    """A matrix, agent-truth or points input file is malformed."""
 
 
 def _log(msg: str) -> None:
@@ -169,17 +166,17 @@ def _parse_value(name: str, raw: str):
 def load_run_config(path: str) -> dict:
     """Read ``key = value`` lines; unknown keys are an error."""
     overrides: dict = {}
-    with open(path, errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            overrides[key] = _parse_value(key, value)
+    name, lines = read_lines(path)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{name}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _FIELD_TYPES:
+            raise UsageError(f"{name}:{lineno}: unknown config key {key!r}")
+        overrides[key] = _parse_value(key, value)
     return overrides
 
 
@@ -227,8 +224,10 @@ class Workspace:
     def __init__(self, command: str, out_dir: str, config: RunConfig):
         self.command = command
         self.dir = Path(out_dir)
-        if self.dir.exists() and not self.dir.is_dir():
-            raise UsageError(f"--out {out_dir}: exists and is not a directory")
+        existing = next((p for p in (self.dir, *self.dir.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            where = "" if existing == self.dir else f"{existing} "
+            raise UsageError(f"--out {out_dir}: {where}exists and is not a directory")
         self.config = config
         self.inputs: list[Path] = []
 
@@ -239,19 +238,15 @@ class Workspace:
     def finish(self, outputs: dict[str, str]) -> Path:
         self.dir.mkdir(parents=True, exist_ok=True)
         for name, text in outputs.items():
-            (self.dir / name).write_text(text)
+            write_text(self.dir / name, text)
         lines = ["smjp-manifest v1", f"command: {self.command}", f"package: smjp {__version__}", "config:"]
         for f in sorted(_FIELD_TYPES):
             value = getattr(self.config, f)
             lines.append(f"  {f} = {value!r}" if isinstance(value, float) else f"  {f} = {value}")
-        lines.append("inputs:")
-        for p in self.inputs:
-            lines.append(f"  {p.name} sha256={_sha256(p)}")
-        lines.append("outputs:")
-        for name in outputs:
-            lines.append(f"  {name} sha256={_sha256(self.dir / name)}")
+        lines += ["inputs:"] + [f"  {p.name} sha256={_sha256(p)}" for p in self.inputs]
+        lines += ["outputs:"] + [f"  {name} sha256={_sha256(self.dir / name)}" for name in outputs]
         manifest = self.dir / "manifest.txt"
-        manifest.write_text(_lines(lines))
+        write_text(manifest, _lines(lines))
         return manifest
 
 
@@ -262,32 +257,29 @@ def _matrix_text(name: str, matrix: np.ndarray, rows, cols) -> str:
     return _lines(lines)
 
 
+def _float_rows(name: str, numbered: list[tuple[int, str]], sep: str | None, what: str) -> np.ndarray:
+    """One row of floats per ``(line number, text)``, all of one width."""
+    rows: list[list[float]] = []
+    for lineno, line in numbered:
+        try:
+            rows.append([float(x) for x in line.split(sep)])
+        except ValueError:
+            raise InputFormatError(name, lineno, f"bad {what} {line!r}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise InputFormatError(name, lineno, f"expected {len(rows[0])} columns, got {len(rows[-1])}")
+    return np.asarray(rows)
+
+
 def read_labeled_matrix(path: str) -> tuple[np.ndarray, list[str], list[str]]:
-    rows_labels: list[str] = []
-    cols_labels: list[str] = []
-    data: list[list[float]] = []
-    with open(path, errors="replace") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != "# smjp-matrix v1":
-            raise InputParseError(f"{path}: not a labeled-matrix file")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if line.startswith("# rows:"):
-                rows_labels = line[len("# rows:"):].split()
-            elif line.startswith("# cols:"):
-                cols_labels = line[len("# cols:"):].split()
-            elif line.startswith("#") or not line.strip():
-                continue
-            else:
-                try:
-                    data.append([float(x) for x in line.split()])
-                except ValueError:
-                    raise InputParseError(f"{path}:{lineno}: bad matrix row {line!r}") from None
-                if len(data[-1]) != len(data[0]):
-                    raise InputParseError(f"{path}:{lineno}: expected {len(data[0])} columns, got {len(data[-1])}")
-    if not data:
-        raise InputParseError(f"{path}: no matrix rows")
-    return np.asarray(data), rows_labels, cols_labels
+    name, lines = read_lines(path)
+    if not lines or lines[0] != "# smjp-matrix v1":
+        raise InputFormatError(name, None, "not a labeled-matrix file")
+    labels = {line[2:6]: line[7:].split() for line in lines if line.startswith(("# rows:", "# cols:"))}
+    body = [(i, line) for i, line in enumerate(lines, start=1) if line.strip() and not line.startswith("#")]
+    data = _float_rows(name, body, None, "matrix row")
+    if not data.size:
+        raise InputFormatError(name, None, "no matrix rows")
+    return data, labels.get("rows", []), labels.get("cols", [])
 
 
 # ---------------------------------------------------------------------------
@@ -375,29 +367,25 @@ def cmd_evaluate(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
 
 
 def _read_truth(path: str) -> tuple[np.ndarray, np.ndarray, int]:
-    times: list[float] = []
-    zs: list[int] = []
-    n_z = 0
-    with open(path, errors="replace") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != "# smjp-agent-truth v1":
-            raise InputParseError(f"{path}: not an agent-truth file")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            try:
-                if line.startswith("# n_z:"):
-                    n_z = int(line[len("# n_z:"):])
-                elif line.startswith("#") or not line.strip() or line.startswith("time,"):
-                    continue
-                else:
-                    parts = line.split(",")
-                    times.append(float(parts[0]))
-                    zs.append(int(parts[1]))
-            except (ValueError, IndexError):
-                raise InputParseError(f"{path}:{lineno}: bad truth line {line!r}") from None
+    name, lines = read_lines(path)
+    if not lines or lines[0] != "# smjp-agent-truth v1":
+        raise InputFormatError(name, None, "not an agent-truth file")
+    n_z, rows = 0, []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            if line.startswith("# n_z:"):
+                n_z = int(line[len("# n_z:"):])
+            elif line.strip() and not line.startswith(("#", "time,")):
+                parts = line.split(",")
+                rows.append((lineno, float(parts[0]), int(parts[1])))
+        except (ValueError, IndexError):
+            raise InputFormatError(name, lineno, f"bad truth line {line!r}") from None
     if n_z <= 0:
-        raise InputParseError(f"{path}: missing n_z header")
-    return np.asarray(times), np.asarray(zs, dtype=np.int64), n_z
+        raise InputFormatError(name, None, "missing n_z header")
+    for lineno, _, z in rows:
+        if not 0 <= z < n_z:
+            raise InputFormatError(name, lineno, f"agent state {z} outside 0..{n_z - 1}")
+    return np.array([t for _, t, _ in rows]), np.array([z for _, _, z in rows], dtype=np.int64), n_z
 
 
 def cmd_correspond(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
@@ -492,20 +480,13 @@ def cmd_intervals(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
 
 
 def _read_points(path: str) -> np.ndarray:
-    rows = []
-    with open(path, errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("x,"):
-                continue
-            parts = line.split(",")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise InputParseError(f"{path}:{lineno}: bad point line {line!r}") from None
-    if not rows:
-        raise InputParseError(f"{path}: no points found")
-    return np.asarray(rows)
+    name, lines = read_lines(path)
+    body = [(i, line.strip()) for i, line in enumerate(lines, start=1)
+            if line.strip() and not line.strip().startswith(("#", "x,"))]
+    points = _float_rows(name, body, ",", "point line")
+    if not points.size:
+        raise InputFormatError(name, None, "no points found")
+    return points
 
 
 def cmd_quantize(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
@@ -594,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 # First matching row wins, so the SmjpError catch-all comes last.
 EXIT_CODES = (
     (UsageError, EXIT_USAGE),
-    ((EventParseError, ModelFormatError, InputParseError, OSError), EXIT_PARSE),
+    ((InputFormatError, OSError), EXIT_PARSE),
     ((NonFiniteLikelihood, NonConvergence, ZeroProbabilityObservation), EXIT_NUMERIC),
     (SmjpError, EXIT_DOMAIN),
 )

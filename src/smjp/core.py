@@ -1,4 +1,4 @@
-"""Shared numeric types, validation and matrix functions.
+"""Shared numeric types, validation, matrix functions and text I/O.
 
 Everything here is deliberately dense-matrix and float64: the latent state
 spaces this package deals with are small (tens of states), so sparse or
@@ -7,7 +7,9 @@ arbitrary-precision machinery would be unjustified complexity.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -47,6 +49,36 @@ class DimensionMismatch(SmjpError):
 
 class NotStochastic(SmjpError):
     """A probability matrix has entries outside [0, 1] or bad row sums."""
+
+
+class InputFormatError(SmjpError):
+    """A malformed text input: ``"{source}:{line}: {message}"``, without the line for whole-file faults."""
+
+    def __init__(self, source: str, line: int | None, message: str):
+        super().__init__(f"{source}: {message}" if line is None else f"{source}:{line}: {message}")
+        self.line = line
+
+
+def read_lines(source: str | os.PathLike | TextIO) -> tuple[str, list[str]]:
+    """``(name, lines)`` of a path or an open text stream, split as iterating
+    it splits it, newlines removed; undecodable bytes become U+FFFD."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, errors="replace") as fh:
+            text = fh.read()
+        name = os.fspath(source)
+    else:
+        text = source.read()
+        name = getattr(source, "name", "<stream>")
+    return str(name), text.removesuffix("\n").split("\n") if text else []
+
+
+def write_text(target: str | os.PathLike | TextIO, text: str) -> None:
+    """Write ``text`` to a path (replacing the file) or to an open stream."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w") as fh:
+            fh.write(text)
+    else:
+        target.write(text)
 
 
 ALPHABET_KINDS = ("state", "action", "observation")

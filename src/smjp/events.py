@@ -14,17 +14,14 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .core import Alphabet, SmjpError
+from .core import Alphabet, InputFormatError, SmjpError, read_lines, write_text
 
 FORMAT_HEADER = "# smjp-events v1"
+COLUMNS = "time,observation,action"
 
 
-class EventParseError(SmjpError):
+class EventParseError(InputFormatError):
     """Base class for event-file parse failures; carries the line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class MalformedLine(EventParseError):
@@ -123,117 +120,85 @@ def split_chronological(seq: EventSequence, holdout_fraction: float) -> tuple[Ev
     return head, tail
 
 
+def event_text(seq: EventSequence) -> str:
+    """The line-based text form; see :func:`parse_event_file`."""
+    lines = [FORMAT_HEADER, f"# id: {seq.id}", "# observations: " + " ".join(seq.observation_alphabet.labels),
+             "# actions: " + " ".join(seq.action_alphabet.labels)]
+    lines += [f"# meta {key}: {value}" for key, value in seq.metadata.items()] + [COLUMNS]
+    lines += [f"{t!r},{o},{a}" for t, o, a in seq.events()]
+    return "\n".join(lines) + "\n"
+
+
 def write_event_file(seq: EventSequence, target: str | TextIO) -> None:
-    """Write the line-based text form; see :func:`parse_event_file`."""
-    own = isinstance(target, str)
-    fh: TextIO = open(target, "w") if own else target
-    try:
-        fh.write(FORMAT_HEADER + "\n")
-        fh.write(f"# id: {seq.id}\n")
-        fh.write("# observations: " + " ".join(seq.observation_alphabet.labels) + "\n")
-        fh.write("# actions: " + " ".join(seq.action_alphabet.labels) + "\n")
-        for key in seq.metadata:
-            fh.write(f"# meta {key}: {seq.metadata[key]}\n")
-        fh.write("time,observation,action\n")
-        for t, o, a in seq.events():
-            fh.write(f"{t!r},{o},{a}\n")
-    finally:
-        if own:
-            fh.close()
+    """Write :func:`event_text` to a path or an open stream."""
+    write_text(target, event_text(seq))
 
 
 def parse_event_file(source: str | TextIO) -> EventSequence:
     """Parse the text format back into an EventSequence.
 
     The parse is total: every line is either consumed or reported in a
-    structured error carrying its 1-based line number. The first offending
-    line aborts the parse.
+    structured error naming the input and its 1-based line number. The
+    first offending line aborts the parse.
 
     Raises
     ------
     MalformedLine, UnknownSymbol, NonMonotoneTime
     """
-    own = isinstance(source, str)
-    fh: TextIO = open(source, "r", errors="replace") if own else source
-    try:
-        seq_id = "events"
-        obs_labels: list[str] | None = None
-        act_labels: list[str] | None = None
-        metadata: dict[str, str] = {}
-        rows: list[tuple[float, str, str]] = []
-        saw_header = False
-        saw_columns = False
-        last_t = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if lineno == 1:
-                if line != FORMAT_HEADER:
-                    raise MalformedLine(f"expected {FORMAT_HEADER!r} header", lineno)
-                saw_header = True
-                continue
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("id:"):
-                    seq_id = body[3:].strip()
-                elif body.startswith("observations:"):
-                    obs_labels = body[len("observations:"):].split()
-                elif body.startswith("actions:"):
-                    act_labels = body[len("actions:"):].split()
-                elif body.startswith("meta "):
-                    kv = body[len("meta "):]
-                    if ":" not in kv:
-                        raise MalformedLine("metadata line needs 'key: value'", lineno)
-                    k, v = kv.split(":", 1)
-                    metadata[k.strip()] = v.strip()
-                # Unrecognized comments are ignored.
-                continue
-            if line == "time,observation,action":
-                saw_columns = True
-                if obs_labels is None or act_labels is None:
-                    raise MalformedLine("alphabets must be declared before events", lineno)
-                continue
-            if not saw_columns:
-                raise MalformedLine("event rows must follow the column header", lineno)
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise MalformedLine(f"expected 3 comma-separated fields, got {len(parts)}", lineno)
-            try:
-                t = float(parts[0])
-            except ValueError:
-                raise MalformedLine(f"bad timestamp {parts[0]!r}", lineno) from None
-            if not np.isfinite(t):
-                raise MalformedLine(f"non-finite timestamp {parts[0]!r}", lineno)
-            o, a = parts[1].strip(), parts[2].strip()
-            if o not in obs_labels:
-                raise UnknownSymbol(f"observation {o!r} not declared", lineno)
-            if a not in act_labels:
-                raise UnknownSymbol(f"action {a!r} not declared", lineno)
-            if last_t is not None and t <= last_t:
-                raise NonMonotoneTime(f"timestamp {t!r} not greater than {last_t!r}", lineno)
-            last_t = t
-            rows.append((t, o, a))
-        if not saw_header:
-            raise MalformedLine("empty input", 1)
-        if obs_labels is None or act_labels is None:
-            raise MalformedLine("missing alphabet declarations", 1)
+    name, lines = read_lines(source)
+    if not lines or lines[0].rstrip("\r") != FORMAT_HEADER:
+        raise MalformedLine(name, 1, f"expected {FORMAT_HEADER!r} header")
+    seq_id = "events"
+    alphabets: dict[str, Alphabet] = {}
+    metadata: dict[str, str] = {}
+    rows: list[tuple[float, str, str]] = []
+    saw_columns = False
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.rstrip("\r")
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            key, sep, value = line[1:].strip().partition(":")
+            if sep and key == "id":
+                seq_id = value.strip()
+            elif sep and key in ("observations", "actions"):
+                try:
+                    alphabets[key] = Alphabet(key[:-1], tuple(value.split()))
+                except SmjpError as exc:
+                    raise MalformedLine(name, lineno, f"bad alphabet declaration: {exc}") from None
+            elif key.startswith("meta "):
+                if not sep:
+                    raise MalformedLine(name, lineno, "metadata line needs 'key: value'")
+                metadata[key[len("meta "):].strip()] = value.strip()
+            continue  # unrecognized comments are ignored
+        if line == COLUMNS:
+            saw_columns = True
+            if len(alphabets) < 2:
+                raise MalformedLine(name, lineno, "alphabets must be declared before events")
+            continue
+        if not saw_columns:
+            raise MalformedLine(name, lineno, "event rows must follow the column header")
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise MalformedLine(name, lineno, f"expected 3 comma-separated fields, got {len(parts)}")
         try:
-            obs_alpha = Alphabet("observation", tuple(obs_labels))
-            act_alpha = Alphabet("action", tuple(act_labels))
-        except SmjpError as exc:
-            raise MalformedLine(f"bad alphabet declaration: {exc}", 1) from None
-        return from_symbols(seq_id, rows, obs_alpha, act_alpha, metadata)
-    finally:
-        if own:
-            fh.close()
+            t = float(parts[0])
+        except ValueError:
+            t = float("nan")
+        if not np.isfinite(t):
+            raise MalformedLine(name, lineno, f"bad timestamp {parts[0]!r}")
+        o, a = parts[1].strip(), parts[2].strip()
+        if o not in alphabets["observations"]:
+            raise UnknownSymbol(name, lineno, f"observation {o!r} not declared")
+        if a not in alphabets["actions"]:
+            raise UnknownSymbol(name, lineno, f"action {a!r} not declared")
+        if rows and t <= rows[-1][0]:
+            raise NonMonotoneTime(name, lineno, f"timestamp {t!r} not greater than {rows[-1][0]!r}")
+        rows.append((t, o, a))
+    if len(alphabets) < 2:
+        raise MalformedLine(name, None, "missing alphabet declarations")
+    return from_symbols(seq_id, rows, alphabets["observations"], alphabets["actions"], metadata)
 
 
 def parse_event_text(text: str) -> EventSequence:
     return parse_event_file(io.StringIO(text))
-
-
-def event_text(seq: EventSequence) -> str:
-    buf = io.StringIO()
-    write_event_file(seq, buf)
-    return buf.getvalue()

@@ -20,7 +20,6 @@ evaluation grids (shared across sequences so evaluation is additive), and
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence, TextIO
@@ -28,14 +27,18 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .core import (
+    ALPHABET_KINDS,
     Alphabet,
     GeneratorMatrix,
+    InputFormatError,
     NotStochastic,
     SmjpError,
     StochasticMatrix,
     derive_rng,
     index_alphabet,
+    read_lines,
     validate_generator,
+    write_text,
 )
 from .ctmc import NO_OBSERVATION, TimeGrid, build_time_grid, default_omega, uniformize
 from .events import EventSequence, split_chronological
@@ -71,7 +74,7 @@ class NonFiniteLikelihood(SmjpError):
     """The fitting loop produced a non-finite log-likelihood."""
 
 
-class ModelFormatError(SmjpError):
+class ModelFormatError(InputFormatError):
     """A serialized model document is malformed or has an unknown version."""
 
 
@@ -221,6 +224,18 @@ def _require_positive(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise SmjpError(f"{name} must be at least 1, got {value}")
+
+
+def _training_splits(
+    sequences: Sequence[EventSequence], holdout_fraction: float
+) -> list[tuple[EventSequence, EventSequence]]:
+    """Chronological (train, holdout) splits; a training part needs two
+    events to carry a transition."""
+    splits = [split_chronological(s, holdout_fraction) for s in sequences]
+    for seq, (train, _) in zip(sequences, splits):
+        if len(train) < 2:
+            raise SmjpError(f"sequence {seq.id!r} has {len(train)} training events, need at least 2")
+    return splits
 
 
 def _check_grid(model: SwitchingSMJP, grid: TimeGrid) -> None:
@@ -593,7 +608,7 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
             raise InconsistentShapes(f"sequence {seq.id!r} observation alphabet differs from the model's")
         if seq.action_alphabet.labels != init.actions.labels:
             raise InconsistentShapes(f"sequence {seq.id!r} action alphabet differs from the model's")
-    splits = [split_chronological(s, config.holdout_fraction) for s in sequences]
+    splits = _training_splits(sequences, config.holdout_fraction)
     train = [h for h, _ in splits]
     holdout = [t for _, t in splits if len(t) > 0]
 
@@ -731,6 +746,7 @@ def select_num_states(
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise SmjpError("state-count range must be non-empty and ascending")
     _require_positive(restarts=config.restarts)
+    _training_splits(sequences, config.holdout_fraction)
     lls: list[float] = []
     reports: dict[int, FitReport] = {}
     failures: dict[int, str] = {}
@@ -761,125 +777,112 @@ def select_num_states(
 # ---------------------------------------------------------------------------
 # Serialization: one self-describing text document per model.
 
-def _fmt_row(row: np.ndarray) -> str:
-    return " ".join(repr(float(x)) for x in row)
+def _block(title: str, rows: np.ndarray) -> list[str]:
+    return [title] + [" ".join(repr(float(x)) for x in row) for row in rows]
 
 
-def save_model(model: SwitchingSMJP, target: str | TextIO, metadata: dict[str, str] | None = None) -> None:
-    """Write the versioned text document for a model.
+def model_text(model: SwitchingSMJP, metadata: dict[str, str] | None = None) -> str:
+    """The versioned text document for a model.
 
     Floats are written with shortest round-trip repr, so save -> load ->
     save is byte-identical for all finite values.
     """
-    own = isinstance(target, str)
-    fh: TextIO = open(target, "w") if own else target
-    try:
-        fh.write(MODEL_HEADER + "\n")
-        fh.write("states: " + " ".join(model.states.labels) + "\n")
-        fh.write("actions: " + " ".join(model.actions.labels) + "\n")
-        fh.write("observations: " + " ".join(model.observations.labels) + "\n")
-        fh.write(f"omega: {model.omega!r}\n")
-        for a, gen in enumerate(model.generators):
-            fh.write(f"generator {model.actions.label(a)}:\n")
-            for row in gen.rates:
-                fh.write(_fmt_row(row) + "\n")
-        if model.per_action_emission:
-            for a in range(model.n_actions):
-                fh.write(f"emission {model.actions.label(a)}:\n")
-                for row in model.emission[a]:
-                    fh.write(_fmt_row(row) + "\n")
-        else:
-            fh.write("emission:\n")
-            for row in model.emission:
-                fh.write(_fmt_row(row) + "\n")
-        if model.structural_masks is not None:
-            for a, mask in enumerate(model.structural_masks):
-                fh.write(f"mask {model.actions.label(a)}:\n")
-                for row in mask:
-                    fh.write(" ".join("1" if x else "0" for x in row) + "\n")
-        for key, value in (metadata or {}).items():
-            fh.write(f"meta {key}: {value}\n")
-        fh.write("end\n")
-    finally:
-        if own:
-            fh.close()
+    lines = [
+        MODEL_HEADER,
+        "states: " + " ".join(model.states.labels),
+        "actions: " + " ".join(model.actions.labels),
+        "observations: " + " ".join(model.observations.labels),
+        f"omega: {model.omega!r}",
+    ]
+    for a, gen in zip(model.actions.labels, model.generators):
+        lines += _block(f"generator {a}:", gen.rates)
+    if model.per_action_emission:
+        for a, emission in zip(model.actions.labels, model.emission):
+            lines += _block(f"emission {a}:", emission)
+    else:
+        lines += _block("emission:", model.emission)
+    for a, mask in zip(model.actions.labels, model.structural_masks or ()):
+        lines += [f"mask {a}:"] + [" ".join("1" if x else "0" for x in row) for row in mask]
+    lines += [f"meta {key}: {value}" for key, value in (metadata or {}).items()] + ["end"]
+    return "\n".join(lines) + "\n"
+
+
+def save_model(model: SwitchingSMJP, target: str | TextIO, metadata: dict[str, str] | None = None) -> None:
+    """Write :func:`model_text` to a path or an open stream."""
+    write_text(target, model_text(model, metadata))
 
 
 def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
-    """Parse a model document written by :func:`save_model`."""
-    own = isinstance(source, str)
-    fh: TextIO = open(source, "r", errors="replace") if own else source
-    try:
-        lines = [ln.rstrip("\n") for ln in fh]
-    finally:
-        if own:
-            fh.close()
+    """Parse a model document written by :func:`save_model`. Errors name
+    the line at fault, or the line after the last when the file ends early."""
+    name, lines = read_lines(source)
     if not lines or lines[0] != MODEL_HEADER:
-        raise ModelFormatError(f"expected {MODEL_HEADER!r} on the first line")
+        raise ModelFormatError(name, 1, f"expected {MODEL_HEADER!r} on the first line")
+    pos = 1  # lines read so far
 
-    def grab(prefix: str, line: str) -> str:
-        if not line.startswith(prefix):
-            raise ModelFormatError(f"expected {prefix!r}, got {line!r}")
-        return line[len(prefix):].strip()
+    def peek() -> str:
+        return lines[pos] if pos < len(lines) else ""
 
-    try:
-        states = Alphabet("state", tuple(grab("states:", lines[1]).split()))
-        actions = Alphabet("action", tuple(grab("actions:", lines[2]).split()))
-        observations = Alphabet("observation", tuple(grab("observations:", lines[3]).split()))
-        omega = float(grab("omega:", lines[4]))
-    except (IndexError, ValueError, SmjpError) as exc:
-        raise ModelFormatError(f"bad model header: {exc}") from None
-    n, k, o = len(states), len(actions), len(observations)
-
-    pos = 5
+    def take(prefix: str = "", expected: str = "") -> str:
+        """The next line, which must start with ``prefix``: the rest, stripped."""
+        nonlocal pos
+        pos += 1
+        expected = expected or repr(prefix)
+        if pos > len(lines):
+            raise ModelFormatError(name, pos, f"file ended early, expected {expected}")
+        if not lines[pos - 1].startswith(prefix):
+            raise ModelFormatError(name, pos, f"expected {expected}, got {lines[pos - 1]!r}")
+        return lines[pos - 1][len(prefix):].strip()
 
     def read_matrix(rows: int, cols: int) -> np.ndarray:
-        nonlocal pos
         out = np.empty((rows, cols))
         for r in range(rows):
-            parts = lines[pos].split()
+            parts = take(expected=f"a row of {cols} numbers").split()
             if len(parts) != cols:
-                raise ModelFormatError(f"expected {cols} columns at line {pos + 1}")
-            out[r] = [float(x) for x in parts]
-            pos += 1
+                raise ModelFormatError(name, pos, f"expected {cols} columns, got {len(parts)}")
+            try:
+                out[r] = [float(x) for x in parts]
+            except ValueError:
+                raise ModelFormatError(name, pos, f"bad number in row {lines[pos - 1]!r}") from None
         return out
 
     try:
-        gens = []
+        states, actions, observations = (Alphabet(kind, tuple(take(f"{kind}s:").split())) for kind in ALPHABET_KINDS)
+        omega = float(take("omega:"))
+    except ModelFormatError:
+        raise
+    except (ValueError, SmjpError) as exc:
+        raise ModelFormatError(name, pos, f"bad model header: {exc}") from None
+    n, k, o = len(states), len(actions), len(observations)
+
+    gens = []
+    for a in range(k):
+        take(f"generator {actions.label(a)}:")
+        gens.append(GeneratorMatrix(read_matrix(n, n)))
+    if not peek().startswith("emission "):
+        take("emission:")
+        emission = read_matrix(n, o)
+    else:
+        blocks = []
         for a in range(k):
-            grab(f"generator {actions.label(a)}:", lines[pos])
-            pos += 1
-            gens.append(GeneratorMatrix(read_matrix(n, n)))
-        if lines[pos] == "emission:":
-            pos += 1
-            emission = read_matrix(n, o)
-        else:
-            blocks = []
-            for a in range(k):
-                grab(f"emission {actions.label(a)}:", lines[pos])
-                pos += 1
-                blocks.append(read_matrix(n, o))
-            emission = np.stack(blocks)
-        masks = None
-        if pos < len(lines) and lines[pos].startswith("mask "):
-            blocks = []
-            for a in range(k):
-                grab(f"mask {actions.label(a)}:", lines[pos])
-                pos += 1
-                blocks.append(read_matrix(n, n).astype(bool))
-            masks = tuple(blocks)
-        metadata: dict[str, str] = {}
-        while pos < len(lines) and lines[pos].startswith("meta "):
-            body = lines[pos][len("meta "):]
-            if ":" not in body:
-                raise ModelFormatError(f"bad metadata at line {pos + 1}")
-            key, value = body.split(":", 1)
-            metadata[key.strip()] = value.strip()
-            pos += 1
-        if pos >= len(lines) or lines[pos] != "end":
-            raise ModelFormatError("missing 'end' terminator")
-    except (IndexError, ValueError) as exc:
-        raise ModelFormatError(f"truncated or malformed model document: {exc}") from None
+            take(f"emission {actions.label(a)}:")
+            blocks.append(read_matrix(n, o))
+        emission = np.stack(blocks)
+    masks = None
+    if peek().startswith("mask "):
+        blocks = []
+        for a in range(k):
+            take(f"mask {actions.label(a)}:")
+            blocks.append(read_matrix(n, n).astype(bool))
+        masks = tuple(blocks)
+    metadata: dict[str, str] = {}
+    while peek().startswith("meta "):
+        key, sep, value = take("meta ", "'meta key: value'").partition(":")
+        if not sep:
+            raise ModelFormatError(name, pos, f"bad metadata line {lines[pos - 1]!r}")
+        metadata[key.strip()] = value.strip()
+    if take(expected="'end'") != "end":
+        raise ModelFormatError(name, pos, f"missing 'end' terminator, got {lines[pos - 1]!r}")
     model = SwitchingSMJP(
         states=states,
         actions=actions,
@@ -890,9 +893,3 @@ def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
         structural_masks=masks,
     )
     return model, metadata
-
-
-def model_text(model: SwitchingSMJP, metadata: dict[str, str] | None = None) -> str:
-    buf = io.StringIO()
-    save_model(model, buf, metadata)
-    return buf.getvalue()

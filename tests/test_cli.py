@@ -1,12 +1,16 @@
 import hashlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smjp import cli
+from smjp.analysis import cocluster, extract_subgraphs, select_cocluster_sizes
 from smjp.cli import EXIT_DOMAIN, EXIT_PARSE, EXIT_USAGE, main
 from smjp.core import derive_rng
+from smjp.foraging import ToyConfig, WorldConfig, solve_belief_mdp
+from smjp.switching import FitConfig
 
 
 def run(args):
@@ -385,3 +389,81 @@ class TestErrorExitCodes:
         rc = run(args + ["--out", tmp_path / "x", "--seed", 0])
         assert rc == EXIT_PARSE
         assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=bad)]
+
+    @pytest.mark.parametrize("command", [["fit", "--n-states", "2"], ["select-states", "--range", "2:3"]])
+    @pytest.mark.parametrize("n_events", [0, 1])
+    def test_too_few_training_events(self, tmp_path, capsys, command, n_events):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        text = (data / "events.csv").read_text()
+        lines = text.splitlines(keepends=True)
+        columns = lines.index("time,observation,action\n")
+        short = tmp_path / "short.csv"
+        short.write_text("".join(lines[:columns + 1 + n_events]))
+        capsys.readouterr()
+        rc = run(command + ["--events", short, "--out", tmp_path / "x", "--seed", 0, "--restarts", 1])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: sequence 'toy' has {n_events} training events, need at least 2"]
+
+    def test_out_under_a_file_rejected_before_work(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "fit_best", lambda *a: pytest.fail("command ran before --out was checked"))
+        rc = run(["fit", "--events", data / "events.csv", "--out", afile / "sub", "--seed", 0])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {afile / 'sub'}: {afile} exists and is not a directory"]
+        assert afile.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("flag, edit, message", [
+        pytest.param("--model", lambda text: "x", "{path}:1: expected 'smjp-model v1' on the first line",
+                     id="model-one-byte"),
+        pytest.param("--model", lambda text: "".join(text.splitlines(keepends=True)[:7]),
+                     "{path}:8: file ended early, expected a row of 5 numbers", id="model-cut-after-7-lines"),
+        pytest.param("--events", lambda text: text.replace(",o0,", ",o9,").replace(",o1,", ",o9,"),
+                     "{path}:6: observation 'o9' not declared", id="events-undeclared-symbol"),
+        pytest.param("--truth", lambda text: text.replace("0.1,0,", "0.1,2,"),
+                     "{path}:4: agent state 2 outside 0..1", id="truth-state-out-of-range"),
+    ])
+    def test_parse_errors_name_file_and_line(self, tmp_path, capsys, flag, edit, message):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        inputs = {"--model": data / "true_model.smjp", "--events": data / "events.csv", "--truth": tmp_path / "t.csv"}
+        times = [line.split(",")[0] for line in (data / "events.csv").read_text().splitlines()[5:]]
+        inputs["--truth"].write_text("# smjp-agent-truth v1\n# n_z: 2\ntime,z,location,rewarded,belief_bin\n"
+                                     + "".join(f"{t},0,0,0,0\n" for t in ["0.1"] + times[1:]))
+        bad = tmp_path / "bad"
+        bad.write_text(edit(inputs[flag].read_text()))
+        inputs[flag] = bad
+        capsys.readouterr()
+        rc = run(["correspond", "--out", tmp_path / "x", "--seed", 0] + [a for pair in inputs.items() for a in pair])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=bad)]
+
+    def test_points_with_a_different_coordinate_count(self, tmp_path, capsys):
+        pfile = tmp_path / "p.csv"
+        pfile.write_text("x,y\n0.0,0.0\n0,1,0.2\n")
+        rc = run(["quantize", "--out", tmp_path / "q", "--points", pfile, "--k-locations", 1, "--seed", 0])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err.splitlines() == [f"error: {pfile}:3: expected 2 columns, got 3"]
+
+
+def _defaults(fn) -> dict:
+    return {k: p.default for k, p in inspect.signature(fn).parameters.items() if p.default is not p.empty}
+
+
+class TestDefaults:
+    def test_run_config_restates_library_defaults(self):
+        cfg = cli.RunConfig()
+        assert cfg.fit_config() == FitConfig()
+        assert cfg.world_config() == WorldConfig()
+        assert cfg.toy_config() == ToyConfig()
+        mdp = _defaults(solve_belief_mdp)
+        assert (cfg.m_bins, cfg.diffusion_eps) == (mdp["m_bins"], mdp["diffusion_eps"])
+        sub = _defaults(extract_subgraphs)
+        assert (cfg.operator_threshold, cfg.persistence_frac) == (sub["threshold"], sub["persistence_frac"])
+        assert cfg.cocluster_restarts == _defaults(cocluster)["restarts"] == _defaults(select_cocluster_sizes)["restarts"]
