@@ -16,7 +16,6 @@ from .core import (
     SmjpError,
     StochasticMatrix,
     derive_rng,
-    log_domain_dot,
     matrix_exponential,
     validate_generator,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "SmjpError",
     "validate_generator",
     "matrix_exponential",
-    "log_domain_dot",
     "derive_rng",
     "LatentTrajectory",
     "TimeGrid",

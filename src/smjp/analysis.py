@@ -9,11 +9,10 @@ against an exponential law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .core import SmjpError, StochasticMatrix, derive_rng
 from .ctmc import build_time_grid
@@ -231,7 +230,6 @@ def cocluster(
     p = p / total
     live_rows = p.sum(axis=1) > 0
     live_cols = p.sum(axis=0) > 0
-    base_mi = mutual_information(p)
 
     best: CoClustering | None = None
     for r in range(restarts):
@@ -242,7 +240,7 @@ def cocluster(
         for _ in range(max_sweeps):
             moved_r = _sweep_axis(p, rows, cols, k_rows, k_cols, live_rows, by_rows=True)
             moved_c = _sweep_axis(p, cols, rows, k_cols, k_rows, live_cols, by_rows=False)
-            trace.append(base_mi - mutual_information(_clustered(p, rows, cols, k_rows, k_cols)))
+            trace.append(information_loss(p, rows, cols, k_rows, k_cols))
             if not (moved_r or moved_c):
                 break
         loss = trace[-1]
@@ -302,14 +300,11 @@ def select_cocluster_sizes(
 @dataclass(frozen=True)
 class JointOperator:
     """Composition of two action chains: apply action i's single-step
-    operator, then action j's. Partition fields are filled by
-    :func:`extract_subgraphs`."""
+    operator, then action j's."""
 
     i: int
     j: int
     matrix: StochasticMatrix
-    subgraph_partition: np.ndarray | None = None
-    persistent_subspaces: tuple[tuple[int, ...], ...] | None = None
 
 
 def joint_operator(model: SwitchingSMJP, i: int, j: int) -> JointOperator:
@@ -317,21 +312,6 @@ def joint_operator(model: SwitchingSMJP, i: int, j: int) -> JointOperator:
         raise InvalidAction(f"action pair ({i}, {j}) outside 0..{model.n_actions - 1}")
     product = model.chain_stack[i] @ model.chain_stack[j]
     return JointOperator(i=i, j=j, matrix=StochasticMatrix(product))
-
-
-def modularity(sym: np.ndarray, labels: np.ndarray) -> float:
-    """Newman modularity of a partition on a weighted symmetric adjacency
-    matrix (self-loops included via the degree convention)."""
-    s = np.asarray(sym, dtype=np.float64)
-    total = s.sum()
-    if total <= 0:
-        raise EmptyGraph("graph has no edge mass")
-    deg = s.sum(axis=1)
-    q = 0.0
-    for c in np.unique(labels):
-        idx = labels == c
-        q += s[np.ix_(idx, idx)].sum() / total - (deg[idx].sum() / total) ** 2
-    return float(q)
 
 
 def _greedy_modularity(sym: np.ndarray) -> tuple[np.ndarray, float]:
@@ -426,10 +406,6 @@ def extract_subgraphs(
     return SubgraphResult(labels, communities, tuple(persistent), q)
 
 
-def attach_subgraphs(op: JointOperator, result: SubgraphResult) -> JointOperator:
-    return replace(op, subgraph_partition=result.partition, persistent_subspaces=result.persistent_subspaces)
-
-
 # ---------------------------------------------------------------------------
 # Interval statistics.
 
@@ -471,6 +447,10 @@ def interval_stats(
     mean = float(intervals.mean())
     rate = 1.0 / mean
     loglik = intervals.size * np.log(rate) - rate * intervals.sum()
+    # Imported here, not at module level: scipy.stats takes ~70 MB and
+    # ~0.3 s to import, and nothing else in the package needs it.
+    from scipy import stats as sp_stats
+
     ks = sp_stats.kstest(intervals, "expon", args=(0.0, mean))
     width = bin_width if bin_width is not None else mean / 4.0
     edges = np.arange(0.0, intervals.max() + width, width)

@@ -158,12 +158,12 @@ class GeneratorMatrix:
             raise NonFinite("generator has non-finite entries")
         off = r[~np.eye(r.shape[0], dtype=bool)]
         if off.size and off.min() < 0:
-            raise NegativeOffDiagonal(f"negative off-diagonal rate {off.min()!r}")
+            raise NegativeOffDiagonal(f"negative off-diagonal rate {float(off.min())!r}")
         if np.diag(r).size and np.diag(r).max() > 0:
             raise RowSumNonzero("positive diagonal entry")
         resid = np.abs(r.sum(axis=1)).max() if r.size else 0.0
         if resid > CLAMP_TOL:
-            raise RowSumNonzero(f"row sums deviate from zero by {resid!r}")
+            raise RowSumNonzero(f"row sums deviate from zero by {float(resid)!r}")
         r.setflags(write=False)
 
     @property
@@ -197,7 +197,7 @@ class StochasticMatrix:
             raise NotStochastic("entries outside [0, 1]")
         resid = np.abs(p.sum(axis=1) - 1.0).max() if p.size else 0.0
         if resid > STOCHASTIC_TOL:
-            raise NotStochastic(f"row sums deviate from 1 by {resid!r}")
+            raise NotStochastic(f"row sums deviate from 1 by {float(resid)!r}")
         p.setflags(write=False)
 
     @property
@@ -230,13 +230,13 @@ def validate_generator(rates: np.ndarray) -> GeneratorMatrix:
     off = r[offmask]
     if off.size and off.min() < -CLAMP_TOL:
         i, j = np.unravel_index(np.argmin(np.where(offmask, r, np.inf)), r.shape)
-        raise NegativeOffDiagonal(f"rate[{i},{j}] = {r[i, j]!r} < 0")
+        raise NegativeOffDiagonal(f"rate[{i},{j}] = {float(r[i, j])!r} < 0")
     r[offmask & (r < 0)] = 0.0
     resid = r.sum(axis=1)
     worst = np.abs(resid).max(initial=0.0)
     if worst >= ROW_SUM_REJECT:
         k = int(np.argmax(np.abs(resid)))
-        raise RowSumNonzero(f"row {k} sums to {resid[k]!r}")
+        raise RowSumNonzero(f"row {k} sums to {float(resid[k])!r}")
     if worst > CLAMP_TOL:
         # Absorb the drift into the diagonal; residuals already below the
         # construction tolerance are left untouched so repeated validation
@@ -259,7 +259,7 @@ def matrix_exponential(gen: GeneratorMatrix | np.ndarray, t: float) -> Stochasti
     """
     rates = gen.rates if isinstance(gen, GeneratorMatrix) else validate_generator(gen).rates
     if not np.isfinite(t) or t < 0:
-        raise NegativeTime(f"time must be finite and >= 0, got {t!r}")
+        raise NegativeTime(f"time must be finite and >= 0, got {float(t)!r}")
     n = rates.shape[0]
     m = rates * t
     norm = np.abs(m).sum(axis=1).max(initial=0.0)
@@ -279,35 +279,6 @@ def matrix_exponential(gen: GeneratorMatrix | np.ndarray, t: float) -> Stochasti
     np.clip(out, 0.0, None, out=out)
     out /= out.sum(axis=1, keepdims=True)
     return StochasticMatrix(out)
-
-
-def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """log(sum(exp(a))) that tolerates -inf entries."""
-    a = np.asarray(a, dtype=np.float64)
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
-
-
-def log_domain_dot(log_vec: np.ndarray, matrix: StochasticMatrix | np.ndarray) -> np.ndarray:
-    """log of ``exp(log_vec) @ matrix`` without leaving the log domain.
-
-    Entries of ``log_vec`` may be -inf (exact zeros); the matrix is taken
-    in the linear domain.
-    """
-    probs = matrix.probs if isinstance(matrix, StochasticMatrix) else np.asarray(matrix, dtype=np.float64)
-    v = np.asarray(log_vec, dtype=np.float64)
-    if v.ndim != 1 or probs.ndim != 2 or v.shape[0] != probs.shape[0]:
-        raise DimensionMismatch(f"cannot combine vector {v.shape} with matrix {probs.shape}")
-    if np.any(np.isnan(v)) or np.any(v == np.inf):
-        raise NonFinite("log vector must be finite or -inf")
-    with np.errstate(divide="ignore"):
-        logm = np.log(probs)
-    return logsumexp(v[:, None] + logm, axis=0)
 
 
 def derive_rng(seed: int, *branch: int) -> np.random.Generator:

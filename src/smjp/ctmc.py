@@ -48,18 +48,14 @@ class VirtualTimeOverflow(SmjpError):
 @dataclass(frozen=True)
 class LatentTrajectory:
     """Piecewise-constant latent path: start state, jump times, one state
-    per segment, truncated at ``horizon``.
-
-    ``self_jumps_allowed`` is True only for paths produced by uniformized
-    sampling, where the chain may re-enter the same state at a virtual
-    jump; direct Gillespie paths never repeat a state across a jump.
+    per segment, truncated at ``horizon``. A jump always changes the
+    state, as in a Gillespie path.
     """
 
     initial_state: int
     jump_times: np.ndarray
     states: np.ndarray
     horizon: float
-    self_jumps_allowed: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "jump_times", np.asarray(self.jump_times, dtype=np.float64))
@@ -74,7 +70,7 @@ class LatentTrajectory:
                 raise NonMonotoneTimestamps("jump times must be strictly increasing")
             if jt[0] <= 0 or jt[-1] >= self.horizon:
                 raise SmjpError("jump times must lie strictly inside (0, horizon)")
-            if not self.self_jumps_allowed and np.any(np.diff(st) == 0):
+            if np.any(np.diff(st) == 0):
                 raise SmjpError("repeated state across a jump in a Gillespie path")
 
     @property

@@ -8,7 +8,6 @@ written with shortest round-trip repr).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
@@ -198,7 +197,3 @@ def parse_event_file(source: str | TextIO) -> EventSequence:
     if len(alphabets) < 2:
         raise MalformedLine(name, None, "missing alphabet declarations")
     return from_symbols(seq_id, rows, alphabets["observations"], alphabets["actions"], metadata)
-
-
-def parse_event_text(text: str) -> EventSequence:
-    return parse_event_file(io.StringIO(text))

@@ -78,6 +78,15 @@ class ModelFormatError(InputFormatError):
     """A serialized model document is malformed or has an unknown version."""
 
 
+def _stochastic_rows(emission: np.ndarray) -> np.ndarray:
+    """``emission`` itself, once every row along its last axis is checked
+    to be a distribution (NaN entries fail the check)."""
+    rows = emission.reshape(-1, emission.shape[-1])
+    if not (rows.min(initial=0.0) >= -1e-12 and np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-10):
+        raise NotStochastic("emission rows must be stochastic")
+    return emission
+
+
 @dataclass(frozen=True)
 class SwitchingSMJP:
     """Full model: one generator per action, shared (or per-action)
@@ -108,11 +117,9 @@ class SwitchingSMJP:
         e = self.emission
         if e.shape not in ((n, o), (k, n, o)):
             raise InconsistentShapes(f"emission shape {e.shape} incompatible with (N={n}, K={k}, O={o})")
-        rows = e.reshape(-1, o)
-        if rows.min(initial=0.0) < -1e-12 or np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) > 1e-10:
-            raise NotStochastic("emission rows must be stochastic")
+        _stochastic_rows(e)
         e.setflags(write=False)
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise SmjpError(f"omega must be positive, got {self.omega!r}")
         if self.structural_masks is not None:
             masks = tuple(np.array(m, dtype=bool, copy=True) for m in self.structural_masks)
@@ -145,20 +152,16 @@ class SwitchingSMJP:
         """(K, N, N) stack of uniformized single-step chains."""
         return np.stack([uniformize(g, self.omega).probs for g in self.generators])
 
-    @property
-    def discrete_chains(self) -> tuple[StochasticMatrix, ...]:
-        return tuple(StochasticMatrix(b) for b in self.chain_stack)
-
 
 @dataclass(frozen=True)
 class ForwardBackwardResult:
     """Posterior quantities over one grid: log filters, log smoothers,
-    state marginals, transition-pair marginals and per-step normalizers."""
+    state marginals and per-step normalizers. Transition-pair marginals
+    come from :func:`posterior_xi`."""
 
     log_alpha: np.ndarray
     log_beta: np.ndarray
     gamma: np.ndarray
-    xi: np.ndarray
     log_likelihood: float
     per_step_scaling: np.ndarray
 
@@ -226,15 +229,29 @@ def _require_positive(**counts: int) -> None:
             raise SmjpError(f"{name} must be at least 1, got {value}")
 
 
-def _training_splits(
-    sequences: Sequence[EventSequence], holdout_fraction: float
-) -> list[tuple[EventSequence, EventSequence]]:
-    """Chronological (train, holdout) splits; a training part needs two
-    events to carry a transition."""
-    splits = [split_chronological(s, holdout_fraction) for s in sequences]
+def _training_splits(sequences: Sequence[EventSequence], config: FitConfig) -> list[tuple[EventSequence, EventSequence]]:
+    """Chronological (train, holdout) splits. A training part needs two
+    events to carry a transition, and without an emission floor a symbol
+    that occurs in no training part has probability zero under every
+    fitted model, so it must not occur in a held-out tail either."""
+    if not sequences:
+        raise SmjpError("need at least one training sequence")
+    splits = [split_chronological(s, config.holdout_fraction) for s in sequences]
     for seq, (train, _) in zip(sequences, splits):
         if len(train) < 2:
             raise SmjpError(f"sequence {seq.id!r} has {len(train)} training events, need at least 2")
+    if config.emission_floor == 0:
+        seen = np.zeros(max(len(s.observation_alphabet) for s in sequences), dtype=bool)
+        for train, _ in splits:
+            seen[train.observations] = True
+        for seq, (_, tail) in zip(sequences, splits):
+            unseen = tail.observations[~seen[tail.observations]]
+            if unseen.size:
+                raise SmjpError(
+                    f"observation {seq.observation_alphabet.label(int(unseen[0]))!r} occurs only in the "
+                    f"held-out part of sequence {seq.id!r}, so it has zero probability; "
+                    "set emission_floor above 0 (--emission-floor or --config) to fit it"
+                )
     return splits
 
 
@@ -406,12 +423,10 @@ def forward_backward(model: SwitchingSMJP, grid: TimeGrid) -> ForwardBackwardRes
     with np.errstate(divide="ignore"):
         log_alpha = np.log(alpha) + logc[:, None]
         log_beta = np.log(beta) + (logc[-1] - logc)[:, None]
-    w = (e[1:] * beta[1:]) / c[1:, None]
     return ForwardBackwardResult(
         log_alpha=log_alpha,
         log_beta=log_beta,
         gamma=alpha * beta,
-        xi=alpha[:-1, :, None] * chains[kidx[:-1]] * w[:, None, :],
         log_likelihood=float(logc[-1]),
         per_step_scaling=c,
     )
@@ -600,15 +615,13 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
     ``inner_iterations == 0`` (or ``outer_cap == 0``) the model is
     returned unchanged.
     """
-    if not sequences:
-        raise SmjpError("need at least one training sequence")
     _require_positive(eval_grids=config.eval_grids)
     for seq in sequences:
         if seq.observation_alphabet.labels != init.observations.labels:
             raise InconsistentShapes(f"sequence {seq.id!r} observation alphabet differs from the model's")
         if seq.action_alphabet.labels != init.actions.labels:
             raise InconsistentShapes(f"sequence {seq.id!r} action alphabet differs from the model's")
-    splits = _training_splits(sequences, config.holdout_fraction)
+    splits = _training_splits(sequences, config)
     train = [h for h, _ in splits]
     holdout = [t for _, t in splits if len(t) > 0]
 
@@ -746,7 +759,7 @@ def select_num_states(
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise SmjpError("state-count range must be non-empty and ascending")
     _require_positive(restarts=config.restarts)
-    _training_splits(sequences, config.holdout_fraction)
+    _training_splits(sequences, config)
     lls: list[float] = []
     reports: dict[int, FitReport] = {}
     failures: dict[int, str] = {}
@@ -814,7 +827,8 @@ def save_model(model: SwitchingSMJP, target: str | TextIO, metadata: dict[str, s
 
 def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
     """Parse a model document written by :func:`save_model`. Errors name
-    the line at fault, or the line after the last when the file ends early."""
+    the line at fault, or the line after the last when the file ends early;
+    a matrix that breaks a model invariant is named by its title line."""
     name, lines = read_lines(source)
     if not lines or lines[0] != MODEL_HEADER:
         raise ModelFormatError(name, 1, f"expected {MODEL_HEADER!r} on the first line")
@@ -846,6 +860,16 @@ def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
                 raise ModelFormatError(name, pos, f"bad number in row {lines[pos - 1]!r}") from None
         return out
 
+    def read_block(title: str, rows: int, cols: int, build):
+        """``build`` applied to the matrix under the line ``title``."""
+        take(title)
+        start = pos
+        matrix = read_matrix(rows, cols)
+        try:
+            return build(matrix)
+        except SmjpError as exc:
+            raise ModelFormatError(name, start, f"{title} {exc}") from None
+
     try:
         states, actions, observations = (Alphabet(kind, tuple(take(f"{kind}s:").split())) for kind in ALPHABET_KINDS)
         omega = float(take("omega:"))
@@ -853,28 +877,16 @@ def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
         raise
     except (ValueError, SmjpError) as exc:
         raise ModelFormatError(name, pos, f"bad model header: {exc}") from None
-    n, k, o = len(states), len(actions), len(observations)
+    n, o = len(states), len(observations)
 
-    gens = []
-    for a in range(k):
-        take(f"generator {actions.label(a)}:")
-        gens.append(GeneratorMatrix(read_matrix(n, n)))
+    gens = tuple(read_block(f"generator {label}:", n, n, GeneratorMatrix) for label in actions.labels)
     if not peek().startswith("emission "):
-        take("emission:")
-        emission = read_matrix(n, o)
+        emission = read_block("emission:", n, o, _stochastic_rows)
     else:
-        blocks = []
-        for a in range(k):
-            take(f"emission {actions.label(a)}:")
-            blocks.append(read_matrix(n, o))
-        emission = np.stack(blocks)
+        emission = np.stack([read_block(f"emission {label}:", n, o, _stochastic_rows) for label in actions.labels])
     masks = None
     if peek().startswith("mask "):
-        blocks = []
-        for a in range(k):
-            take(f"mask {actions.label(a)}:")
-            blocks.append(read_matrix(n, n).astype(bool))
-        masks = tuple(blocks)
+        masks = tuple(read_block(f"mask {label}:", n, n, lambda m: m.astype(bool)) for label in actions.labels)
     metadata: dict[str, str] = {}
     while peek().startswith("meta "):
         key, sep, value = take("meta ", "'meta key: value'").partition(":")
@@ -883,13 +895,8 @@ def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
         metadata[key.strip()] = value.strip()
     if take(expected="'end'") != "end":
         raise ModelFormatError(name, pos, f"missing 'end' terminator, got {lines[pos - 1]!r}")
-    model = SwitchingSMJP(
-        states=states,
-        actions=actions,
-        observations=observations,
-        generators=tuple(gens),
-        emission=emission,
-        omega=omega,
-        structural_masks=masks,
-    )
+    try:
+        model = SwitchingSMJP(states, actions, observations, gens, emission, omega, masks)
+    except SmjpError as exc:
+        raise ModelFormatError(name, None, str(exc)) from None
     return model, metadata

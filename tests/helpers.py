@@ -1,20 +1,30 @@
-"""Shared fixtures: small random models, random grids, and the two
-oracles used to check the recursions: exhaustive path enumeration and a
-forward filter computed entirely in the log domain."""
+"""Shared fixtures and oracles: small random models, random grids,
+exhaustive path enumeration, a forward filter computed entirely in the log
+domain, the pair posteriors of the scaled recursions, Newman modularity,
+and the log-domain helpers these oracles are built from."""
 
+import io
 import itertools
 
 import numpy as np
 
-from smjp.core import index_alphabet, log_domain_dot, logsumexp
+from smjp.analysis import EmptyGraph
+from smjp.core import DimensionMismatch, NonFinite, StochasticMatrix, index_alphabet
 from smjp.ctmc import NO_OBSERVATION, TAG_EVENT, TAG_VIRTUAL, TimeGrid
+from smjp.events import EventSequence, parse_event_file
 from smjp.switching import (
     SwitchingSMJP,
     ZeroProbabilityObservation,
     _check_grid,
     _emission_table,
+    _filter_scaled,
+    _smooth_scaled,
     update_generator,
 )
+
+
+def parse_event_text(text: str) -> EventSequence:
+    return parse_event_file(io.StringIO(text))
 
 
 def random_model(rng, n_states, n_actions, n_observations, omega=None, concentration=1.0):
@@ -119,3 +129,60 @@ def forward_logspace(model, grid):
     if not np.isfinite(ll):
         raise ZeroProbabilityObservation("sequence has zero probability under the model")
     return log_alpha, float(ll)
+
+
+def scaled_xi(model, grid):
+    """(T-1, N, N) transition-pair posteriors straight from the scaled
+    filter/smoother: ``alpha_hat[t, i] * B[i, j] * e[t+1, j] *
+    beta_hat[t+1, j] / c[t+1]``."""
+    _check_grid(model, grid)
+    e = _emission_table(model.emission, grid)
+    chains, kidx = model.chain_stack, grid.actions
+    alpha, c = _filter_scaled(chains, e, kidx)
+    beta = _smooth_scaled(chains, e, kidx, c)
+    w = (e[1:] * beta[1:]) / c[1:, None]
+    return alpha[:-1, :, None] * chains[kidx[:-1]] * w[:, None, :]
+
+
+def modularity(sym: np.ndarray, labels: np.ndarray) -> float:
+    """Newman modularity of a partition on a weighted symmetric adjacency
+    matrix (self-loops included via the degree convention)."""
+    s = np.asarray(sym, dtype=np.float64)
+    total = s.sum()
+    if total <= 0:
+        raise EmptyGraph("graph has no edge mass")
+    deg = s.sum(axis=1)
+    q = 0.0
+    for c in np.unique(labels):
+        idx = labels == c
+        q += s[np.ix_(idx, idx)].sum() / total - (deg[idx].sum() / total) ** 2
+    return float(q)
+
+
+def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
+    """log(sum(exp(a))) that tolerates -inf entries."""
+    a = np.asarray(a, dtype=np.float64)
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
+    if axis is None:
+        return float(out.reshape(()))
+    return np.squeeze(out, axis=axis)
+
+
+def log_domain_dot(log_vec: np.ndarray, matrix: StochasticMatrix | np.ndarray) -> np.ndarray:
+    """log of ``exp(log_vec) @ matrix`` without leaving the log domain.
+
+    Entries of ``log_vec`` may be -inf (exact zeros); the matrix is taken
+    in the linear domain.
+    """
+    probs = matrix.probs if isinstance(matrix, StochasticMatrix) else np.asarray(matrix, dtype=np.float64)
+    v = np.asarray(log_vec, dtype=np.float64)
+    if v.ndim != 1 or probs.ndim != 2 or v.shape[0] != probs.shape[0]:
+        raise DimensionMismatch(f"cannot combine vector {v.shape} with matrix {probs.shape}")
+    if np.any(np.isnan(v)) or np.any(v == np.inf):
+        raise NonFinite("log vector must be finite or -inf")
+    with np.errstate(divide="ignore"):
+        logm = np.log(probs)
+    return logsumexp(v[:, None] + logm, axis=0)

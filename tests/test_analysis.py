@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import model_from_chains, random_model
+from helpers import model_from_chains, modularity, random_model
 from smjp.analysis import (
     DegenerateJoint,
     EmptyGraph,
@@ -16,7 +16,6 @@ from smjp.analysis import (
     information_loss,
     interval_stats,
     joint_operator,
-    modularity,
     mutual_information,
     select_cocluster_sizes,
     state_correspondence,
@@ -278,18 +277,6 @@ class TestExtractSubgraphs:
     def test_threshold_validation(self):
         with pytest.raises(Exception):
             extract_subgraphs(np.eye(3), threshold=1.5)
-
-    def test_attach_subgraphs_fills_operator_fields(self):
-        from smjp.analysis import attach_subgraphs
-
-        rng = derive_rng(21)
-        model = random_model(rng, 4, 2, 2)
-        op = joint_operator(model, 0, 1)
-        assert op.subgraph_partition is None
-        res = extract_subgraphs(op, threshold=0.0)
-        filled = attach_subgraphs(op, res)
-        assert np.array_equal(filled.subgraph_partition, res.partition)
-        assert filled.persistent_subspaces == res.persistent_subspaces
 
 
 def interval_sequence(intervals, label="press"):

@@ -444,6 +444,59 @@ class TestErrorExitCodes:
         assert rc == EXIT_PARSE
         assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=bad)]
 
+    @pytest.mark.parametrize("line, edit, message", [
+        pytest.param(6, lambda row: ["0.5"] + row[1:], "generator a0: positive diagonal entry",
+                     id="positive-diagonal"),
+        pytest.param(12, lambda row: [row[0], "-0.25"] + row[2:], "generator a1: negative off-diagonal rate -0.25",
+                     id="negative-rate"),
+        pytest.param(6, lambda row: [row[0], repr(float(row[1]) + 1.5)] + row[2:],
+                     "generator a0: row sums deviate from zero by 1.5", id="row-sum"),
+        pytest.param(18, lambda row: ["0.5", "0.75"], "emission: emission rows must be stochastic",
+                     id="emission-row"),
+        pytest.param(18, lambda row: ["nan", "nan"], "emission: emission rows must be stochastic",
+                     id="emission-nan"),
+    ])
+    def test_model_invariant_names_file_and_block(self, tmp_path, capsys, line, edit, message):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        lines = (data / "true_model.smjp").read_text().splitlines()
+        lines[line] = " ".join(edit(lines[line].split()))  # the block's first row
+        bad = tmp_path / "bad.smjp"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = run(["operators", "--out", tmp_path / "x", "--model", bad])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}:{line}: {message}")
+        assert "np.float64" not in err[0]
+
+    @pytest.mark.parametrize("command, floor_by", [(["fit", "--n-states", 2], "flag"),
+                                                   (["select-states", "--range", "2:3"], "config")])
+    def test_symbol_only_in_heldout_tail(self, tmp_path, capsys, command, floor_by):
+        # A 100-event toy whose last 5 events carry o2, which no training
+        # event carries.
+        data = tmp_path / "data"
+        run(toy_args(data, length=100))
+        lines = (data / "events.csv").read_text().replace("# observations: o0 o1\n", "# observations: o0 o1 o2\n")
+        lines = lines.splitlines()
+        for i in range(len(lines) - 5, len(lines)):
+            t, _, a = lines[i].split(",")
+            lines[i] = f"{t},o2,{a}"
+        events = tmp_path / "heldout_symbol.csv"
+        events.write_text("\n".join(lines) + "\n")
+        flags = ["--events", events, "--seed", 0, "--restarts", 1, "--inner-iterations", 3, "--outer-cap", 3,
+                 "--eval-grids", 2]
+        capsys.readouterr()
+        assert run(command + flags + ["--out", tmp_path / "x"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == [
+            "error: observation 'o2' occurs only in the held-out part of sequence 'toy', so it has zero "
+            "probability; set emission_floor above 0 (--emission-floor or --config) to fit it"]
+        assert not (tmp_path / "x").exists()
+        floor = tmp_path / "floor.cfg"
+        floor.write_text("emission_floor = 0.01\n")
+        floor_args = ["--emission-floor", 0.01] if floor_by == "flag" else ["--config", floor]
+        assert run(command + flags + floor_args + ["--out", tmp_path / "y"]) == 0
+
     def test_points_with_a_different_coordinate_count(self, tmp_path, capsys):
         pfile = tmp_path / "p.csv"
         pfile.write_text("x,y\n0.0,0.0\n0,1,0.2\n")

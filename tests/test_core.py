@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import log_domain_dot, logsumexp
 from smjp.core import (
     Alphabet,
     DimensionMismatch,
@@ -11,8 +12,6 @@ from smjp.core import (
     SmjpError,
     StochasticMatrix,
     derive_rng,
-    log_domain_dot,
-    logsumexp,
     matrix_exponential,
     validate_generator,
 )

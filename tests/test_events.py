@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from helpers import parse_event_text
 from smjp.core import Alphabet, derive_rng
 from smjp.events import (
     EventParseError,
@@ -12,7 +13,6 @@ from smjp.events import (
     UnknownSymbol,
     event_text,
     from_symbols,
-    parse_event_text,
     split_chronological,
 )
 

@@ -8,11 +8,13 @@ from helpers import (
     enumerate_paths,
     event_grid,
     forward_logspace,
+    logsumexp,
     model_from_chains,
     random_grid,
     random_model,
+    scaled_xi,
 )
-from smjp.core import derive_rng, index_alphabet, logsumexp
+from smjp.core import derive_rng, index_alphabet
 from smjp.ctmc import NO_OBSERVATION, build_time_grid, uniformize
 from smjp.events import EventSequence, split_chronological
 from smjp.foraging import ToyConfig, generate_toy
@@ -163,9 +165,10 @@ class TestForwardBackwardResult:
             model = random_model(rng, int(rng.integers(2, 5)), 2, 3)
             grid = random_grid(rng, int(rng.integers(2, 60)), 2, 3)
             res = forward_backward(model, grid)
+            xi = scaled_xi(model, grid)
             assert np.abs(res.gamma.sum(axis=1) - 1.0).max() < 1e-9
-            assert np.abs(res.xi.sum(axis=(1, 2)) - 1.0).max() < 1e-9
-            assert np.abs(res.gamma[:-1] - res.xi.sum(axis=2)).max() < 1e-8
+            assert np.abs(xi.sum(axis=(1, 2)) - 1.0).max() < 1e-9
+            assert np.abs(res.gamma[:-1] - xi.sum(axis=2)).max() < 1e-8
             assert res.log_likelihood == pytest.approx(np.log(res.per_step_scaling).sum(), abs=1e-12)
 
     def test_scaled_matches_log_domain_long_sequence(self):
@@ -195,11 +198,12 @@ class TestScaledCore:
             stats = SufficientStats.zeros(n, k, o, per_action)
             ll = _accumulate_stats(model.chain_stack, np.asarray(model.emission), grid, stats)
             res = forward_backward(model, grid)
+            xi = scaled_xi(model, grid)
             trans = np.zeros((k, n, n))
             emit = np.zeros(stats.emit.shape)
             for i in range(len(grid)):
                 if i + 1 < len(grid):
-                    trans[grid.actions[i]] += res.xi[i]
+                    trans[grid.actions[i]] += xi[i]
                 obs = grid.observations[i]
                 if obs == NO_OBSERVATION:
                     continue
@@ -219,7 +223,7 @@ class TestScaledCore:
         log_alpha, _ = forward(model, grid)
         xi, gamma = posterior_xi(model, log_alpha, backward(model, grid), grid)
         res = forward_backward(model, grid)
-        assert np.abs(xi - res.xi).max() < 1e-9
+        assert np.abs(xi - scaled_xi(model, grid)).max() < 1e-9
         assert np.abs(gamma - res.gamma).max() < 1e-9
 
     def test_backward_rejects_impossible_symbol(self):
@@ -577,6 +581,14 @@ class TestSelectNumStates:
         with pytest.raises(SmjpError, match="^restarts must be at least 1, got 0$"):
             select_num_states([toy.sequence], [2, 3], FitConfig(restarts=0))
 
+    def test_empty_sequence_list_rejected_before_candidates(self, monkeypatch):
+        def no_fits(*args, **kwargs):
+            raise AssertionError("a candidate was fitted without any sequence")
+
+        monkeypatch.setattr(switching, "fit_best", no_fits)
+        with pytest.raises(SmjpError, match="^need at least one training sequence$"):
+            select_num_states([], [2, 3], FitConfig())
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
@@ -624,6 +636,15 @@ class TestSerialization:
         truncated = "\n".join(model_text(model).splitlines()[:4]) + "\n"
         with pytest.raises(ModelFormatError):
             load_model(io.StringIO(truncated))
+
+    @pytest.mark.parametrize("omega", ["-1.0", "nan"])
+    def test_whole_model_invariant_names_the_file(self, omega):
+        from smjp.switching import ModelFormatError
+
+        lines = model_text(random_model(derive_rng(20), 2, 1, 2)).splitlines()
+        lines[4] = f"omega: {omega}"
+        with pytest.raises(ModelFormatError, match=f"^<stream>: omega must be positive, got {omega}$"):
+            load_model(io.StringIO("\n".join(lines) + "\n"))
 
     def test_per_action_emission_round_trip(self):
         rng = derive_rng(18)
