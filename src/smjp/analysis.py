@@ -252,10 +252,14 @@ def cocluster(
 
 @dataclass(frozen=True)
 class SizeSelection:
+    """The loss surface over every size pair, the chosen pair, and the
+    co-clustering found at the chosen pair."""
+
     row_sizes: tuple[int, ...]
     col_sizes: tuple[int, ...]
     loss_surface: np.ndarray
     chosen: tuple[int, int]
+    chosen_clustering: CoClustering
 
 
 def _elbow(sizes: Sequence[int], profile: np.ndarray, zero_tol: float = 1e-12) -> int:
@@ -286,12 +290,10 @@ def select_cocluster_sizes(
     cols = list(col_range)
     if not rows or not cols:
         raise SmjpError("size ranges must be non-empty")
-    surface = np.empty((len(rows), len(cols)))
-    for i, kr in enumerate(rows):
-        for j, kc in enumerate(cols):
-            surface[i, j] = cocluster(joint, kr, kc, seed, restarts).mutual_information_loss
+    results = {(kr, kc): cocluster(joint, kr, kc, seed, restarts) for kr in rows for kc in cols}
+    surface = np.array([[results[kr, kc].mutual_information_loss for kc in cols] for kr in rows])
     chosen = (_elbow(rows, surface.min(axis=1)), _elbow(cols, surface.min(axis=0)))
-    return SizeSelection(tuple(rows), tuple(cols), surface, chosen)
+    return SizeSelection(tuple(rows), tuple(cols), surface, chosen, results[chosen])
 
 
 # ---------------------------------------------------------------------------

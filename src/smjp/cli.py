@@ -77,44 +77,31 @@ def _log(msg: str) -> None:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(FitConfig):
     """Flat bag of every pipeline knob; command flags override file values.
 
-    Unknown keys in a config file are rejected rather than ignored.
+    The fitting knobs are ``FitConfig``'s own fields, and the toy and world
+    keys take their defaults from ``ToyConfig`` and ``WorldConfig``. Unknown
+    keys in a config file are rejected rather than ignored.
     """
 
-    seed: int = 0
-    # fitting
     n_states: int = 5
-    inner_iterations: int = 10
-    outer_cap: int = 200
-    tol: float = 1e-4
-    inner_tol: float = 1e-7
-    grids_per_iteration: int = 1
-    eval_grids: int = 5
-    restarts: int = 5
-    holdout_fraction: float = 0.2
-    plateau_eps: float = 0.01
-    omega_factor: float = 2.0
-    omega_prior_scale: float = 1.0
-    emission_floor: float = 0.0
-    per_action_emission: bool = False
     # toy generator
-    toy_states: int = 5
-    toy_observations: int = 2
-    toy_actions: int = 2
-    toy_length: int = 5000
-    toy_event_rate: float = 1.0
-    toy_concentration: float = 0.5
+    toy_states: int = ToyConfig.n_states
+    toy_observations: int = ToyConfig.n_observations
+    toy_actions: int = ToyConfig.n_actions
+    toy_length: int = ToyConfig.expected_length
+    toy_event_rate: float = ToyConfig.event_rate
+    toy_concentration: float = ToyConfig.concentration
     # foraging world and planner
-    box_mean_1: float = 10.0
-    box_mean_2: float = 30.0
-    press_cost: float = 0.1
-    switch_cost: float = 0.5
-    reward_value: float = 1.0
-    travel_time: float = 2.0
-    decision_tick: float = 0.5
-    discount: float = 0.99
+    box_mean_1: float = WorldConfig.box_means[0]
+    box_mean_2: float = WorldConfig.box_means[1]
+    press_cost: float = WorldConfig.press_cost
+    switch_cost: float = WorldConfig.switch_cost
+    reward_value: float = WorldConfig.reward_value
+    travel_time: float = WorldConfig.travel_time
+    decision_tick: float = WorldConfig.decision_tick
+    discount: float = WorldConfig.discount
     m_bins: int = 10
     diffusion_eps: float = 0.05
     horizon: float = 10000.0
@@ -188,10 +175,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             overrides[name] = flag
-    try:
-        return RunConfig(**overrides)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from None
+    return RunConfig(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +398,12 @@ def cmd_cocluster(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     lines = ["smjp-cocluster v1"]
     if len(rows) > 1 or len(cols) > 1:
         sel = select_cocluster_sizes(joint, rows, cols, cfg.seed, cfg.cocluster_restarts)
-        k_rows, k_cols = sel.chosen
         outputs["loss_surface.csv"] = _matrix_text("cocluster-loss-surface", sel.loss_surface,
                                                    sel.row_sizes, sel.col_sizes)
-        lines.append(f"chosen_sizes: {k_rows} {k_cols}")
+        lines.append("chosen_sizes: {} {}".format(*sel.chosen))
+        result = sel.chosen_clustering
     else:
-        k_rows, k_cols = rows[0], cols[0]
-    result = cocluster(joint, k_rows, k_cols, cfg.seed, cfg.cocluster_restarts)
+        result = cocluster(joint, rows[0], cols[0], cfg.seed, cfg.cocluster_restarts)
     lines += [
         f"k_rows: {result.n_row_clusters}",
         f"k_cols: {result.n_col_clusters}",

@@ -260,7 +260,7 @@ def build_time_grid(seq, omega: float, seed: int | np.random.Generator) -> TimeG
             i = int(over[0])
             raise VirtualTimeOverflow(
                 f"{expected[i]:.3g} expected virtual points in interval {i} "
-                f"({lo[i]!r}, {hi[i]!r}); omega or the interval length is misconfigured"
+                f"({float(lo[i])!r}, {float(hi[i])!r}); omega or the interval length is misconfigured"
             )
     rng = as_rng(seed)
 

@@ -24,6 +24,9 @@ ACTION_LABELS = ("stay", "press-1", "press-2", "move")
 OBSERVATION_LABELS = ("box-1", "box-2", "reward", "no-reward")
 
 A_STAY, A_PRESS_1, A_PRESS_2, A_MOVE = range(4)
+# The press that can pay at each location: only the lever at the current
+# location acts on its box; the other press is a wasted tick.
+LOCAL_PRESS = (A_PRESS_1, A_PRESS_2)
 
 
 class InvalidConfig(SmjpError):
@@ -130,17 +133,24 @@ class BeliefMDP:
         return rest // self.m_bins, rest % self.m_bins, bin1
 
     def belief_bin(self, belief: float) -> int:
-        return int(round(belief * (self.m_bins - 1)))
+        return _belief_bin(belief, self.m_bins)
 
 
-def _bin_kernel(target_bin: int, m: int, eps: float) -> np.ndarray:
-    """Distribution over bins: target keeps 1-eps, eps/2 leaks to each
-    neighbor, folding back at the edges."""
-    vec = np.zeros(m)
-    vec[target_bin] += 1.0 - eps
-    vec[max(target_bin - 1, 0)] += eps / 2.0
-    vec[min(target_bin + 1, m - 1)] += eps / 2.0
-    return vec
+def _belief_bin(belief: float, m_bins: int) -> int:
+    """The bin whose centre is nearest to ``belief``."""
+    return int(round(belief * (m_bins - 1)))
+
+
+def _bin_kernel(targets: list[int], m: int, eps: float) -> np.ndarray:
+    """One distribution over bins per target: the target keeps 1-eps and
+    eps/2 leaks to each neighbor, folding back at the edges."""
+    rows = np.arange(len(targets))
+    t = np.asarray(targets)
+    kernel = np.zeros((len(targets), m))
+    kernel[rows, t] += 1.0 - eps
+    kernel[rows, np.maximum(t - 1, 0)] += eps / 2.0
+    kernel[rows, np.minimum(t + 1, m - 1)] += eps / 2.0
+    return kernel
 
 
 def build_belief_mdp(world: WorldConfig, m_bins: int = 10, diffusion_eps: float = 0.05) -> BeliefMDP:
@@ -149,69 +159,55 @@ def build_belief_mdp(world: WorldConfig, m_bins: int = 10, diffusion_eps: float 
     Belief updates are mapped to the nearest bin and ``diffusion_eps``
     probability leaks to adjacent bins; pressing branches on whether the
     box pays out, with the payout probability read off the bin center.
+    Once the action is fixed each box's belief moves on its own, so every
+    action's kernel over (bin0, bin1) is the Kronecker product of one
+    m x m kernel per box.
     """
     if m_bins < 2:
         raise InvalidConfig("need at least 2 belief bins")
     if not 0.0 <= diffusion_eps <= 0.2:
         raise InvalidConfig("diffusion must be in [0, 0.2]")
     bins = np.linspace(0.0, 1.0, m_bins)
-    n_states = 2 * m_bins * m_bins
-    trans = np.zeros((len(ACTION_LABELS), n_states, n_states))
-    reward = np.zeros((n_states, len(ACTION_LABELS)))
     tick, travel = world.decision_tick, world.travel_time
     means = world.box_means
 
-    def nearest(b: float) -> int:
-        return int(round(b * (m_bins - 1)))
+    def box_kernel(box: int, pressed: bool, rewarded: bool, dt: float) -> np.ndarray:
+        """Row i: the bin distribution after box's belief leaves bin i."""
+        after = [belief_update(b, pressed, rewarded, means[box], dt) for b in bins]
+        return _bin_kernel([_belief_bin(b, m_bins) for b in after], m_bins, diffusion_eps)
 
-    def add_outcome(row: np.ndarray, prob: float, loc: int, b0: float, b1: float):
-        k0 = _bin_kernel(nearest(b0), m_bins, diffusion_eps)
-        k1 = _bin_kernel(nearest(b1), m_bins, diffusion_eps)
-        block = prob * np.outer(k0, k1).ravel()
-        base = loc * m_bins * m_bins
-        row[base : base + m_bins * m_bins] += block
-
+    accrued = [box_kernel(box, False, False, tick) for box in range(2)]
+    stay = np.kron(*accrued)
+    # One (state, next state) block per (location, next location) pair.
+    trans = np.zeros((len(ACTION_LABELS), 2, m_bins * m_bins, 2, m_bins * m_bins))
+    reward = np.zeros((2, m_bins * m_bins, len(ACTION_LABELS)))
+    # Payout probability of each box at every (bin0, bin1): its bin center.
+    centers = (np.repeat(bins, m_bins), np.tile(bins, m_bins))
+    moved = np.kron(*(box_kernel(box, False, False, travel) for box in range(2)))
     for loc in range(2):
-        for i0 in range(m_bins):
-            for i1 in range(m_bins):
-                s = (loc * m_bins + i0) * m_bins + i1
-                b = (bins[i0], bins[i1])
-                # stay: both boxes accrue over one tick
-                accrued = (
-                    belief_update(b[0], False, False, means[0], tick),
-                    belief_update(b[1], False, False, means[1], tick),
-                )
-                add_outcome(trans[A_STAY, s], 1.0, loc, *accrued)
-                # move: accrue over the travel time, location flips
-                moved = (
-                    belief_update(b[0], False, False, means[0], travel),
-                    belief_update(b[1], False, False, means[1], travel),
-                )
-                add_outcome(trans[A_MOVE, s], 1.0, 1 - loc, *moved)
-                reward[s, A_MOVE] = -world.switch_cost
-                # presses: only the lever at the current location can pay out
-                for a, box in ((A_PRESS_1, 0), (A_PRESS_2, 1)):
-                    if box != loc:
-                        add_outcome(trans[a, s], 1.0, loc, *accrued)
-                        reward[s, a] = -world.press_cost
-                        continue
-                    p_hit = b[box]
-                    hit = list(accrued)
-                    hit[box] = belief_update(b[box], True, True, means[box], tick)
-                    miss = list(accrued)
-                    miss[box] = belief_update(b[box], True, False, means[box], tick)
-                    if p_hit > 0:
-                        add_outcome(trans[a, s], p_hit, loc, *hit)
-                    add_outcome(trans[a, s], 1.0 - p_hit, loc, *miss)
-                    reward[s, a] = world.reward_value * p_hit - world.press_cost
+        trans[A_STAY, loc, :, loc] = stay
+        trans[A_MOVE, loc, :, 1 - loc] = moved
+        reward[loc, :, A_MOVE] = -world.switch_cost
+        for box, a in enumerate(LOCAL_PRESS):
+            if box != loc:
+                trans[a, loc, :, loc] = stay
+                reward[loc, :, a] = -world.press_cost
+                continue
+            hit, miss = list(accrued), list(accrued)
+            hit[box] = box_kernel(box, True, True, tick)
+            miss[box] = box_kernel(box, True, False, tick)
+            p_hit = centers[box][:, None]
+            trans[a, loc, :, loc] = p_hit * np.kron(*hit) + (1.0 - p_hit) * np.kron(*miss)
+            reward[loc, :, a] = world.reward_value * centers[box] - world.press_cost
+    n_states = 2 * m_bins * m_bins
     durations = np.array([tick, tick, tick, travel])
     return BeliefMDP(
         world=world,
         m_bins=m_bins,
         diffusion_eps=diffusion_eps,
         belief_bins=bins,
-        transition=trans,
-        reward=reward,
+        transition=trans.reshape(len(ACTION_LABELS), n_states, n_states),
+        reward=reward.reshape(n_states, len(ACTION_LABELS)),
         step_discounts=world.discount ** (durations / tick),
     )
 
@@ -256,17 +252,10 @@ def policy_is_nontrivial(mdp: BeliefMDP) -> bool:
     move somewhere."""
     if mdp.policy is None:
         raise SmjpError("planner has no policy; solve it first")
-    pol = mdp.policy
-    presses = np.zeros(2, dtype=bool)
-    declines = np.zeros(2, dtype=bool)
-    for s in range(mdp.n_states):
-        loc, _, _ = mdp.state_parts(s)
-        local_press = A_PRESS_1 if loc == 0 else A_PRESS_2
-        if pol[s] == local_press:
-            presses[loc] = True
-        else:
-            declines[loc] = True
-    return bool(presses.any() and (presses & declines).any() and (pol == A_MOVE).any())
+    by_location = mdp.policy.reshape(2, -1)
+    local = by_location == np.array(LOCAL_PRESS)[:, None]
+    presses, declines = local.any(axis=1), ~local.all(axis=1)
+    return bool(presses.any() and (presses & declines).any() and (by_location == A_MOVE).any())
 
 
 @dataclass(frozen=True)
@@ -322,73 +311,48 @@ def simulate_agent(
     means = world.box_means
     obs_alpha = Alphabet("observation", OBSERVATION_LABELS)
     act_alpha = Alphabet("action", ACTION_LABELS)
+    reward_obs, no_reward_obs = obs_alpha.index("reward"), obs_alpha.index("no-reward")
+    act_at = policy.reshape(2, mdp.m_bins, mdp.m_bins).tolist()
+    belief_bin = mdp.belief_bin
 
     t = 0.0
     loc = int(start_location)
     beliefs = [0.0, 0.0]
     next_food = [rng.exponential(means[0]), rng.exponential(means[1])]
-
-    times: list[float] = []
-    obs_idx: list[int] = []
-    act_idx: list[int] = []
-    z_loc: list[int] = []
-    z_rew: list[bool] = []
-    z_bin: list[int] = []
-    belief_log: list[tuple[float, float]] = []
+    # One row per decision: time, observation, action, location, rewarded,
+    # belief bin of the occupied box, and both beliefs before the step.
+    rows: list[tuple] = []
 
     while t < horizon:
-        bin0 = mdp.belief_bin(beliefs[0])
-        bin1 = mdp.belief_bin(beliefs[1])
-        a = int(policy[mdp.state_index(loc, bin0, bin1)])
-        rewarded = False
+        bins = (belief_bin(beliefs[0]), belief_bin(beliefs[1]))
+        a = act_at[loc][bins[0]][bins[1]]
+        acted = a == LOCAL_PRESS[loc]
+        rewarded = acted and t >= next_food[loc]
+        if rewarded:
+            next_food[loc] = t + rng.exponential(means[loc])
         if a == A_STAY or a == A_MOVE:
             o = loc  # location symbol
-            dt = world.decision_tick if a == A_STAY else world.travel_time
         else:
-            box = 0 if a == A_PRESS_1 else 1
-            dt = world.decision_tick
-            if box == loc and t >= next_food[box]:
-                rewarded = True
-                next_food[box] = t + rng.exponential(means[box])
-                o = obs_alpha.index("reward")
-            else:
-                o = obs_alpha.index("no-reward")
-        times.append(t)
-        obs_idx.append(o)
-        act_idx.append(a)
-        z_loc.append(loc)
-        z_rew.append(rewarded)
-        z_bin.append(bin0 if loc == 0 else bin1)
-        belief_log.append((beliefs[0], beliefs[1]))
+            o = reward_obs if rewarded else no_reward_obs
+        rows.append((t, o, a, loc, rewarded, bins[loc], beliefs[0], beliefs[1]))
+        dt = world.travel_time if a == A_MOVE else world.decision_tick
         for box in range(2):
-            pressed_here = (a == A_PRESS_1 and box == 0) or (a == A_PRESS_2 and box == 1)
-            pressed_here = pressed_here and box == loc
-            beliefs[box] = belief_update(beliefs[box], pressed_here, rewarded if pressed_here else False, means[box], dt)
+            beliefs[box] = belief_update(beliefs[box], acted and box == loc, rewarded, means[box], dt)
         t += dt
         if a == A_MOVE:
             loc = 1 - loc
 
-    times_arr = np.asarray(times)
+    times, obs, acts, locs, rewards, local_bins, *belief_log = map(np.asarray, zip(*rows))
     seq = EventSequence(
-        "foraging-agent",
-        times_arr,
-        np.asarray(obs_idx, dtype=np.int64),
-        np.asarray(act_idx, dtype=np.int64),
-        obs_alpha,
-        act_alpha,
-        {"horizon": repr(float(horizon))},
+        "foraging-agent", times, obs, acts, obs_alpha, act_alpha, {"horizon": repr(float(horizon))}
     )
-    loc_arr = np.asarray(z_loc, dtype=np.int64)
-    rew_arr = np.asarray(z_rew, dtype=bool)
-    bin_arr = np.asarray(z_bin, dtype=np.int64)
-    z = (loc_arr * 2 + rew_arr.astype(np.int64)) * mdp.m_bins + bin_arr
     trace = AgentTrace(
-        times=times_arr,
-        z=z,
-        location=loc_arr,
-        rewarded=rew_arr,
-        belief_bin=bin_arr,
-        beliefs=np.asarray(belief_log),
+        times=times,
+        z=(locs * 2 + rewards) * mdp.m_bins + local_bins,
+        location=locs,
+        rewarded=rewards,
+        belief_bin=local_bins,
+        beliefs=np.stack(belief_log, axis=1),
         m_bins=mdp.m_bins,
     )
     return seq, trace

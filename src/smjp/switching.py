@@ -120,7 +120,9 @@ class SwitchingSMJP:
         _stochastic_rows(e)
         e.setflags(write=False)
         if not self.omega > 0:
-            raise SmjpError(f"omega must be positive, got {self.omega!r}")
+            raise SmjpError(f"omega must be positive, got {float(self.omega)!r}")
+        if not np.isfinite(self.omega):
+            raise SmjpError(f"omega must be finite, got {float(self.omega)!r}")
         if self.structural_masks is not None:
             masks = tuple(np.array(m, dtype=bool, copy=True) for m in self.structural_masks)
             if len(masks) != k or any(m.shape != (n, n) for m in masks):
@@ -233,7 +235,10 @@ def _training_splits(sequences: Sequence[EventSequence], config: FitConfig) -> l
     """Chronological (train, holdout) splits. A training part needs two
     events to carry a transition, and without an emission floor a symbol
     that occurs in no training part has probability zero under every
-    fitted model, so it must not occur in a held-out tail either."""
+    fitted model, so it must not occur in a held-out tail either. With
+    per-action emission the same holds for each (action, symbol) pair
+    whose action occurs at training events; an action with none keeps its
+    initial emission rows."""
     if not sequences:
         raise SmjpError("need at least one training sequence")
     splits = [split_chronological(s, config.holdout_fraction) for s in sequences]
@@ -241,14 +246,22 @@ def _training_splits(sequences: Sequence[EventSequence], config: FitConfig) -> l
         if len(train) < 2:
             raise SmjpError(f"sequence {seq.id!r} has {len(train)} training events, need at least 2")
     if config.emission_floor == 0:
-        seen = np.zeros(max(len(s.observation_alphabet) for s in sequences), dtype=bool)
+        per_action = config.per_action_emission
+        n_act = max(len(s.action_alphabet) for s in sequences) if per_action else 1
+        seen = np.zeros((n_act, max(len(s.observation_alphabet) for s in sequences)), dtype=bool)
         for train, _ in splits:
-            seen[train.observations] = True
+            seen[train.actions if per_action else 0, train.observations] = True
+        acted = seen.any(axis=1)
         for seq, (_, tail) in zip(sequences, splits):
-            unseen = tail.observations[~seen[tail.observations]]
+            acts = tail.actions if per_action else np.zeros_like(tail.actions)
+            unseen = np.flatnonzero(acted[acts] & ~seen[acts, tail.observations])
             if unseen.size:
+                i = int(unseen[0])
+                symbol = repr(seq.observation_alphabet.label(int(tail.observations[i])))
+                if per_action:
+                    symbol += f" under action {seq.action_alphabet.label(int(acts[i]))!r}"
                 raise SmjpError(
-                    f"observation {seq.observation_alphabet.label(int(unseen[0]))!r} occurs only in the "
+                    f"observation {symbol} occurs only in the "
                     f"held-out part of sequence {seq.id!r}, so it has zero probability; "
                     "set emission_floor above 0 (--emission-floor or --config) to fit it"
                 )

@@ -1,7 +1,8 @@
 """Shared fixtures and oracles: small random models, random grids,
 exhaustive path enumeration, a forward filter computed entirely in the log
 domain, the pair posteriors of the scaled recursions, Newman modularity,
-and the log-domain helpers these oracles are built from."""
+the log-domain helpers these oracles are built from, and the belief
+planner built one state at a time."""
 
 import io
 import itertools
@@ -12,6 +13,17 @@ from smjp.analysis import EmptyGraph
 from smjp.core import DimensionMismatch, NonFinite, StochasticMatrix, index_alphabet
 from smjp.ctmc import NO_OBSERVATION, TAG_EVENT, TAG_VIRTUAL, TimeGrid
 from smjp.events import EventSequence, parse_event_file
+from smjp.foraging import (
+    A_MOVE,
+    A_PRESS_1,
+    A_PRESS_2,
+    A_STAY,
+    ACTION_LABELS,
+    BeliefMDP,
+    InvalidConfig,
+    WorldConfig,
+    belief_update,
+)
 from smjp.switching import (
     SwitchingSMJP,
     ZeroProbabilityObservation,
@@ -186,3 +198,87 @@ def log_domain_dot(log_vec: np.ndarray, matrix: StochasticMatrix | np.ndarray) -
     with np.errstate(divide="ignore"):
         logm = np.log(probs)
     return logsumexp(v[:, None] + logm, axis=0)
+
+
+def bin_kernel(target_bin: int, m: int, eps: float) -> np.ndarray:
+    """Distribution over bins: target keeps 1-eps, eps/2 leaks to each
+    neighbor, folding back at the edges."""
+    vec = np.zeros(m)
+    vec[target_bin] += 1.0 - eps
+    vec[max(target_bin - 1, 0)] += eps / 2.0
+    vec[min(target_bin + 1, m - 1)] += eps / 2.0
+    return vec
+
+
+def belief_mdp_per_state(world: WorldConfig, m_bins: int = 10, diffusion_eps: float = 0.05) -> BeliefMDP:
+    """Per-state reference for ``build_belief_mdp``: fills each planner
+    state's rows through ``add_outcome``, one state at a time.
+
+    Belief updates are mapped to the nearest bin and ``diffusion_eps``
+    probability leaks to adjacent bins; pressing branches on whether the
+    box pays out, with the payout probability read off the bin center.
+    """
+    if m_bins < 2:
+        raise InvalidConfig("need at least 2 belief bins")
+    if not 0.0 <= diffusion_eps <= 0.2:
+        raise InvalidConfig("diffusion must be in [0, 0.2]")
+    bins = np.linspace(0.0, 1.0, m_bins)
+    n_states = 2 * m_bins * m_bins
+    trans = np.zeros((len(ACTION_LABELS), n_states, n_states))
+    reward = np.zeros((n_states, len(ACTION_LABELS)))
+    tick, travel = world.decision_tick, world.travel_time
+    means = world.box_means
+
+    def nearest(b: float) -> int:
+        return int(round(b * (m_bins - 1)))
+
+    def add_outcome(row: np.ndarray, prob: float, loc: int, b0: float, b1: float):
+        k0 = bin_kernel(nearest(b0), m_bins, diffusion_eps)
+        k1 = bin_kernel(nearest(b1), m_bins, diffusion_eps)
+        block = prob * np.outer(k0, k1).ravel()
+        base = loc * m_bins * m_bins
+        row[base : base + m_bins * m_bins] += block
+
+    for loc in range(2):
+        for i0 in range(m_bins):
+            for i1 in range(m_bins):
+                s = (loc * m_bins + i0) * m_bins + i1
+                b = (bins[i0], bins[i1])
+                # stay: both boxes accrue over one tick
+                accrued = (
+                    belief_update(b[0], False, False, means[0], tick),
+                    belief_update(b[1], False, False, means[1], tick),
+                )
+                add_outcome(trans[A_STAY, s], 1.0, loc, *accrued)
+                # move: accrue over the travel time, location flips
+                moved = (
+                    belief_update(b[0], False, False, means[0], travel),
+                    belief_update(b[1], False, False, means[1], travel),
+                )
+                add_outcome(trans[A_MOVE, s], 1.0, 1 - loc, *moved)
+                reward[s, A_MOVE] = -world.switch_cost
+                # presses: only the lever at the current location can pay out
+                for a, box in ((A_PRESS_1, 0), (A_PRESS_2, 1)):
+                    if box != loc:
+                        add_outcome(trans[a, s], 1.0, loc, *accrued)
+                        reward[s, a] = -world.press_cost
+                        continue
+                    p_hit = b[box]
+                    hit = list(accrued)
+                    hit[box] = belief_update(b[box], True, True, means[box], tick)
+                    miss = list(accrued)
+                    miss[box] = belief_update(b[box], True, False, means[box], tick)
+                    if p_hit > 0:
+                        add_outcome(trans[a, s], p_hit, loc, *hit)
+                    add_outcome(trans[a, s], 1.0 - p_hit, loc, *miss)
+                    reward[s, a] = world.reward_value * p_hit - world.press_cost
+    durations = np.array([tick, tick, tick, travel])
+    return BeliefMDP(
+        world=world,
+        m_bins=m_bins,
+        diffusion_eps=diffusion_eps,
+        belief_bins=bins,
+        transition=trans,
+        reward=reward,
+        step_discounts=world.discount ** (durations / tick),
+    )

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -176,6 +177,14 @@ class TestSelectCoclusterSizes:
         joint = block_joint((2, 2, 2), (2, 2, 2))
         sel = select_cocluster_sizes(joint, range(2, 6), range(2, 6), seed=1)
         assert sel.chosen == (3, 3)
+
+    def test_keeps_the_chosen_pairs_clustering(self):
+        rng = derive_rng(8)
+        joint = rng.dirichlet(np.ones(30)).reshape(5, 6)
+        sel = select_cocluster_sizes(joint, range(2, 4), range(2, 5), seed=3, restarts=4)
+        direct = cocluster(joint, *sel.chosen, seed=3, restarts=4)
+        for f in fields(direct):
+            np.testing.assert_equal(getattr(sel.chosen_clustering, f.name), getattr(direct, f.name))
 
     def test_surface_monotone_non_increasing(self):
         rng = derive_rng(8)

@@ -470,6 +470,19 @@ class TestErrorExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {bad}:{line}: {message}")
         assert "np.float64" not in err[0]
 
+    def test_infinite_omega_names_the_model_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        text = (data / "true_model.smjp").read_text()
+        bad = tmp_path / "inf.smjp"
+        bad.write_text("\n".join("omega: inf" if l.startswith("omega:") else l for l in text.splitlines()) + "\n")
+        capsys.readouterr()
+        rc = run(["evaluate", "--out", tmp_path / "x", "--model", bad, "--events", data / "events.csv"])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: omega must be finite, got inf"]
+        assert "np.float64(" not in err[0]
+
     @pytest.mark.parametrize("command, floor_by", [(["fit", "--n-states", 2], "flag"),
                                                    (["select-states", "--range", "2:3"], "config")])
     def test_symbol_only_in_heldout_tail(self, tmp_path, capsys, command, floor_by):

@@ -330,6 +330,14 @@ class TestGridStream:
         # With no interval there is nothing to validate or draw.
         assert len(build_time_grid(make_sequence([1.0]), -1.0, rng)) == 1
 
+    def test_overflow_message_prints_plain_floats(self):
+        with pytest.raises(VirtualTimeOverflow) as err:
+            build_time_grid(make_sequence([0.0, 1.0, 2.0, 1e6, 2e6]), 50.0, derive_rng(0))
+        assert str(err.value) == (
+            "5e+07 expected virtual points in interval 2 (2.0, 1000000.0); "
+            "omega or the interval length is misconfigured"
+        )
+
 
 class TestUniformizationInvariant:
     def test_poisson_quantile_sum_matches_exponential(self):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from dataclasses import replace
+
 from scipy import stats as sp_stats
 
+from helpers import belief_mdp_per_state
 from smjp.ctmc import TAG_EVENT, TimeGrid
 from smjp.foraging import (
+    A_MOVE,
     A_PRESS_1,
     A_PRESS_2,
     A_STAY,
@@ -88,6 +92,22 @@ class TestBuildBeliefMdp:
             implied = (mdp.reward[s, local] + world.press_cost) / world.reward_value
             assert implied == pytest.approx(center, abs=1e-12)
 
+    @pytest.mark.parametrize("world, m_bins, eps", [
+        pytest.param(WorldConfig(), 10, 0.05, id="default"),
+        pytest.param(WorldConfig(), 2, 0.0, id="m2-no-diffusion"),
+        pytest.param(WorldConfig(), 2, 0.2, id="m2-max-diffusion"),
+        pytest.param(WorldConfig(box_means=(3.0, 50.0), travel_time=1.3, decision_tick=0.7), 7, 0.0,
+                     id="uneven-world"),
+        pytest.param(WorldConfig(press_cost=0.0, reward_value=0.3), 4, 0.05, id="free-press"),
+        pytest.param(WorldConfig(), 13, 0.05, id="m13"),
+    ])
+    def test_kronecker_build_equals_per_state_oracle_bit_for_bit(self, world, m_bins, eps):
+        got, want = build_belief_mdp(world, m_bins, eps), belief_mdp_per_state(world, m_bins, eps)
+        for name in ("transition", "reward", "step_discounts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes(), name
+
     def test_bad_config(self):
         with pytest.raises(InvalidConfig):
             build_belief_mdp(WorldConfig(), m_bins=1)
@@ -138,6 +158,19 @@ class TestValueIteration:
     def test_default_policy_nontrivial(self):
         mdp = solve_belief_mdp(WorldConfig())
         assert policy_is_nontrivial(mdp)
+
+    @pytest.mark.parametrize("per_location, expected", [
+        pytest.param(([A_STAY, A_STAY, A_MOVE, A_STAY], [A_MOVE] * 4), False, id="never-presses"),
+        pytest.param(([A_PRESS_1] * 4, [A_MOVE, A_STAY, A_PRESS_1, A_STAY]), False, id="presses-everywhere"),
+        pytest.param(([A_PRESS_1, A_STAY, A_STAY, A_PRESS_1], [A_PRESS_2, A_STAY, A_STAY, A_STAY]), False,
+                     id="never-moves"),
+        pytest.param(([A_STAY, A_PRESS_1, A_MOVE, A_PRESS_1], [A_MOVE] * 4), True, id="nontrivial"),
+    ])
+    def test_policy_is_nontrivial_clauses(self, per_location, expected):
+        # m_bins = 2: four (bin0, bin1) states per location.
+        mdp = build_belief_mdp(WorldConfig(), m_bins=2)
+        policy = np.array(per_location, dtype=np.int64).ravel()
+        assert policy_is_nontrivial(replace(mdp, policy=policy)) is expected
 
     def test_policy_structure_insensitive_to_halved_tick(self):
         # The decision cadence is a discretization knob: halving it must not

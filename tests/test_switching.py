@@ -395,6 +395,35 @@ class TestFit:
         assert np.asarray(report.final_model.emission).shape == (2, 3, 2)
         assert np.isfinite(report.heldout_ll)
 
+    def test_per_action_pair_only_in_heldout_tail_rejected_before_any_grid(self, monkeypatch):
+        def no_grids(*args, **kwargs):
+            raise AssertionError("a grid was built before the held-out pairs were checked")
+
+        monkeypatch.setattr(switching, "build_time_grid", no_grids)
+        # In the toy the recorded action is the emitted symbol, so a0 emits
+        # only o0 in training; the last 5 events carry o1 under a0.
+        seq = toy_sequences(length=100).sequence
+        obs, acts = seq.observations.copy(), seq.actions.copy()
+        obs[-5:], acts[-5:] = 1, 0
+        seq = EventSequence(seq.id, seq.times, obs, acts, seq.observation_alphabet, seq.action_alphabet)
+        cfg = FitConfig(restarts=1, inner_iterations=3, outer_cap=3, eval_grids=2, per_action_emission=True)
+        with pytest.raises(SmjpError, match="^observation 'o1' under action 'a0' occurs only in the held-out "
+                                            "part of sequence 'toy', so it has zero probability"):
+            fit_best([seq], 2, cfg)
+
+    def test_per_action_heldout_action_without_training_events_is_fitted(self):
+        # a1 occurs only in the held-out tail, so its emission rows keep
+        # their nonzero initial values and o1 stays possible under it.
+        seq = toy_sequences(length=100).sequence
+        train_part = len(split_chronological(seq, 0.2)[0])
+        obs, acts = np.zeros(len(seq), dtype=np.int64), np.zeros(len(seq), dtype=np.int64)
+        obs[train_part:], acts[train_part:] = 1, 1
+        seq = EventSequence(seq.id, seq.times, obs, acts, seq.observation_alphabet, seq.action_alphabet)
+        cfg = FitConfig(restarts=1, inner_iterations=3, outer_cap=3, eval_grids=2, per_action_emission=True)
+        report = fit_best([seq], 2, cfg)
+        assert np.isfinite(report.heldout_ll)
+        assert np.all(np.asarray(report.final_model.emission)[1] > 0)
+
     def test_fit_best_rejects_zero_restarts(self):
         toy = toy_sequences(length=60)
         with pytest.raises(SmjpError, match="restarts must be at least 1"):
