@@ -17,7 +17,7 @@ import numpy as np
 from .core import SmjpError, StochasticMatrix, derive_rng
 from .ctmc import build_time_grid
 from .events import EventSequence
-from .switching import FitConfig, SwitchingSMJP, forward_backward
+from .switching import FitConfig, SwitchingSMJP, _check_alphabets, forward_backward
 
 
 class GridMisalignment(SmjpError):
@@ -86,6 +86,7 @@ def event_state_posterior(model: SwitchingSMJP, seq: EventSequence, config: FitC
     """Posterior state marginals at the event times, averaged over
     ``config.eval_grids`` virtual-time draws (same streams the held-out
     evaluation uses)."""
+    _check_alphabets(model, [seq])
     acc = np.zeros((len(seq), model.n_states))
     for g in range(config.eval_grids):
         grid = build_time_grid(seq, model.omega, derive_rng(config.seed, 2, g))
@@ -107,24 +108,28 @@ class CoClustering:
     loss_trace: tuple[float, ...]
 
 
+def _mutual_informations(stack: np.ndarray) -> list[float]:
+    """MI in nats of each (rows, cols) slice of a stack of joints with
+    positive mass; each slice sums only its nonzero cells."""
+    p = stack / stack.sum(axis=(1, 2), keepdims=True)
+    outer = p.sum(axis=2)[:, :, None] * p.sum(axis=1)[:, None, :]
+    nz = p > 0
+    terms = p[nz] * np.log(p[nz] / outer[nz])
+    ends = np.cumsum(nz.sum(axis=(1, 2))).tolist()
+    return [float(np.add.reduce(terms[a:b])) for a, b in zip([0] + ends, ends)]
+
+
 def mutual_information(joint: np.ndarray) -> float:
     """MI of a joint distribution in nats; zero cells contribute zero."""
     p = np.asarray(joint, dtype=np.float64)
-    total = p.sum()
-    if total <= 0:
+    if p.sum() <= 0:
         raise DegenerateJoint("joint distribution has zero mass")
-    p = p / total
-    r = p.sum(axis=1)
-    c = p.sum(axis=0)
-    nz = p > 0
-    outer = np.outer(r, c)
-    return float(np.sum(p[nz] * np.log(p[nz] / outer[nz])))
+    return _mutual_informations(p[None])[0]
 
 
 def _clustered(joint: np.ndarray, rows: np.ndarray, cols: np.ndarray, kr: int, kc: int) -> np.ndarray:
     agg = np.zeros((kr, kc))
-    for i in range(joint.shape[0]):
-        np.add.at(agg[rows[i]], cols, joint[i])
+    np.add.at(agg, (rows[:, None], cols), joint)
     return agg
 
 
@@ -155,42 +160,29 @@ def _init_assignment(n: int, k: int, live: np.ndarray, rng: np.random.Generator)
     return out
 
 
-def _sweep_axis(
-    joint: np.ndarray,
-    assign: np.ndarray,
-    other: np.ndarray,
-    k: int,
-    k_other: int,
-    live: np.ndarray,
-    by_rows: bool,
-) -> bool:
-    """One pass of single-element reassignments along one axis; never moves
-    a zero-mass element and never empties a cluster. Returns whether any
-    element moved."""
-    p = joint if by_rows else joint.T
-    n = p.shape[0]
-    # Element contributions aggregated over the other axis's clusters.
-    contrib = np.zeros((n, k_other))
-    for j in range(p.shape[1]):
-        contrib[:, other[j]] += p[:, j]
+def _sweep_axis(p: np.ndarray, assign: np.ndarray, other: np.ndarray, k: int, k_other: int, live: np.ndarray) -> bool:
+    """One pass of single-row reassignments over the rows of ``p`` (pass
+    ``p.T`` to sweep columns); never moves a zero-mass row and never
+    empties a cluster. A row's k candidate moves are scored as one stack.
+    Returns whether any row moved."""
+    contrib = np.zeros((p.shape[0], k_other))
+    np.add.at(contrib, (slice(None), other), p)
     agg = np.zeros((k, k_other))
-    for i in range(n):
-        agg[assign[i]] += contrib[i]
+    np.add.at(agg, assign, contrib)
     sizes = np.bincount(assign[live], minlength=k)
+    diag = np.arange(k)
     moved = False
-    for i in range(n):
-        if not live[i]:
-            continue
+    for i in np.nonzero(live)[0]:
         cur = assign[i]
         if sizes[cur] <= 1:
             continue
         base = agg[cur] - contrib[i]
+        # trial[c] is agg with row i moved from cluster cur to cluster c.
+        trial = np.repeat(agg[None], k, axis=0)
+        trial[:, cur] = base
+        trial[diag, diag] += contrib[i]
         best_c, best_mi = cur, None
-        for c in range(k):
-            trial = agg.copy()
-            trial[cur] = base
-            trial[c] += contrib[i]
-            mi = mutual_information(trial)
+        for c, mi in enumerate(_mutual_informations(trial)):
             if best_mi is None or mi > best_mi + 1e-15:
                 best_mi, best_c = mi, c
             elif abs(mi - best_mi) <= 1e-15 and c == cur:
@@ -238,8 +230,8 @@ def cocluster(
         cols = _init_assignment(nz, k_cols, live_cols, rng)
         trace: list[float] = []
         for _ in range(max_sweeps):
-            moved_r = _sweep_axis(p, rows, cols, k_rows, k_cols, live_rows, by_rows=True)
-            moved_c = _sweep_axis(p, cols, rows, k_cols, k_rows, live_cols, by_rows=False)
+            moved_r = _sweep_axis(p, rows, cols, k_rows, k_cols, live_rows)
+            moved_c = _sweep_axis(p.T, cols, rows, k_cols, k_rows, live_cols)
             trace.append(information_loss(p, rows, cols, k_rows, k_cols))
             if not (moved_r or moved_c):
                 break
@@ -318,30 +310,19 @@ def joint_operator(model: SwitchingSMJP, i: int, j: int) -> JointOperator:
 
 def _greedy_modularity(sym: np.ndarray) -> tuple[np.ndarray, float]:
     """Agglomerative modularity maximization: merge the best pair until one
-    community remains, return the best partition seen along the way."""
-    n = sym.shape[0]
-    total = sym.sum()
-    e = sym / total
+    community remains, return the best partition seen along the way,
+    numbered by smallest member."""
+    e = sym / sym.sum()
     a = e.sum(axis=1)
-    members: list[list[int] | None] = [[i] for i in range(n)]
-    active = set(range(n))
+    # root[v] names v's community by its surviving row, its smallest member.
+    root = np.arange(sym.shape[0])
+    active = root.tolist()
     q = float(np.trace(e) - np.sum(a**2))
-
-    def snapshot() -> np.ndarray:
-        labels = np.empty(n, dtype=np.int64)
-        next_id = 0
-        for idx in sorted(active, key=lambda c: min(members[c])):
-            for node in members[idx]:
-                labels[node] = next_id
-            next_id += 1
-        return labels
-
-    best_q, best_labels = q, snapshot()
+    best_q, best_root = q, root.copy()
     while len(active) > 1:
-        pairs = sorted(active)
         gain, pick = None, None
-        for xi, x in enumerate(pairs):
-            for y in pairs[xi + 1 :]:
+        for xi, x in enumerate(active):
+            for y in active[xi + 1 :]:
                 dq = 2.0 * (e[x, y] - a[x] * a[y])
                 if gain is None or dq > gain + 1e-15:
                     gain, pick = dq, (x, y)
@@ -349,13 +330,12 @@ def _greedy_modularity(sym: np.ndarray) -> tuple[np.ndarray, float]:
         e[x, :] += e[y, :]
         e[:, x] += e[:, y]
         a[x] += a[y]
-        members[x] = members[x] + members[y]
-        members[y] = None
+        root[root == y] = x
         active.remove(y)
         q += gain
         if q > best_q + 1e-12:
-            best_q, best_labels = q, snapshot()
-    return best_labels, best_q
+            best_q, best_root = q, root.copy()
+    return np.unique(best_root, return_inverse=True)[1], best_q
 
 
 @dataclass(frozen=True)
@@ -391,13 +371,10 @@ def extract_subgraphs(
     np.fill_diagonal(off, 0.0)
     if off.sum() <= 0:
         # Only self-loops survive: every state is its own community.
-        labels = np.arange(w.shape[0], dtype=np.int64)
-        q = 0.0
+        labels, q = np.arange(w.shape[0], dtype=np.int64), 0.0
     else:
         labels, q = _greedy_modularity(off)
-    communities = tuple(
-        tuple(int(i) for i in np.nonzero(labels == c)[0]) for c in range(labels.max() + 1)
-    )
+    communities = tuple(tuple(int(i) for i in np.nonzero(labels == c)[0]) for c in range(labels.max() + 1))
     persistent = []
     for comm in communities:
         idx = np.asarray(comm)

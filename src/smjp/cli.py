@@ -44,6 +44,7 @@ from .foraging import (
     NonConvergence,
     ToyConfig,
     WorldConfig,
+    check_horizon,
     generate_toy,
     policy_is_nontrivial,
     simulate_agent,
@@ -282,6 +283,7 @@ def cmd_simulate_toy(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
 
 
 def cmd_simulate_foraging(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
+    check_horizon(cfg.horizon)
     mdp = solve_belief_mdp(cfg.world_config(), cfg.m_bins, cfg.diffusion_eps)
     if not policy_is_nontrivial(mdp):
         print("warning: solved policy is trivial for this configuration", file=sys.stderr)

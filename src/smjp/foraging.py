@@ -41,6 +41,18 @@ class NonConvergence(SmjpError):
     """Value iteration hit its sweep cap; the discount must be < 1."""
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise InvalidConfig(f"{name} must be finite, got {value!r}")
+
+
+def check_horizon(horizon: float) -> None:
+    """A simulation horizon must be a finite positive number of seconds."""
+    if not 0 < horizon < math.inf:
+        raise InvalidConfig(f"horizon must be finite and positive, got {horizon!r}")
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Two-box world parameters.
@@ -60,6 +72,8 @@ class WorldConfig:
     discount: float = 0.99
 
     def __post_init__(self):
+        _require_finite(box_means=self.box_means, press_cost=self.press_cost, switch_cost=self.switch_cost,
+                        reward_value=self.reward_value, travel_time=self.travel_time, decision_tick=self.decision_tick)
         if len(self.box_means) != 2 or min(self.box_means) <= 0:
             raise InvalidConfig("box means must be two positive durations")
         if self.press_cost < 0 or self.switch_cost < 0:
@@ -297,8 +311,7 @@ def simulate_agent(
     location symbol. Returns the observable event stream and the parallel
     ground-truth trace.
     """
-    if horizon <= 0:
-        raise InvalidConfig("horizon must be positive")
+    check_horizon(horizon)
     if policy is None:
         if mdp.policy is None:
             raise SmjpError("planner has no policy; solve it or pass one explicitly")
@@ -385,6 +398,7 @@ class ToyConfig:
             raise InvalidConfig("observation-driven actions need n_actions <= n_observations")
         if self.expected_length < 1:
             raise InvalidConfig("expected length must be at least 1")
+        _require_finite(event_rate=self.event_rate, concentration=self.concentration)
         if self.event_rate <= 0 or self.concentration <= 0:
             raise InvalidConfig("event rate and concentration must be positive")
 

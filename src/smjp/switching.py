@@ -268,6 +268,15 @@ def _training_splits(sequences: Sequence[EventSequence], config: FitConfig) -> l
     return splits
 
 
+def _check_alphabets(model: SwitchingSMJP, sequences: Sequence[EventSequence]) -> None:
+    """Symbol indices mean the same labels in the sequences as in the model."""
+    for seq in sequences:
+        if seq.observation_alphabet.labels != model.observations.labels:
+            raise InconsistentShapes(f"sequence {seq.id!r} observation alphabet differs from the model's")
+        if seq.action_alphabet.labels != model.actions.labels:
+            raise InconsistentShapes(f"sequence {seq.id!r} action alphabet differs from the model's")
+
+
 def _check_grid(model: SwitchingSMJP, grid: TimeGrid) -> None:
     if len(grid) == 0:
         raise InconsistentShapes("grid is empty")
@@ -608,6 +617,7 @@ def held_out_loglik(model: SwitchingSMJP, sequences: Sequence[EventSequence], co
     if not sequences:
         raise SmjpError("need at least one sequence to evaluate")
     _require_positive(eval_grids=config.eval_grids)
+    _check_alphabets(model, sequences)
     total = 0.0
     for seq in sequences:
         lls = []
@@ -629,11 +639,7 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
     returned unchanged.
     """
     _require_positive(eval_grids=config.eval_grids)
-    for seq in sequences:
-        if seq.observation_alphabet.labels != init.observations.labels:
-            raise InconsistentShapes(f"sequence {seq.id!r} observation alphabet differs from the model's")
-        if seq.action_alphabet.labels != init.actions.labels:
-            raise InconsistentShapes(f"sequence {seq.id!r} action alphabet differs from the model's")
+    _check_alphabets(init, sequences)
     splits = _training_splits(sequences, config)
     train = [h for h, _ in splits]
     holdout = [t for _, t in splits if len(t) > 0]

@@ -1,15 +1,16 @@
 """Shared fixtures and oracles: small random models, random grids,
 exhaustive path enumeration, a forward filter computed entirely in the log
 domain, the pair posteriors of the scaled recursions, Newman modularity,
-the log-domain helpers these oracles are built from, and the belief
-planner built one state at a time."""
+the log-domain helpers these oracles are built from, the belief planner
+built one state at a time, and the co-clustering sweep and modularity
+merge scored one candidate at a time."""
 
 import io
 import itertools
 
 import numpy as np
 
-from smjp.analysis import EmptyGraph
+from smjp.analysis import DegenerateJoint, EmptyGraph
 from smjp.core import DimensionMismatch, NonFinite, StochasticMatrix, index_alphabet
 from smjp.ctmc import NO_OBSERVATION, TAG_EVENT, TAG_VIRTUAL, TimeGrid
 from smjp.events import EventSequence, parse_event_file
@@ -282,3 +283,119 @@ def belief_mdp_per_state(world: WorldConfig, m_bins: int = 10, diffusion_eps: fl
         reward=reward,
         step_discounts=world.discount ** (durations / tick),
     )
+
+
+def mutual_information_masked(joint: np.ndarray) -> float:
+    """Reference MI of one joint in nats, summed over its nonzero cells."""
+    p = np.asarray(joint, dtype=np.float64)
+    total = p.sum()
+    if total <= 0:
+        raise DegenerateJoint("joint distribution has zero mass")
+    p = p / total
+    r = p.sum(axis=1)
+    c = p.sum(axis=0)
+    nz = p > 0
+    outer = np.outer(r, c)
+    return float(np.sum(p[nz] * np.log(p[nz] / outer[nz])))
+
+
+def clustered_by_row(joint: np.ndarray, rows: np.ndarray, cols: np.ndarray, kr: int, kc: int) -> np.ndarray:
+    """Reference cluster aggregate, built one joint row at a time."""
+    agg = np.zeros((kr, kc))
+    for i in range(joint.shape[0]):
+        np.add.at(agg[rows[i]], cols, joint[i])
+    return agg
+
+
+def sweep_axis_by_candidate(
+    joint: np.ndarray,
+    assign: np.ndarray,
+    other: np.ndarray,
+    k: int,
+    k_other: int,
+    live: np.ndarray,
+    by_rows: bool,
+) -> bool:
+    """Reference co-clustering sweep: scores each (element, candidate
+    cluster) move with its own ``mutual_information_masked`` call on a
+    copied aggregate. Never moves a zero-mass element and never empties a
+    cluster. Returns whether any element moved."""
+    p = joint if by_rows else joint.T
+    n = p.shape[0]
+    # Element contributions aggregated over the other axis's clusters.
+    contrib = np.zeros((n, k_other))
+    for j in range(p.shape[1]):
+        contrib[:, other[j]] += p[:, j]
+    agg = np.zeros((k, k_other))
+    for i in range(n):
+        agg[assign[i]] += contrib[i]
+    sizes = np.bincount(assign[live], minlength=k)
+    moved = False
+    for i in range(n):
+        if not live[i]:
+            continue
+        cur = assign[i]
+        if sizes[cur] <= 1:
+            continue
+        base = agg[cur] - contrib[i]
+        best_c, best_mi = cur, None
+        for c in range(k):
+            trial = agg.copy()
+            trial[cur] = base
+            trial[c] += contrib[i]
+            mi = mutual_information_masked(trial)
+            if best_mi is None or mi > best_mi + 1e-15:
+                best_mi, best_c = mi, c
+            elif abs(mi - best_mi) <= 1e-15 and c == cur:
+                best_c = cur
+        if best_c != cur:
+            agg[cur] = base
+            agg[best_c] += contrib[i]
+            sizes[cur] -= 1
+            sizes[best_c] += 1
+            assign[i] = best_c
+            moved = True
+    return moved
+
+
+def greedy_modularity_lists(sym: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reference agglomerative modularity maximization that keeps each
+    community's member list and numbers the best partition by smallest
+    member."""
+    n = sym.shape[0]
+    total = sym.sum()
+    e = sym / total
+    a = e.sum(axis=1)
+    members: list[list[int] | None] = [[i] for i in range(n)]
+    active = set(range(n))
+    q = float(np.trace(e) - np.sum(a**2))
+
+    def snapshot() -> np.ndarray:
+        labels = np.empty(n, dtype=np.int64)
+        next_id = 0
+        for idx in sorted(active, key=lambda c: min(members[c])):
+            for node in members[idx]:
+                labels[node] = next_id
+            next_id += 1
+        return labels
+
+    best_q, best_labels = q, snapshot()
+    while len(active) > 1:
+        pairs = sorted(active)
+        gain, pick = None, None
+        for xi, x in enumerate(pairs):
+            for y in pairs[xi + 1 :]:
+                dq = 2.0 * (e[x, y] - a[x] * a[y])
+                if gain is None or dq > gain + 1e-15:
+                    gain, pick = dq, (x, y)
+        x, y = pick
+        e[x, :] += e[y, :]
+        e[:, x] += e[:, y]
+        a[x] += a[y]
+        members[x] = members[x] + members[y]
+        members[y] = None
+        active.remove(y)
+        q += gain
+        if q > best_q + 1e-12:
+            best_q, best_labels = q, snapshot()
+    return best_labels, best_q

@@ -1,10 +1,20 @@
 import itertools
-from dataclasses import fields
+import re
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from helpers import model_from_chains, modularity, random_model
+from helpers import (
+    clustered_by_row,
+    greedy_modularity_lists,
+    model_from_chains,
+    modularity,
+    mutual_information_masked,
+    random_model,
+    sweep_axis_by_candidate,
+)
+from smjp import analysis
 from smjp.analysis import (
     DegenerateJoint,
     EmptyGraph,
@@ -21,7 +31,7 @@ from smjp.analysis import (
     select_cocluster_sizes,
     state_correspondence,
 )
-from smjp.core import Alphabet, derive_rng
+from smjp.core import Alphabet, SmjpError, derive_rng
 from smjp.events import EventSequence
 from smjp.foraging import ToyConfig, generate_toy
 from smjp.switching import FitConfig
@@ -337,3 +347,89 @@ class TestEventStatePosterior:
         gamma = event_state_posterior(toy.model, toy.sequence, cfg)
         assert gamma.shape == (len(toy.sequence), toy.model.n_states)
         assert np.abs(gamma.sum(axis=1) - 1.0).max() < 1e-9
+
+
+def oracle_joints():
+    """Seeded random joints from 2x2 to 6x80 with zero cells, zero rows and
+    zero columns, plus the block-diagonal cases."""
+    rng = derive_rng(40)
+    joints = [block_joint(s, s) for s in [(2, 2), (1, 3), (3, 2), (2, 2, 2)]]
+    for shape in [(2, 2), (3, 5), (4, 4), (5, 12), (6, 20), (6, 80)]:
+        joint = rng.random(shape) * (rng.random(shape) < 0.6)
+        joint[0, 0] += 0.5
+        joints.append(joint)
+        if 2 < min(shape) and max(shape) <= 20:
+            dead = joint.copy()
+            dead[-1] = 0.0
+            dead[:, 1] = 0.0
+            joints.append(dead)
+    return joints
+
+
+def oracle_operators():
+    """Planted two-community and random stochastic operators, and one
+    whose off-diagonal mass all falls below the thresholds."""
+    rng = derive_rng(41)
+    ops = [planted_operator(rng, n=n) for n in (4, 10)]
+    ops += [rng.dirichlet(np.full(n, c), size=n) for n in (2, 3, 5, 7, 12, 20) for c in (0.3, 1.0, 3.0)]
+    ops += [np.eye(4), 0.9 * np.eye(6) + 0.1 / 6]
+    return ops
+
+
+@pytest.fixture
+def same_as_reference(monkeypatch):
+    """Check that a public call gives the same result, field by field with
+    the same types and dtypes, or the same error, as with the co-clustering
+    sweep, the cluster aggregate, the MI and the modularity merge swapped
+    for the one-candidate-at-a-time references in helpers."""
+
+    def reference(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "mutual_information", mutual_information_masked)
+            m.setattr(analysis, "_clustered", clustered_by_row)
+            m.setattr(analysis, "_sweep_axis", lambda p, *rest: sweep_axis_by_candidate(p, *rest, by_rows=True))
+            m.setattr(analysis, "_greedy_modularity", greedy_modularity_lists)
+            try:
+                return fn(*args)
+            except SmjpError as exc:
+                return exc
+
+    def check(fn, *args):
+        want = reference(fn, *args)
+        if isinstance(want, SmjpError):
+            with pytest.raises(type(want), match=re.escape(str(want))):
+                fn(*args)
+        else:
+            assert_same(fn(*args), want)
+
+    return check
+
+
+def assert_same(got, want):
+    if is_dataclass(want):
+        for f in fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name))
+        return
+    np.testing.assert_equal(got, want)
+    assert type(got) is type(want) and getattr(got, "dtype", None) == getattr(want, "dtype", None)
+
+
+class TestArrayFormMatchesReference:
+    def test_cocluster_bit_for_bit(self, same_as_reference):
+        for seed, joint in enumerate(oracle_joints()):
+            for kr in range(1, min(4, joint.shape[0]) + 1):
+                for kc in range(1, min(6, joint.shape[1]) + 1):
+                    # One restart on the 6x80 joint keeps the test short.
+                    for restarts in (1, 5) if joint.shape[1] <= 20 else (1,):
+                        same_as_reference(cocluster, joint, kr, kc, seed, restarts)
+
+    def test_select_cocluster_sizes_bit_for_bit(self, same_as_reference):
+        for seed, joint in enumerate(oracle_joints()):
+            rows = range(1, min((joint.sum(axis=1) > 0).sum(), 4) + 1)
+            cols = range(1, min((joint.sum(axis=0) > 0).sum(), 6) + 1)
+            same_as_reference(select_cocluster_sizes, joint, rows, cols, seed, 1)
+
+    def test_extract_subgraphs_bit_for_bit(self, same_as_reference):
+        for w in oracle_operators():
+            for threshold in (0.0, 0.05, 0.2):
+                same_as_reference(extract_subgraphs, w, threshold)

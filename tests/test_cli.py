@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smjp import cli
+from smjp import analysis, cli, switching
 from smjp.analysis import cocluster, extract_subgraphs, select_cocluster_sizes
 from smjp.cli import EXIT_DOMAIN, EXIT_PARSE, EXIT_USAGE, main
 from smjp.core import derive_rng
@@ -509,6 +509,52 @@ class TestErrorExitCodes:
         floor.write_text("emission_floor = 0.01\n")
         floor_args = ["--emission-floor", 0.01] if floor_by == "flag" else ["--config", floor]
         assert run(command + flags + floor_args + ["--out", tmp_path / "y"]) == 0
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("simulate-foraging", "--travel-time", "nan", "travel_time must be finite, got nan"),
+        ("simulate-foraging", "--box-mean-1", "nan", "box_means must be finite, got (nan, 30.0)"),
+        ("simulate-foraging", "--box-mean-2", "inf", "box_means must be finite, got (10.0, inf)"),
+        ("simulate-foraging", "--reward-value", "nan", "reward_value must be finite, got nan"),
+        ("simulate-foraging", "--press-cost", "nan", "press_cost must be finite, got nan"),
+        ("simulate-foraging", "--switch-cost", "inf", "switch_cost must be finite, got inf"),
+        ("simulate-foraging", "--decision-tick", "inf", "decision_tick must be finite, got inf"),
+        ("simulate-foraging", "--horizon", "nan", "horizon must be finite and positive, got nan"),
+        ("simulate-foraging", "--horizon", "inf", "horizon must be finite and positive, got inf"),
+        ("simulate-toy", "--toy-event-rate", "nan", "event_rate must be finite, got nan"),
+        ("simulate-toy", "--toy-concentration", "inf", "concentration must be finite, got inf"),
+    ])
+    def test_non_finite_setting(self, tmp_path, capsys, monkeypatch, command, flag, value, message):
+        for name in ("solve_belief_mdp", "generate_toy"):
+            monkeypatch.setattr(cli, name, lambda *a: pytest.fail("planned or drew before checking settings"))
+        rc = run([command, "--out", tmp_path / "x", flag, value, "--seed", 0])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "correspond"])
+    @pytest.mark.parametrize("relabel", [
+        lambda text: text.replace("# observations: o0 o1\n", "# observations: o1 o0\n"),
+        lambda text: text.replace("o0", "x").replace("o1", "y"),
+    ], ids=["swapped", "renamed"])
+    def test_event_alphabet_differs_from_model(self, tmp_path, capsys, monkeypatch, command, relabel):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        text = relabel((data / "events.csv").read_text())
+        events = tmp_path / "relabeled.csv"
+        events.write_text(text)
+        times = [line.split(",")[0] for line in text.splitlines()[5:]]
+        truth = tmp_path / "truth.csv"
+        truth.write_text("# smjp-agent-truth v1\n# n_z: 1\ntime,z,location,rewarded,belief_bin\n"
+                         + "".join(f"{t},0,0,0,0\n" for t in times))
+        for module in (analysis, switching):
+            monkeypatch.setattr(module, "build_time_grid", lambda *a: pytest.fail("built a grid"))
+        args = [command, "--out", tmp_path / "x", "--model", data / "true_model.smjp", "--events", events, "--seed", 0]
+        capsys.readouterr()
+        rc = run(args + (["--truth", truth] if command == "correspond" else []))
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == [
+            "error: sequence 'toy' observation alphabet differs from the model's"]
+        assert not (tmp_path / "x").exists()
 
     def test_points_with_a_different_coordinate_count(self, tmp_path, capsys):
         pfile = tmp_path / "p.csv"
