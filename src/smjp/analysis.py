@@ -216,6 +216,8 @@ def cocluster(
     ns, nz = p.shape
     if not 1 <= k_rows <= ns or not 1 <= k_cols <= nz:
         raise SmjpError(f"cluster counts ({k_rows}, {k_cols}) out of range for shape {p.shape}")
+    if restarts < 1:
+        raise SmjpError(f"restarts must be at least 1, got {restarts}")
     total = p.sum()
     if total <= 0:
         raise DegenerateJoint("joint distribution has zero mass")
@@ -238,7 +240,6 @@ def cocluster(
         loss = trace[-1]
         if best is None or loss < best.mutual_information_loss - 1e-15:
             best = CoClustering(rows.copy(), cols.copy(), k_rows, k_cols, max(loss, 0.0), tuple(trace))
-    assert best is not None
     return best
 
 
@@ -362,6 +363,8 @@ def extract_subgraphs(
     """
     if not 0.0 <= threshold < 1.0:
         raise SmjpError(f"threshold must be in [0, 1), got {threshold!r}")
+    if not 0.0 <= persistence_frac <= 1.0:
+        raise SmjpError(f"persistence_frac must be in [0, 1], got {float(persistence_frac)!r}")
     w = op.matrix.probs if isinstance(op, JointOperator) else np.asarray(op, dtype=np.float64)
     sym = (w + w.T) / 2.0
     sym = np.where(sym < threshold, 0.0, sym)
@@ -414,6 +417,8 @@ def interval_stats(
     TooFewEvents
         With fewer than 10 matching intervals.
     """
+    if bin_width is not None and not 0.0 < bin_width < np.inf:
+        raise SmjpError(f"bin_width must be finite and positive, got {float(bin_width)!r}")
     mask = np.ones(len(seq), dtype=bool)
     if observation is not None:
         mask &= seq.observations == seq.observation_alphabet.index(observation)

@@ -445,7 +445,7 @@ def cmd_operators(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
 
 def cmd_intervals(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     seq = parse_event_file(ws.note_input(args.events))
-    width = cfg.bin_width if cfg.bin_width > 0 else None
+    width = None if cfg.bin_width == 0 else cfg.bin_width
     result = interval_stats(seq, observation=args.observation, action=args.action, bin_width=width)
     lines = [
         "smjp-intervals v1",

@@ -195,16 +195,16 @@ def uniformize(gen: GeneratorMatrix, omega: float) -> StochasticMatrix:
     return StochasticMatrix(b)
 
 
-def default_omega(gens: GeneratorMatrix | list[GeneratorMatrix] | tuple[GeneratorMatrix, ...], factor: float = 2.0) -> float:
-    """Uniformization rate ``factor`` times the largest exit rate found.
+def default_omega(gens: GeneratorMatrix | list[GeneratorMatrix] | tuple[GeneratorMatrix, ...]) -> float:
+    """Uniformization rate: twice the largest exit rate found.
 
-    The factor-2 default leaves enough virtual self-jumps for the grid
-    resampling loop to mix. Falls back to 1.0 for an all-zero generator.
+    The factor 2 leaves enough virtual self-jumps for the grid resampling
+    loop to mix. Falls back to 1.0 for an all-zero generator.
     """
     if isinstance(gens, GeneratorMatrix):
         gens = [gens]
     peak = max(g.max_exit_rate for g in gens)
-    return factor * peak if peak > 0 else 1.0
+    return 2.0 * peak if peak > 0 else 1.0
 
 
 def sample_virtual_times(

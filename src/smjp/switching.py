@@ -170,7 +170,9 @@ class ForwardBackwardResult:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the fitting loop; defaults follow the shipped pipeline."""
+    """Knobs for the fitting loop; defaults follow the shipped pipeline.
+    Construction checks each knob's range. Omega is not a knob: a random
+    start takes the event rate, each rebuild :func:`default_omega`."""
 
     seed: int = 0
     inner_iterations: int = 10
@@ -182,10 +184,19 @@ class FitConfig:
     restarts: int = 5
     holdout_fraction: float = 0.2
     plateau_eps: float = 0.01
-    omega_factor: float = 2.0
-    omega_prior_scale: float = 1.0
     emission_floor: float = 0.0
     per_action_emission: bool = False
+
+    def __post_init__(self):
+        for name, low in (("seed", 0), ("inner_iterations", 0), ("outer_cap", 0),
+                          ("grids_per_iteration", 1), ("eval_grids", 1), ("restarts", 1)):
+            if not getattr(self, name) >= low:
+                raise SmjpError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        for name in ("tol", "inner_tol", "plateau_eps", "emission_floor"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise SmjpError(f"{name} must be finite and non-negative, got {float(getattr(self, name))!r}")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise SmjpError(f"holdout_fraction must be in [0, 1), got {float(self.holdout_fraction)!r}")
 
 
 @dataclass(frozen=True)
@@ -223,12 +234,6 @@ class SufficientStats:
             emit=np.zeros(eshape),
             action_steps=np.zeros(n_actions, dtype=np.int64),
         )
-
-
-def _require_positive(**counts: int) -> None:
-    for name, value in counts.items():
-        if value < 1:
-            raise SmjpError(f"{name} must be at least 1, got {value}")
 
 
 def _training_splits(sequences: Sequence[EventSequence], config: FitConfig) -> list[tuple[EventSequence, EventSequence]]:
@@ -598,12 +603,11 @@ def inner_em(
     return chains, emission, tuple(trace), untouched
 
 
-def rebuild_model(model: SwitchingSMJP, chains: np.ndarray, emission: np.ndarray, config: FitConfig) -> SwitchingSMJP:
+def rebuild_model(model: SwitchingSMJP, chains: np.ndarray, emission: np.ndarray) -> SwitchingSMJP:
     """Fold reestimated chains into new generators and refresh omega."""
     masks = model.structural_masks or (None,) * model.n_actions
     gens = tuple(update_generator(chains[a], model.omega, masks[a]) for a in range(model.n_actions))
-    omega = default_omega(list(gens), config.omega_factor)
-    return replace(model, generators=gens, emission=emission, omega=omega)
+    return replace(model, generators=gens, emission=emission, omega=default_omega(gens))
 
 
 def held_out_loglik(model: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConfig) -> float:
@@ -616,7 +620,6 @@ def held_out_loglik(model: SwitchingSMJP, sequences: Sequence[EventSequence], co
     """
     if not sequences:
         raise SmjpError("need at least one sequence to evaluate")
-    _require_positive(eval_grids=config.eval_grids)
     _check_alphabets(model, sequences)
     total = 0.0
     for seq in sequences:
@@ -638,7 +641,6 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
     ``inner_iterations == 0`` (or ``outer_cap == 0``) the model is
     returned unchanged.
     """
-    _require_positive(eval_grids=config.eval_grids)
     _check_alphabets(init, sequences)
     splits = _training_splits(sequences, config)
     train = [h for h, _ in splits]
@@ -668,7 +670,7 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
         ]
         chains, emission, trace, untouched = inner_em(model, grids, config)
         no_data.update(untouched)
-        model = rebuild_model(model, chains, emission, config)
+        model = rebuild_model(model, chains, emission)
         hll = signal(model, trace[-1])
         if not np.isfinite(hll):
             raise NonFiniteLikelihood(f"non-finite held-out log-likelihood at outer iteration {outer}")
@@ -703,35 +705,32 @@ def init_random_model(
     seed_branch: tuple[int, ...],
     event_rate: float,
 ) -> SwitchingSMJP:
-    """Random restart: flat-Dirichlet chains and emission, omega set from
-    the data's empirical event rate."""
+    """Random restart: flat-Dirichlet chains and emission, with the data's
+    empirical event rate as omega."""
     rng = derive_rng(config.seed, *seed_branch)
     n, k, o = n_states, len(action_alphabet), len(observation_alphabet)
-    omega = config.omega_prior_scale * event_rate
-    if not omega > 0:
-        omega = 1.0
     chains = np.stack([rng.dirichlet(np.ones(n), size=n) for _ in range(k)])
     if config.per_action_emission:
         emission = np.stack([rng.dirichlet(np.ones(o), size=n) for _ in range(k)])
     else:
         emission = rng.dirichlet(np.ones(o), size=n)
-    gens = tuple(update_generator(chains[a], omega) for a in range(k))
+    gens = tuple(update_generator(chains[a], event_rate) for a in range(k))
     return SwitchingSMJP(
         states=index_alphabet("state", n, "s"),
         actions=action_alphabet,
         observations=observation_alphabet,
         generators=gens,
         emission=emission,
-        omega=omega,
+        omega=event_rate,
     )
 
 
 def fit_best(sequences: Sequence[EventSequence], n_states: int, config: FitConfig) -> FitReport:
     """Run ``config.restarts`` independent random initializations and keep
     the fit with the best held-out log-likelihood."""
-    if not sequences:
-        raise SmjpError("need at least one training sequence")
-    _require_positive(n_states=n_states, restarts=config.restarts)
+    _training_splits(sequences, config)
+    if n_states < 1:
+        raise SmjpError(f"n_states must be at least 1, got {n_states}")
     rate = float(np.mean([s.event_rate for s in sequences]))
     best: FitReport | None = None
     for r in range(config.restarts):
@@ -777,7 +776,6 @@ def select_num_states(
     n_values = list(n_range)
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise SmjpError("state-count range must be non-empty and ascending")
-    _require_positive(restarts=config.restarts)
     _training_splits(sequences, config)
     lls: list[float] = []
     reports: dict[int, FitReport] = {}

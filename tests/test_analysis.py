@@ -122,6 +122,15 @@ class TestCocluster:
             assert len(set(r0.tolist())) == 1 and len(set(r1.tolist())) == 1
             assert r0[0] != r1[0]
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_rejected_before_any_restart(self, monkeypatch, restarts):
+        monkeypatch.setattr(analysis, "derive_rng", lambda *a: pytest.fail("started a restart"))
+        message = f"^restarts must be at least 1, got {restarts}$"
+        with pytest.raises(SmjpError, match=message):
+            cocluster(block_joint((2, 2), (2, 2)), 2, 2, seed=0, restarts=restarts)
+        with pytest.raises(SmjpError, match=message):
+            select_cocluster_sizes(block_joint((2, 2), (2, 2)), [1, 2], [2], seed=0, restarts=restarts)
+
     def test_full_resolution_zero_loss(self):
         rng = derive_rng(4)
         joint = rng.dirichlet(np.ones(12)).reshape(3, 4)
@@ -297,6 +306,15 @@ class TestExtractSubgraphs:
         with pytest.raises(Exception):
             extract_subgraphs(np.eye(3), threshold=1.5)
 
+    @pytest.mark.parametrize("frac", [float("nan"), float("inf"), -1.0, 1.5])
+    def test_persistence_frac_outside_unit_interval_rejected(self, frac):
+        with pytest.raises(SmjpError, match=re.escape(f"persistence_frac must be in [0, 1], got {frac!r}")):
+            extract_subgraphs(np.eye(3), persistence_frac=frac)
+
+    @pytest.mark.parametrize("frac", [0.0, 1.0])
+    def test_persistence_frac_bounds_accepted(self, frac):
+        assert len(extract_subgraphs(np.eye(3), persistence_frac=frac).persistent_subspaces) == 3
+
 
 def interval_sequence(intervals, label="press"):
     times = np.concatenate([[0.0], np.cumsum(intervals)])
@@ -319,6 +337,12 @@ class TestIntervalStats:
         seq = interval_sequence(np.full(200, 3.0))
         res = interval_stats(seq)
         assert res.ks_pvalue < 1e-10
+
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_bin_width_not_finite_and_positive_rejected(self, width):
+        seq = interval_sequence(np.ones(20))
+        with pytest.raises(SmjpError, match=f"^bin_width must be finite and positive, got {width!r}$"):
+            interval_stats(seq, bin_width=width)
 
     def test_too_few_events(self):
         seq = interval_sequence(np.ones(5))

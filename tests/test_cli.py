@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from smjp import analysis, cli, switching
 from smjp.analysis import cocluster, extract_subgraphs, select_cocluster_sizes
 from smjp.cli import EXIT_DOMAIN, EXIT_PARSE, EXIT_USAGE, main
-from smjp.core import derive_rng
+from smjp.core import SmjpError, derive_rng
 from smjp.foraging import ToyConfig, WorldConfig, solve_belief_mdp
 from smjp.switching import FitConfig
 
@@ -579,3 +580,117 @@ class TestDefaults:
         sub = _defaults(extract_subgraphs)
         assert (cfg.operator_threshold, cfg.persistence_frac) == (sub["threshold"], sub["persistence_frac"])
         assert cfg.cocluster_restarts == _defaults(cocluster)["restarts"] == _defaults(select_cocluster_sizes)["restarts"]
+
+
+# The invalid values among nan, inf, -1 and 0 of every FitConfig field that
+# has one (integer fields take integers; per_action_emission has none).
+INVALID_FIT_VALUES = [
+    ("seed", -1), ("inner_iterations", -1), ("outer_cap", -1),
+    *[(name, v) for name in ("grids_per_iteration", "eval_grids", "restarts") for v in (-1, 0)],
+    *[(name, v) for name in ("tol", "inner_tol", "plateau_eps", "emission_floor", "holdout_fraction")
+      for v in (float("nan"), float("inf"), -1.0)],
+]
+
+
+class TestFitConfigRanges:
+    def test_every_field_with_an_invalid_value_is_listed(self):
+        listed = {name for name, _ in INVALID_FIT_VALUES} | {"per_action_emission"}
+        assert listed == {f.name for f in fields(FitConfig)}
+
+    @pytest.mark.parametrize("config", [FitConfig, cli.RunConfig])
+    @pytest.mark.parametrize("name, value", INVALID_FIT_VALUES)
+    def test_invalid_value_names_the_field(self, config, name, value):
+        with pytest.raises(SmjpError, match=f"^{name} must be "):
+            config(**{name: value})
+
+    @pytest.mark.parametrize("key", ["omega_factor", "omega_prior_scale"])
+    def test_removed_omega_key_is_unknown(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\n{key} = 2.0\n")
+        rc = run(["simulate-toy", "--out", tmp_path / "x", "--config", cfg])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:2: unknown config key {key!r}"]
+        assert not (tmp_path / "x").exists()
+
+
+# Every RunConfig field under the commands that read it. Each run takes its
+# settings from one --config file: the knob under test, plus the lines of
+# SMALL that keep the run short (a line for the knob itself is replaced).
+SMALL = {
+    "simulate-toy": {"toy_length": 300},
+    "simulate-foraging": {"horizon": 200, "m_bins": 4},
+    "fit": {"n_states": 2, "restarts": 1, "outer_cap": 2, "inner_iterations": 2, "eval_grids": 1},
+    "select-states": {"restarts": 1, "outer_cap": 2, "inner_iterations": 2, "eval_grids": 1},
+}
+SWEPT = {
+    "simulate-toy": ["seed", "toy_states", "toy_observations", "toy_actions", "toy_length", "toy_event_rate",
+                     "toy_concentration"],
+    "simulate-foraging": ["box_mean_1", "box_mean_2", "press_cost", "switch_cost", "reward_value",
+                          "travel_time", "decision_tick", "discount", "m_bins", "diffusion_eps", "horizon"],
+    "fit": ["seed", "n_states", "inner_iterations", "outer_cap", "tol", "inner_tol", "grids_per_iteration",
+            "eval_grids", "restarts", "holdout_fraction", "emission_floor", "per_action_emission"],
+    "select-states": ["plateau_eps"],
+    "evaluate": ["eval_grids", "holdout_fraction"],
+    "correspond": ["eval_grids"],
+    "cocluster": ["cocluster_restarts"],
+    "operators": ["operator_threshold", "persistence_frac"],
+    "intervals": ["bin_width"],
+    "quantize": ["k_locations"],
+}
+SWEEP = [(command, name, value) for command, names in SWEPT.items() for name in names
+         for value in ("nan", "inf", "-1", "0")]
+# The fields for which 0 is a valid value; no field takes nan, inf or -1.
+ZERO_OK = {"seed", "inner_iterations", "outer_cap", "tol", "inner_tol", "holdout_fraction", "plateau_eps",
+           "emission_floor", "per_action_emission", "press_cost", "switch_cost", "diffusion_eps",
+           "operator_threshold", "persistence_frac", "bin_width"}
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """A 300-event toy and a 200-s forager (4 belief bins), with a model
+    fitted to the forager, its correspondence joint and a points file."""
+    base = tmp_path_factory.mktemp("sweep")
+    toy, sim, fitted, corr = (base / name for name in ("toy", "sim", "fit", "corr"))
+    assert run(toy_args(toy, length=300)) == 0
+    assert run(["simulate-foraging", "--seed", 3, "--out", sim, "--horizon", 200, "--m-bins", 4]) == 0
+    assert run(["fit", "--seed", 4, "--out", fitted, "--events", sim / "events.csv", "--n-states", 3,
+                "--restarts", 1, "--outer-cap", 2, "--inner-iterations", 2, "--eval-grids", 1]) == 0
+    assert run(["correspond", "--seed", 4, "--out", corr, "--model", fitted / "model.smjp",
+                "--events", sim / "events.csv", "--truth", sim / "truth_z.csv"]) == 0
+    points = base / "points.csv"
+    points.write_text("x,y\n" + "".join(f"{i % 5}.0,{i % 3}.5\n" for i in range(30)))
+    return {
+        "simulate-toy": [],
+        "simulate-foraging": [],
+        "fit": ["--events", toy / "events.csv"],
+        "select-states": ["--events", toy / "events.csv", "--range", "2:3"],
+        "evaluate": ["--model", toy / "true_model.smjp", "--events", toy / "events.csv", "--use-holdout"],
+        "correspond": ["--model", fitted / "model.smjp", "--events", sim / "events.csv",
+                       "--truth", sim / "truth_z.csv"],
+        "cocluster": ["--joint", corr / "correspondence.csv", "--rows", "2", "--cols", "2:3"],
+        "operators": ["--model", fitted / "model.smjp"],
+        "intervals": ["--events", sim / "events.csv"],
+        "quantize": ["--points", points],
+    }
+
+
+class TestConfigSweep:
+    def test_sweep_covers_every_field(self):
+        assert {name for names in SWEPT.values() for name in names} == {f.name for f in fields(cli.RunConfig)}
+
+    @pytest.mark.parametrize("command, name, value", SWEEP)
+    def test_setting_ends_in_a_documented_exit(self, tmp_path, capsys, sweep_inputs, command, name, value):
+        settings = {**SMALL.get(command, {}), name: value}
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key} = {v}\n" for key, v in settings.items()))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = run([command, "--out", out, "--config", config] + sweep_inputs[command])
+        assert rc in (0, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN, cli.EXIT_NUMERIC)
+        assert (rc == 0) == (value == "0" and name in ZERO_OK)
+        if rc:
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert not out.exists()
+        else:
+            assert (out / "manifest.txt").exists()

@@ -429,6 +429,21 @@ class TestFit:
         with pytest.raises(SmjpError, match="restarts must be at least 1"):
             fit_best([toy.sequence], 2, FitConfig(restarts=0))
 
+    @pytest.mark.parametrize("length, message", [
+        (None, "^need at least one training sequence$"),
+        (1, "^sequence 'toy' has 1 training events, need at least 2$"),
+    ])
+    def test_fit_best_checks_training_data_before_any_start(self, monkeypatch, length, message):
+        # The start omega is the event rate, which only a training part
+        # with two events makes positive.
+        monkeypatch.setattr(switching, "init_random_model", lambda *a: pytest.fail("drew a start"))
+        s = toy_sequences(length=60).sequence
+        seqs = [] if length is None else [EventSequence(
+            s.id, s.times[:length], s.observations[:length], s.actions[:length],
+            s.observation_alphabet, s.action_alphabet)]
+        with pytest.raises(SmjpError, match=message):
+            fit_best(seqs, 2, FitConfig(holdout_fraction=0.0))
+
     def test_fit_best_rejects_zero_states(self):
         toy = toy_sequences(length=60)
         with pytest.raises(SmjpError, match="^n_states must be at least 1, got 0$"):
@@ -441,8 +456,8 @@ class TestFit:
 
         monkeypatch.setattr(switching, "build_time_grid", no_grids)
         toy = toy_sequences(length=60)
-        cfg = FitConfig(eval_grids=0, holdout_fraction=holdout_fraction)
         with pytest.raises(SmjpError, match="^eval_grids must be at least 1, got 0$"):
+            cfg = FitConfig(eval_grids=0, holdout_fraction=holdout_fraction)
             fit(toy.model, [toy.sequence], cfg)
 
     def test_alphabet_mismatch_rejected(self):
