@@ -47,6 +47,14 @@ def _require_finite(**values) -> None:
             raise InvalidConfig(f"{name} must be finite, got {value!r}")
 
 
+def _check_fields(config, names: tuple[str, ...], ok, wants: str) -> None:
+    """Raise naming the first of ``names`` whose value fails ``ok``."""
+    for name in names:
+        value = getattr(config, name)
+        if not ok(value):
+            raise InvalidConfig(f"{name} must be {wants}, got {value!r}")
+
+
 def check_horizon(horizon: float) -> None:
     """A simulation horizon must be a finite positive number of seconds."""
     if not 0 < horizon < math.inf:
@@ -75,15 +83,10 @@ class WorldConfig:
         _require_finite(box_means=self.box_means, press_cost=self.press_cost, switch_cost=self.switch_cost,
                         reward_value=self.reward_value, travel_time=self.travel_time, decision_tick=self.decision_tick)
         if len(self.box_means) != 2 or min(self.box_means) <= 0:
-            raise InvalidConfig("box means must be two positive durations")
-        if self.press_cost < 0 or self.switch_cost < 0:
-            raise InvalidConfig("costs must be non-negative")
-        if self.reward_value <= 0:
-            raise InvalidConfig("reward value must be positive")
-        if self.travel_time <= 0 or self.decision_tick <= 0:
-            raise InvalidConfig("travel time and decision tick must be positive")
-        if not 0 < self.discount < 1:
-            raise InvalidConfig("discount must be in (0, 1)")
+            raise InvalidConfig(f"box_means must be two positive durations, got {self.box_means!r}")
+        _check_fields(self, ("press_cost", "switch_cost"), lambda v: v >= 0, "non-negative")
+        _check_fields(self, ("reward_value", "travel_time", "decision_tick"), lambda v: v > 0, "positive")
+        _check_fields(self, ("discount",), lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def belief_update(belief: float, pressed: bool, rewarded: bool, mean_interval: float, dt: float) -> float:
@@ -392,15 +395,15 @@ class ToyConfig:
     emission: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_states < 1 or self.n_observations < 1 or self.n_actions < 1:
-            raise InvalidConfig("alphabet sizes must be positive")
+        _check_fields(self, ("n_states", "n_observations", "n_actions", "expected_length"), lambda v: v >= 1,
+                      "at least 1")
         if self.n_actions > self.n_observations:
-            raise InvalidConfig("observation-driven actions need n_actions <= n_observations")
-        if self.expected_length < 1:
-            raise InvalidConfig("expected length must be at least 1")
+            # Observation-driven actions: the next action is the emitted symbol.
+            raise InvalidConfig(
+                f"n_actions must be at most n_observations ({self.n_observations}), got {self.n_actions}"
+            )
         _require_finite(event_rate=self.event_rate, concentration=self.concentration)
-        if self.event_rate <= 0 or self.concentration <= 0:
-            raise InvalidConfig("event rate and concentration must be positive")
+        _check_fields(self, ("event_rate", "concentration"), lambda v: v > 0, "positive")
 
 
 @dataclass(frozen=True)

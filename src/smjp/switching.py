@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import isqrt
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -306,8 +307,9 @@ def _emission_table(emission: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return e
 
 
-def _filter_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized forward pass; returns (alpha_hat, per-step normalizers)."""
+def _filter_steps(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized forward pass, one grid step at a time; returns
+    (alpha_hat, per-step normalizers). Names the first impossible step."""
     t, n = e.shape
     alpha = np.empty((t, n))
     c = np.empty(t)
@@ -325,6 +327,90 @@ def _filter_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple
         alpha[i + 1] = v / ci
         c[i + 1] = ci
     return alpha, c
+
+
+def _smooth_steps(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Scaled backward pass, one grid step at a time."""
+    t, n = e.shape
+    beta = np.empty((t, n))
+    beta[t - 1] = 1.0
+    for i in range(t - 2, -1, -1):
+        beta[i] = chains[kidx[i]] @ (e[i + 1] * beta[i + 1]) / c[i + 1]
+    return beta
+
+
+class _Blocks:
+    """The T-1 grid steps cut into ``nb`` blocks of ``L = isqrt(T-1)``
+    steps, the last padded with identity steps (emission ones, normalizer
+    one), so every pass takes O(sqrt T) Python steps batched over blocks.
+
+    ``chains[K[b, j]]`` and ``E[b, j]`` are the chain and the next point's
+    emission of step ``b*L + j``; index ``len(chains)`` is the identity.
+    """
+
+    def __init__(self, chains: np.ndarray, e: np.ndarray, kidx: np.ndarray):
+        t, n = e.shape
+        self.size = isqrt(t - 1)
+        self.count = -(-(t - 1) // self.size)
+        padded = self.count * self.size
+        self.chains = np.concatenate([chains, np.eye(n)[None]])
+        k = np.full(padded, len(chains))
+        k[: t - 1] = kidx[: t - 1]
+        self.K = k.reshape(self.count, self.size)
+        e_pad = np.ones((padded + 1, n))
+        e_pad[:t] = e
+        self.E = e_pad[1:].reshape(self.count, self.size, n)
+
+    def products(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each block's step product ``B_{k_i} diag(e_{i+1})`` over its
+        steps, scaled to unit sum at every step; returns (products, log
+        scales)."""
+        p = self.chains[self.K[:, 0]] * self.E[:, 0, None, :]
+        logs = np.zeros(self.count)
+        for j in range(self.size):
+            if j:
+                p = (p @ self.chains[self.K[:, j]]) * self.E[:, j, None, :]
+            mass = p.sum(axis=(1, 2))
+            p /= mass[:, None, None]
+            logs += np.log(mass)
+        return p, logs
+
+
+def _filter_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized forward pass; returns (alpha_hat, per-step normalizers).
+
+    A two-level blocked scan: the block products carry alpha_hat from one
+    block start to the next, then the step recursion fills all blocks at
+    once. An impossible or underflowing step reruns ``_filter_steps``.
+    """
+    t, n = e.shape
+    if t < 2:
+        return _filter_steps(chains, e, kidx)
+    blk = _Blocks(chains, e, kidx)
+    nb, size = blk.count, blk.size
+    alpha = np.empty((nb * size + 1, n))
+    c = np.ones(nb * size + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = e[0] / n
+        c[0] = a.sum()
+        starts = np.empty((nb, n))
+        starts[0] = a / c[0]
+        prods, _ = blk.products()
+        for b in range(nb - 1):
+            v = starts[b] @ prods[b]
+            starts[b + 1] = v / v.sum()
+        fill = alpha[1:].reshape(nb, size, n)
+        cfill = c[1:].reshape(nb, size)
+        a = starts
+        for j in range(size):
+            v = (a[:, None, :] @ blk.chains[blk.K[:, j]])[:, 0, :] * blk.E[:, j]
+            cfill[:, j] = v.sum(axis=1)
+            a = v / cfill[:, j, None]
+            fill[:, j] = a
+        alpha[:-1:size] = starts
+    if not (np.isfinite(c[:t]).all() and (c[:t] > 0).all()):
+        return _filter_steps(chains, e, kidx)
+    return alpha[:t], c[:t]
 
 
 def _grid_loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
@@ -368,13 +454,37 @@ def _grid_loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
 
 def _smooth_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Backward pass scaled by the forward normalizers, so that
-    alpha_hat * beta_hat is the state marginal directly."""
+    alpha_hat * beta_hat is the state marginal directly.
+
+    The filter's blocked scan mirrored: block products carry beta_hat
+    from each block end to its start (their log scales less the block's
+    log normalizers), then the step recursion fills all blocks at once.
+    A non-finite result reruns ``_smooth_steps``.
+    """
     t, n = e.shape
-    beta = np.empty((t, n))
-    beta[t - 1] = 1.0
-    for i in range(t - 2, -1, -1):
-        beta[i] = chains[kidx[i]] @ (e[i + 1] * beta[i + 1]) / c[i + 1]
-    return beta
+    if t < 2:
+        return _smooth_steps(chains, e, kidx, c)
+    blk = _Blocks(chains, e, kidx)
+    nb, size = blk.count, blk.size
+    c_pad = np.ones(nb * size + 1)
+    c_pad[:t] = c
+    cblk = c_pad[1:].reshape(nb, size)
+    beta = np.empty((nb * size + 1, n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        prods, logs = blk.products()
+        gain = np.exp(logs - np.log(cblk).sum(axis=1))
+        ends = np.ones((nb, n))
+        for b in range(nb - 1, 0, -1):
+            ends[b - 1] = (prods[b] @ ends[b]) * gain[b]
+        fill = beta[:-1].reshape(nb, size, n)
+        v = ends
+        for j in range(size - 1, -1, -1):
+            v = (blk.chains[blk.K[:, j]] @ (blk.E[:, j] * v)[:, :, None])[:, :, 0] / cblk[:, j, None]
+            fill[:, j] = v
+        beta[size::size] = ends
+    if not np.isfinite(beta[:t]).all():
+        return _smooth_steps(chains, e, kidx, c)
+    return beta[:t]
 
 
 def forward(model: SwitchingSMJP, grid: TimeGrid) -> tuple[np.ndarray, float]:
@@ -776,6 +886,8 @@ def select_num_states(
     n_values = list(n_range)
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise SmjpError("state-count range must be non-empty and ascending")
+    if n_values[0] < 1:
+        raise SmjpError(f"n_states must be at least 1, got {n_values[0]}")
     _training_splits(sequences, config)
     lls: list[float] = []
     reports: dict[int, FitReport] = {}

@@ -268,6 +268,17 @@ class TestErrorExitCodes:
         assert rc == EXIT_DOMAIN
         assert capsys.readouterr().err.splitlines() == ["error: n_states must be at least 1, got 0"]
 
+    def test_select_states_zero_states(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        capsys.readouterr()
+        out = tmp_path / "x"
+        rc = run(["select-states", "--out", out, "--events", data / "events.csv", "--seed", 0,
+                  "--range", "0:2", "--restarts", 1])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == ["error: n_states must be at least 1, got 0"]
+        assert not out.exists()
+
     def test_failed_command_leaves_no_out_dir(self, tmp_path):
         data = tmp_path / "data"
         run(toy_args(data, length=120))
@@ -644,6 +655,16 @@ ZERO_OK = {"seed", "inner_iterations", "outer_cap", "tol", "inner_tol", "holdout
            "emission_floor", "per_action_emission", "press_cost", "switch_cost", "diffusion_eps",
            "operator_threshold", "persistence_frac", "bin_width"}
 
+# The ToyConfig or WorldConfig field that each toy and world key sets; a
+# range error names that field (a parse error names the key) and the value.
+MODEL_FIELD = {
+    "toy_states": "n_states", "toy_observations": "n_observations", "toy_actions": "n_actions",
+    "toy_length": "expected_length", "toy_event_rate": "event_rate", "toy_concentration": "concentration",
+    "box_mean_1": "box_means", "box_mean_2": "box_means",
+    **{name: name for name in ("press_cost", "switch_cost", "reward_value", "travel_time", "decision_tick",
+                               "discount")},
+}
+
 
 @pytest.fixture(scope="module")
 def sweep_inputs(tmp_path_factory):
@@ -691,6 +712,9 @@ class TestConfigSweep:
         if rc:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
+            if name in MODEL_FIELD:
+                assert MODEL_FIELD[name] in err[0] or name in err[0]
+                assert value in err[0]
             assert not out.exists()
         else:
             assert (out / "manifest.txt").exists()

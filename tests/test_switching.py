@@ -30,7 +30,10 @@ from smjp.switching import (
     _accumulate_stats,
     _emission_table,
     _filter_scaled,
+    _filter_steps,
     _grid_loglik,
+    _smooth_scaled,
+    _smooth_steps,
     backward,
     fit,
     fit_best,
@@ -230,6 +233,75 @@ class TestScaledCore:
         model = model_from_chains(np.full((1, 2, 2), 0.5), np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ZeroProbabilityObservation):
             backward(model, event_grid([0, 1, 0], [0, 0, 0]))
+
+
+def per_action_case(rng, n, k, o, length):
+    """(chains, emission table, actions) of a random per-action-emission
+    model on a random grid."""
+    model = random_model(rng, n, k, o)
+    model = replace(model, emission=np.stack([rng.dirichlet(np.ones(o), size=n) for _ in range(k)]))
+    grid = random_grid(rng, length, k, o)
+    return model.chain_stack, _emission_table(model.emission, grid), grid.actions
+
+
+def assert_blocked_matches_steps(chains, e, kidx, alpha_atol=0.0):
+    alpha, c = _filter_scaled(chains, e, kidx)
+    alpha_ref, c_ref = _filter_steps(chains, e, kidx)
+    np.testing.assert_allclose(alpha, alpha_ref, rtol=1e-12, atol=alpha_atol)
+    np.testing.assert_allclose(c, c_ref, rtol=1e-12, atol=0)
+    beta = _smooth_scaled(chains, e, kidx, c)
+    beta_ref = _smooth_steps(chains, e, kidx, c_ref)
+    assert beta.shape == beta_ref.shape
+    np.testing.assert_allclose(alpha * beta, alpha_ref * beta_ref, rtol=0, atol=1e-10)
+
+
+class TestBlockedScan:
+    """The blocked filter/smoother against the one-step-at-a-time loops
+    it replaces: blocks of isqrt(T-1) steps, the last padded."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_matches_step_loops(self, n, k):
+        rng = derive_rng(40, n, k)
+        # T-1 = 49 fills 7 blocks of 7; 50 and 61 leave a padded block;
+        # 997 is prime.
+        for length in (2, 3, 4, 50, 51, 62, 997):
+            assert_blocked_matches_steps(*per_action_case(rng, n, k, 3, length))
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_matches_step_loops_long_grid(self, n):
+        assert_blocked_matches_steps(*per_action_case(derive_rng(41, n), n, 3, 4, 10_000))
+
+    def test_single_point_grid(self):
+        assert_blocked_matches_steps(*per_action_case(derive_rng(42), 3, 2, 3, 1))
+
+    def test_impossible_observation_mid_block_names_its_step(self):
+        rng = derive_rng(43)
+        chains, e, kidx = per_action_case(rng, 4, 2, 3, 3000)
+        e[1777] = 0.0
+        with pytest.raises(ZeroProbabilityObservation, match="^observation at grid step 1777 has zero likelihood$"):
+            _filter_scaled(chains, e, kidx)
+
+    def test_non_finite_smoother_is_the_step_loops(self):
+        rng = derive_rng(45)
+        chains, e, kidx = per_action_case(rng, 3, 2, 3, 400)
+        _, c = _filter_steps(chains, e, kidx)
+        c[250] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = _smooth_scaled(chains, e, kidx, c)
+            want = _smooth_steps(chains, e, kidx, c)
+        assert not np.isfinite(want).all()
+        np.testing.assert_array_equal(got, want)
+
+    def test_tiny_and_subnormal_emissions_match_step_loops(self):
+        rng = derive_rng(44)
+        emission = np.array([[1.0, 1e-300, 1e-320], [1e-300, 1.0, 1e-320], [1e-320, 1e-300, 1.0]])
+        model = model_from_chains(np.stack([rng.dirichlet(np.ones(3), size=3) for _ in range(2)]), emission)
+        grid = random_grid(rng, 5000, 2, 3)
+        # Subnormal alpha_hat entries (down to ~1e-321) keep only a few
+        # significant bits, so they are compared absolutely.
+        e = _emission_table(model.emission, grid)
+        assert_blocked_matches_steps(model.chain_stack, e, grid.actions, alpha_atol=1e-300)
 
 
 class TestMStep:
@@ -539,7 +611,7 @@ class TestHeldOut:
 
 def step_loglik(model, grid):
     """The step filter's log-likelihood: the reference for _grid_loglik."""
-    _, c = _filter_scaled(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
+    _, c = _filter_steps(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
     return float(np.log(c).sum())
 
 
