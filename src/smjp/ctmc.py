@@ -1,9 +1,9 @@
 """Sampling for continuous-time Markov jump processes.
 
 Covers forward (Gillespie) simulation of a generator, the uniformized
-discrete chain B = I + A/omega, Poisson imputation of virtual jump times,
-and assembly of the mixed event/virtual time grid that the inference
-engine runs on.
+discrete chain B = I + A/omega, Poisson arrival times in one interval,
+and the mixed event/virtual time grid that the inference engine runs on,
+built from one vector of Poisson counts.
 """
 
 from __future__ import annotations
@@ -196,10 +196,9 @@ def uniformize(gen: GeneratorMatrix, omega: float) -> StochasticMatrix:
 
 
 def default_omega(gens: GeneratorMatrix | list[GeneratorMatrix] | tuple[GeneratorMatrix, ...]) -> float:
-    """Uniformization rate: twice the largest exit rate found.
-
-    The factor 2 leaves enough virtual self-jumps for the grid resampling
-    loop to mix. Falls back to 1.0 for an all-zero generator.
+    """A uniformization rate for given generators: twice the largest exit
+    rate found, or 1.0 for all-zero generators. Fitting does not call it:
+    a fit holds the omega of its start model.
     """
     if isinstance(gens, GeneratorMatrix):
         gens = [gens]
@@ -235,13 +234,13 @@ def sample_virtual_times(
 
 
 def build_time_grid(seq, omega: float, seed: int | np.random.Generator) -> TimeGrid:
-    """Interleave a sequence's events with fresh virtual times.
+    """Interleave a sequence's events with virtual points.
 
-    Every event timestamp passes through bit-identically; each inter-event
-    interval gains Poisson(omega) virtual points carrying no observation
-    and inheriting the interval's opening action. The random stream is
-    consumed exactly as by one :func:`sample_virtual_times` call per
-    interval, in time order, so the grid equals what those calls give.
+    Every event timestamp passes through bit-identically. One Poisson draw
+    over the inter-event intervals gives each its count k ~ Poisson(omega
+    * dt) of virtual points, which carry no observation and inherit the
+    interval's opening action. Inference reads only the counts, so the k
+    points sit evenly at ``lo + (hi - lo) * j/(k+1)``, j = 1..k.
     """
     times = np.asarray(seq.times, dtype=np.float64)
     obs = np.asarray(seq.observations, dtype=np.int64)
@@ -262,27 +261,15 @@ def build_time_grid(seq, omega: float, seed: int | np.random.Generator) -> TimeG
                 f"{expected[i]:.3g} expected virtual points in interval {i} "
                 f"({float(lo[i])!r}, {float(hi[i])!r}); omega or the interval length is misconfigured"
             )
-    rng = as_rng(seed)
-
-    # Only the draws run per interval: a Poisson count, then that many
-    # uniforms when it is positive.
-    poisson, uniform = rng.poisson, rng.uniform
-    draws: list[np.ndarray] = []
-    counts: list[int] = []
-    for mu, a, b in zip(expected.tolist(), lo.tolist(), hi.tolist()):
-        k = poisson(mu)
-        counts.append(k)
-        if k:
-            draws.append(uniform(a, b, size=k))
-    vt = np.concatenate(draws) if draws else np.empty(0)
+    counts = as_rng(seed).poisson(expected)
     iv = np.repeat(np.arange(lo.size), counts)
-    # Keep points strictly inside their interval (floats can land on an
-    # endpoint), so no virtual point can tie an event and equal times share
-    # an interval; then sort by (interval, time) and drop repeats.
+    j = np.arange(1, iv.size + 1) - (np.cumsum(counts) - counts)[iv]
+    vt = lo[iv] + (hi - lo)[iv] * (j / (counts[iv] + 1))
+    # Floats can put a point on an endpoint of a short interval, or on its
+    # neighbour; keep points strictly inside their interval, so none ties
+    # an event, and drop repeats.
     inside = (vt > lo[iv]) & (vt < hi[iv])
     vt, iv = vt[inside], iv[inside]
-    order = np.lexsort((vt, iv))
-    vt, iv = vt[order], iv[order]
     fresh = np.ones(vt.size, dtype=bool)
     fresh[1:] = vt[1:] != vt[:-1]
     vt, iv = vt[fresh], iv[fresh]

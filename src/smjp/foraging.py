@@ -180,10 +180,10 @@ def build_belief_mdp(world: WorldConfig, m_bins: int = 10, diffusion_eps: float 
     action's kernel over (bin0, bin1) is the Kronecker product of one
     m x m kernel per box.
     """
-    if m_bins < 2:
-        raise InvalidConfig("need at least 2 belief bins")
+    if not (m_bins >= 2 and float(m_bins).is_integer()):
+        raise InvalidConfig(f"m_bins must be an integer of at least 2, got {m_bins!r}")
     if not 0.0 <= diffusion_eps <= 0.2:
-        raise InvalidConfig("diffusion must be in [0, 0.2]")
+        raise InvalidConfig(f"diffusion_eps must be in [0, 0.2], got {diffusion_eps!r}")
     bins = np.linspace(0.0, 1.0, m_bins)
     tick, travel = world.decision_tick, world.travel_time
     means = world.box_means

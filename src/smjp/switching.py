@@ -6,11 +6,11 @@ grid step t drives the transition t -> t+1, virtual points contribute a
 unit emission likelihood, and the latent prior at the first grid point is
 uniform (the initial distribution is not a learned parameter).
 
-Fitting alternates three phases: draw fresh virtual times from the current
-rates, run discrete-chain EM to convergence on those fixed grids, then map
-the re-estimated chains back to generators via A = (B - I) * omega and
-recompute the uniformization rate. The loop stops when held-out
-log-likelihood stabilizes.
+Fitting alternates three phases: draw fresh grids of Poisson virtual-point
+counts, run discrete-chain EM to convergence on those fixed grids, then map
+the re-estimated chains back to generators via A = (B - I) * omega. Omega
+is fixed through a fit, since a grid's mean law between events, B expm(A
+dt), depends on it. The loop stops when held-out log-likelihood stabilizes.
 
 Random streams are derived from the config seed with fixed branch codes:
 (1, outer_iteration, sequence, grid) for training grids, (2, grid) for
@@ -41,7 +41,7 @@ from .core import (
     validate_generator,
     write_text,
 )
-from .ctmc import NO_OBSERVATION, TimeGrid, build_time_grid, default_omega, uniformize
+from .ctmc import NO_OBSERVATION, TimeGrid, build_time_grid, uniformize
 from .events import EventSequence, split_chronological
 
 # Probability mass on a structurally forbidden transition above this is an
@@ -173,7 +173,7 @@ class ForwardBackwardResult:
 class FitConfig:
     """Knobs for the fitting loop; defaults follow the shipped pipeline.
     Construction checks each knob's range. Omega is not a knob: a random
-    start takes the event rate, each rebuild :func:`default_omega`."""
+    start takes the event rate, and the fit holds it."""
 
     seed: int = 0
     inner_iterations: int = 10
@@ -361,10 +361,11 @@ class _Blocks:
         e_pad[:t] = e
         self.E = e_pad[1:].reshape(self.count, self.size, n)
 
+    @cached_property
     def products(self) -> tuple[np.ndarray, np.ndarray]:
         """Each block's step product ``B_{k_i} diag(e_{i+1})`` over its
-        steps, scaled to unit sum at every step; returns (products, log
-        scales)."""
+        steps, scaled to unit sum at every step: (products, log scales),
+        formed on first use."""
         p = self.chains[self.K[:, 0]] * self.E[:, 0, None, :]
         logs = np.zeros(self.count)
         for j in range(self.size):
@@ -376,7 +377,9 @@ class _Blocks:
         return p, logs
 
 
-def _filter_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _filter_scaled(
+    chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, blk: _Blocks | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Normalized forward pass; returns (alpha_hat, per-step normalizers).
 
     A two-level blocked scan: the block products carry alpha_hat from one
@@ -386,7 +389,7 @@ def _filter_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple
     t, n = e.shape
     if t < 2:
         return _filter_steps(chains, e, kidx)
-    blk = _Blocks(chains, e, kidx)
+    blk = blk or _Blocks(chains, e, kidx)
     nb, size = blk.count, blk.size
     alpha = np.empty((nb * size + 1, n))
     c = np.ones(nb * size + 1)
@@ -395,7 +398,7 @@ def _filter_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple
         c[0] = a.sum()
         starts = np.empty((nb, n))
         starts[0] = a / c[0]
-        prods, _ = blk.products()
+        prods, _ = blk.products
         for b in range(nb - 1):
             v = starts[b] @ prods[b]
             starts[b + 1] = v / v.sum()
@@ -452,7 +455,9 @@ def _grid_loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
     return float(np.log(c).sum())
 
 
-def _smooth_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _smooth_scaled(
+    chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, c: np.ndarray, blk: _Blocks | None = None
+) -> np.ndarray:
     """Backward pass scaled by the forward normalizers, so that
     alpha_hat * beta_hat is the state marginal directly.
 
@@ -464,14 +469,14 @@ def _smooth_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, c: np.nd
     t, n = e.shape
     if t < 2:
         return _smooth_steps(chains, e, kidx, c)
-    blk = _Blocks(chains, e, kidx)
+    blk = blk or _Blocks(chains, e, kidx)
     nb, size = blk.count, blk.size
     c_pad = np.ones(nb * size + 1)
     c_pad[:t] = c
     cblk = c_pad[1:].reshape(nb, size)
     beta = np.empty((nb * size + 1, n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        prods, logs = blk.products()
+        prods, logs = blk.products
         gain = np.exp(logs - np.log(cblk).sum(axis=1))
         ends = np.ones((nb, n))
         for b in range(nb - 1, 0, -1):
@@ -485,6 +490,13 @@ def _smooth_scaled(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, c: np.nd
     if not np.isfinite(beta[:t]).all():
         return _smooth_steps(chains, e, kidx, c)
     return beta[:t]
+
+
+def _filter_smooth(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha_hat, c, beta_hat) of one grid, forming its block products once."""
+    blk = _Blocks(chains, e, kidx) if len(e) >= 2 else None
+    alpha, c = _filter_scaled(chains, e, kidx, blk)
+    return alpha, c, _smooth_scaled(chains, e, kidx, c, blk)
 
 
 def forward(model: SwitchingSMJP, grid: TimeGrid) -> tuple[np.ndarray, float]:
@@ -554,8 +566,7 @@ def forward_backward(model: SwitchingSMJP, grid: TimeGrid) -> ForwardBackwardRes
     _check_grid(model, grid)
     e = _emission_table(model.emission, grid)
     chains, kidx = model.chain_stack, grid.actions
-    alpha, c = _filter_scaled(chains, e, kidx)
-    beta = _smooth_scaled(chains, e, kidx, c)
+    alpha, c, beta = _filter_smooth(chains, e, kidx)
     logc = np.cumsum(np.log(c))
     with np.errstate(divide="ignore"):
         log_alpha = np.log(alpha) + logc[:, None]
@@ -584,8 +595,7 @@ def _accumulate_stats(
     """
     kidx, obs = grid.actions, grid.observations
     e = _emission_table(emission, grid)
-    alpha, c = _filter_scaled(chains, e, kidx)
-    beta = _smooth_scaled(chains, e, kidx, c)
+    alpha, c, beta = _filter_smooth(chains, e, kidx)
     steps = kidx[:-1]
     w = (e[1:] * beta[1:]) / c[1:, None]
     for a in np.unique(steps):
@@ -714,10 +724,11 @@ def inner_em(
 
 
 def rebuild_model(model: SwitchingSMJP, chains: np.ndarray, emission: np.ndarray) -> SwitchingSMJP:
-    """Fold reestimated chains into new generators and refresh omega."""
+    """Fold reestimated chains into new generators at the model's omega,
+    which stays valid: ``A = (B - I) * omega`` has exit rates <= omega."""
     masks = model.structural_masks or (None,) * model.n_actions
     gens = tuple(update_generator(chains[a], model.omega, masks[a]) for a in range(model.n_actions))
-    return replace(model, generators=gens, emission=emission, omega=default_omega(gens))
+    return replace(model, generators=gens, emission=emission)
 
 
 def held_out_loglik(model: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConfig) -> float:

@@ -1,6 +1,7 @@
 """Shared fixtures and oracles: small random models, random grids,
 exhaustive path enumeration, a forward filter computed entirely in the log
-domain, the pair posteriors of the scaled recursions, Newman modularity,
+domain, the pair posteriors of the scaled recursions, the grid-free
+likelihood of an event sequence, Newman modularity,
 the log-domain helpers these oracles are built from, the belief planner
 built one state at a time, and the co-clustering sweep and modularity
 merge scored one candidate at a time."""
@@ -11,7 +12,7 @@ import itertools
 import numpy as np
 
 from smjp.analysis import DegenerateJoint, EmptyGraph
-from smjp.core import DimensionMismatch, NonFinite, StochasticMatrix, index_alphabet
+from smjp.core import DimensionMismatch, NonFinite, StochasticMatrix, index_alphabet, matrix_exponential
 from smjp.ctmc import NO_OBSERVATION, TAG_EVENT, TAG_VIRTUAL, TimeGrid
 from smjp.events import EventSequence, parse_event_file
 from smjp.foraging import (
@@ -30,8 +31,7 @@ from smjp.switching import (
     ZeroProbabilityObservation,
     _check_grid,
     _emission_table,
-    _filter_scaled,
-    _smooth_scaled,
+    _filter_smooth,
     update_generator,
 )
 
@@ -151,10 +151,32 @@ def scaled_xi(model, grid):
     _check_grid(model, grid)
     e = _emission_table(model.emission, grid)
     chains, kidx = model.chain_stack, grid.actions
-    alpha, c = _filter_scaled(chains, e, kidx)
-    beta = _smooth_scaled(chains, e, kidx, c)
+    alpha, c, beta = _filter_smooth(chains, e, kidx)
     w = (e[1:] * beta[1:]) / c[1:, None]
     return alpha[:-1, :, None] * chains[kidx[:-1]] * w[:, None, :]
+
+
+def exact_loglik(model, seq) -> float:
+    """Grid-free log-likelihood of an event sequence: the event-level
+    filter over ``P_i = B_{k_i} expm(A_{k_i} dt_i)``, with k_i the action
+    at event i. Between events i and i+1 a grid takes 1 + Poisson(omega
+    dt_i) steps of ``B_{k_i}``, whose mean is P_i, so this is the log of
+    the mean grid likelihood under :func:`build_time_grid`'s law."""
+    emission = model.emission
+
+    def emit(i):
+        o = seq.observations[i]
+        return emission[seq.actions[i], :, o] if emission.ndim == 3 else emission[:, o]
+
+    v = emit(0) / model.n_states
+    ll = 0.0
+    for i in range(len(seq.times) - 1):
+        mass = v.sum()
+        ll += np.log(mass)
+        a = seq.actions[i]
+        step = model.chain_stack[a] @ matrix_exponential(model.generators[a], seq.times[i + 1] - seq.times[i]).probs
+        v = (v / mass) @ step * emit(i + 1)
+    return float(ll + np.log(v.sum()))
 
 
 def modularity(sym: np.ndarray, labels: np.ndarray) -> float:
@@ -219,10 +241,10 @@ def belief_mdp_per_state(world: WorldConfig, m_bins: int = 10, diffusion_eps: fl
     probability leaks to adjacent bins; pressing branches on whether the
     box pays out, with the payout probability read off the bin center.
     """
-    if m_bins < 2:
-        raise InvalidConfig("need at least 2 belief bins")
+    if not (m_bins >= 2 and float(m_bins).is_integer()):
+        raise InvalidConfig(f"m_bins must be an integer of at least 2, got {m_bins!r}")
     if not 0.0 <= diffusion_eps <= 0.2:
-        raise InvalidConfig("diffusion must be in [0, 0.2]")
+        raise InvalidConfig(f"diffusion_eps must be in [0, 0.2], got {diffusion_eps!r}")
     bins = np.linspace(0.0, 1.0, m_bins)
     n_states = 2 * m_bins * m_bins
     trans = np.zeros((len(ACTION_LABELS), n_states, n_states))

@@ -179,8 +179,10 @@ def test_criterion_06_toy_recovery_and_state_count():
     _, holdout = split_chronological(toy.sequence, cfg_fit.holdout_fraction)
     true_ll = held_out_loglik(toy.model, [holdout], cfg_fit)
     # One-sided: the fit must score no worse than 2% below the generating
-    # model. (It may score above it: grid-conditioned evaluation carries a
-    # sampling penalty that shrinks with the fitted uniformization rate.)
+    # model. (It may score above it: the generating law takes one chain
+    # step per event, outside the model family, and the grid-averaged
+    # score sits below the exact one by a Jensen gap that depends on omega,
+    # which the fit holds at the data's event rate.)
     assert rep.heldout_ll >= true_ll - 0.02 * abs(true_ll)
 
     cfg_sel = FitConfig(seed=23, inner_iterations=5, outer_cap=8, restarts=2, eval_grids=2)

@@ -655,14 +655,15 @@ ZERO_OK = {"seed", "inner_iterations", "outer_cap", "tol", "inner_tol", "holdout
            "emission_floor", "per_action_emission", "press_cost", "switch_cost", "diffusion_eps",
            "operator_threshold", "persistence_frac", "bin_width"}
 
-# The ToyConfig or WorldConfig field that each toy and world key sets; a
-# range error names that field (a parse error names the key) and the value.
+# The ToyConfig or WorldConfig field, or belief-planner setting, that each
+# toy and world key sets; a range error names it (a parse error names the
+# key) and the value.
 MODEL_FIELD = {
     "toy_states": "n_states", "toy_observations": "n_observations", "toy_actions": "n_actions",
     "toy_length": "expected_length", "toy_event_rate": "event_rate", "toy_concentration": "concentration",
     "box_mean_1": "box_means", "box_mean_2": "box_means",
     **{name: name for name in ("press_cost", "switch_cost", "reward_value", "travel_time", "decision_tick",
-                               "discount")},
+                               "discount", "m_bins", "diffusion_eps")},
 }
 
 

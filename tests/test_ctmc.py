@@ -237,21 +237,29 @@ class TestBuildTimeGrid:
 
 
 def reference_grid(seq, omega, rng):
-    """Loop reference for build_time_grid: one sample_virtual_times call
-    per interval, in time order, on the shared stream ``rng``."""
-    times, tags, obs, acts = [], [], [], []
+    """Loop reference for build_time_grid: one Poisson draw of every
+    interval's count on the shared stream ``rng``, then, interval by
+    interval, its k points at lo + (hi - lo) * j/(k+1), j = 1..k, skipping
+    a point that rounding puts on an endpoint or on the point before."""
     n = len(seq.times)
+    counts = rng.poisson(omega * np.diff(seq.times))
+    times, tags, obs, acts = [], [], [], []
     for i in range(n):
         times.append(seq.times[i])
         tags.append(TAG_EVENT)
         obs.append(seq.observations[i])
         acts.append(seq.actions[i])
         if i + 1 < n:
-            vt = sample_virtual_times(omega, (seq.times[i], seq.times[i + 1]), rng)
-            times.extend(vt)
-            tags.extend([TAG_VIRTUAL] * vt.size)
-            obs.extend([NO_OBSERVATION] * vt.size)
-            acts.extend([seq.actions[i]] * vt.size)
+            lo, hi, k = seq.times[i], seq.times[i + 1], int(counts[i])
+            last = lo
+            for j in range(1, k + 1):
+                t = lo + (hi - lo) * (j / (k + 1))
+                if last < t < hi:
+                    times.append(t)
+                    tags.append(TAG_VIRTUAL)
+                    obs.append(NO_OBSERVATION)
+                    acts.append(seq.actions[i])
+                    last = t
     return (
         np.asarray(times, dtype=np.float64),
         np.asarray(tags, dtype=np.int8),
@@ -301,9 +309,25 @@ class TestGridStream:
         assert np.array_equal(grid.times, [2.5]) and grid.observations[0] == 1
         assert len(build_time_grid(empty, 3.0, seed=0)) == 0
 
+    def test_counts_are_one_poisson_draw_and_points_evenly_placed(self):
+        rng = derive_rng(32)
+        times = 0.5 + np.cumsum(rng.exponential(1.0, size=300))
+        seq = make_sequence(times, act=rng.integers(0, 2, 300))
+        omega = 3.0
+        counts = derive_rng(7).poisson(omega * np.diff(times))
+        grid = build_time_grid(seq, omega, derive_rng(7))
+        ev = grid.event_indices
+        assert np.array_equal(np.diff(ev) - 1, counts)
+        for i, (a, b) in enumerate(zip(ev[:-1], ev[1:])):
+            pts = grid.times[a + 1 : b]
+            k = pts.size
+            assert np.all((pts > times[i]) & (pts < times[i + 1]))
+            assert np.array_equal(pts, times[i] + (times[i + 1] - times[i]) * (np.arange(1, k + 1) / (k + 1)))
+
     def test_points_on_endpoints_are_dropped(self):
-        # A one-ulp interval: every uniform draw rounds onto an endpoint, so
-        # the strict-interior rule alone keeps virtual points off events.
+        # A one-ulp interval: every evenly placed point rounds onto an
+        # endpoint, so the strict-interior rule alone keeps virtual points
+        # off events.
         a, b = 1.0, np.nextafter(1.0, 2.0)
         seq = make_sequence([a, b], obs=[0, 1], act=[1, 0])
         omega = 5.0 / (b - a)
@@ -316,6 +340,17 @@ class TestGridStream:
             drew += derive_rng(s).poisson(omega * (b - a)) > 0
         assert drew >= 15
         assert_same_stream_and_grid([(seq, omega)] * 5, seed=5)
+
+    def test_points_that_round_together_are_dropped(self):
+        # Four ulps hold three interior floats; fifty points round onto
+        # them (and the endpoints) many times over.
+        a = 1.0
+        b = a + 4 * (np.nextafter(a, 2.0) - a)
+        seq = make_sequence([a, b])
+        grid = build_time_grid(seq, 50.0 / (b - a), derive_rng(0))
+        assert np.array_equal(grid.times[1:-1], [np.nextafter(a, 2.0) + i * (np.nextafter(a, 2.0) - a)
+                                                 for i in range(3)])
+        assert_same_stream_and_grid([(seq, 50.0 / (b - a))] * 5, seed=6)
 
     def test_validation_precedes_any_draw(self):
         rng = derive_rng(6)

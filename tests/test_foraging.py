@@ -108,11 +108,23 @@ class TestBuildBeliefMdp:
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes(), name
 
-    def test_bad_config(self):
-        with pytest.raises(InvalidConfig):
-            build_belief_mdp(WorldConfig(), m_bins=1)
-        with pytest.raises(InvalidConfig):
-            build_belief_mdp(WorldConfig(), m_bins=5, diffusion_eps=0.5)
+    @pytest.mark.parametrize("build", [build_belief_mdp, belief_mdp_per_state])
+    @pytest.mark.parametrize("setting, value, message", [
+        ("m_bins", 1, "m_bins must be an integer of at least 2, got 1"),
+        ("m_bins", 0, "m_bins must be an integer of at least 2, got 0"),
+        ("m_bins", -1, "m_bins must be an integer of at least 2, got -1"),
+        ("m_bins", float("nan"), "m_bins must be an integer of at least 2, got nan"),
+        ("m_bins", float("inf"), "m_bins must be an integer of at least 2, got inf"),
+        ("m_bins", 4.5, "m_bins must be an integer of at least 2, got 4.5"),
+        ("diffusion_eps", 0.5, "diffusion_eps must be in [0, 0.2], got 0.5"),
+        ("diffusion_eps", -1.0, "diffusion_eps must be in [0, 0.2], got -1.0"),
+        ("diffusion_eps", float("nan"), "diffusion_eps must be in [0, 0.2], got nan"),
+        ("diffusion_eps", float("inf"), "diffusion_eps must be in [0, 0.2], got inf"),
+    ])
+    def test_bad_config_names_the_setting_and_value(self, build, setting, value, message):
+        with pytest.raises(InvalidConfig) as err:
+            build(WorldConfig(), **{"m_bins": 5, setting: value})
+        assert str(err.value) == message
 
 
 class TestValueIteration:

@@ -1,5 +1,6 @@
 import io
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from helpers import (
     enumerate_paths,
     event_grid,
+    exact_loglik,
     forward_logspace,
     logsumexp,
     model_from_chains,
@@ -15,7 +17,7 @@ from helpers import (
     scaled_xi,
 )
 from smjp.core import derive_rng, index_alphabet
-from smjp.ctmc import NO_OBSERVATION, build_time_grid, uniformize
+from smjp.ctmc import NO_OBSERVATION, build_time_grid, default_omega, uniformize
 from smjp.events import EventSequence, split_chronological
 from smjp.foraging import ToyConfig, generate_toy
 from smjp import switching
@@ -27,9 +29,11 @@ from smjp.switching import (
     StructureViolation,
     SufficientStats,
     ZeroProbabilityObservation,
+    _Blocks,
     _accumulate_stats,
     _emission_table,
     _filter_scaled,
+    _filter_smooth,
     _filter_steps,
     _grid_loglik,
     _smooth_scaled,
@@ -40,11 +44,13 @@ from smjp.switching import (
     forward,
     forward_backward,
     held_out_loglik,
+    init_random_model,
     inner_em,
     load_model,
     m_step,
     model_text,
     posterior_xi,
+    rebuild_model,
     select_num_states,
     update_generator,
 )
@@ -274,6 +280,24 @@ class TestBlockedScan:
 
     def test_single_point_grid(self):
         assert_blocked_matches_steps(*per_action_case(derive_rng(42), 3, 2, 3, 1))
+
+    def test_filter_and_smoother_share_one_product_fold(self, monkeypatch):
+        rng = derive_rng(46)
+        model = random_model(rng, 4, 2, 3)
+        grid = random_grid(rng, 500, 2, 3)
+        chains, e, kidx = model.chain_stack, _emission_table(model.emission, grid), grid.actions
+        alpha, c = _filter_scaled(chains, e, kidx)
+        beta = _smooth_scaled(chains, e, kidx, c)
+        folds = []
+        fold = _Blocks.products.func
+        counted = cached_property(lambda blk: folds.append(blk) or fold(blk))
+        counted.__set_name__(_Blocks, "products")
+        monkeypatch.setattr(_Blocks, "products", counted)
+        for got, want in zip(_filter_smooth(chains, e, kidx), (alpha, c, beta)):
+            assert got.tobytes() == want.tobytes()
+        forward_backward(model, grid)
+        _accumulate_stats(chains, model.emission, grid, SufficientStats.zeros(4, 2, 3))
+        assert len(folds) == 3
 
     def test_impossible_observation_mid_block_names_its_step(self):
         rng = derive_rng(43)
@@ -544,6 +568,71 @@ class TestFit:
         )
         with pytest.raises(InconsistentShapes):
             fit(toy.model, [other], FitConfig())
+
+
+def small_case():
+    """A 3-state, 2-action model and a 15-event sequence on its alphabets."""
+    rng = derive_rng(60)
+    model = random_model(rng, 3, 2, 3, omega=2.0)
+    times = np.cumsum(rng.exponential(1.0, size=15))
+    seq = EventSequence("s", times, rng.integers(0, 3, size=15), rng.integers(0, 2, size=15),
+                        model.observations, model.actions)
+    return model, seq
+
+
+def grid_mean_loglik(model, seq, grids=2000):
+    """Log of the mean likelihood over ``grids`` fixed-seed grids, and the
+    delta-method standard error of that log."""
+    lls = np.array([forward(model, build_time_grid(seq, model.omega, derive_rng(61, g)))[1]
+                    for g in range(grids)])
+    w = np.exp(lls - lls.max())
+    return float(lls.max() + np.log(w.mean())), float(w.std() / (w.mean() * np.sqrt(grids)))
+
+
+class TestOneLawPerOmega:
+    """Omega is part of the model's law: a grid's mean likelihood is the
+    grid-free likelihood at that omega, and the same generators at another
+    omega are another law. So a fit holds omega, and rebuilding a model
+    from its own chains gives back the same law."""
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    def test_count_grid_mean_is_the_exact_likelihood(self, factor):
+        model, seq = small_case()
+        model = replace(model, omega=factor * model.omega)
+        est, se = grid_mean_loglik(model, seq)
+        assert abs(est - exact_loglik(model, seq)) < 4.0 * se
+
+    def test_same_generators_score_differently_at_double_omega(self):
+        model, seq = small_case()
+        doubled = replace(model, omega=2.0 * model.omega)
+        assert doubled.generators == model.generators
+        gap = abs(exact_loglik(doubled, seq) - exact_loglik(model, seq))
+        (_, se1), (_, se2) = grid_mean_loglik(model, seq), grid_mean_loglik(doubled, seq)
+        assert gap > 8.0 * max(se1, se2)
+
+    def test_rebuild_from_own_chains_keeps_omega_and_law(self):
+        model, seq = small_case()
+        # Action 1's chain never stays put: its exit rates all equal omega.
+        chains = model.chain_stack.copy()
+        chains[1] = (1.0 - np.eye(3)) / 2.0
+        model = model_from_chains(chains, model.emission, omega=model.omega)
+        assert np.all(model.generators[1].exit_rates == model.omega)
+        rebuilt = rebuild_model(model, model.chain_stack, model.emission)
+        assert rebuilt.omega == model.omega
+        for got, want in zip(rebuilt.generators, model.generators):
+            np.testing.assert_allclose(got.rates, want.rates, rtol=0, atol=1e-12)
+        assert abs(exact_loglik(rebuilt, seq) - exact_loglik(model, seq)) < 1e-12
+
+    def test_fit_keeps_the_start_omega(self):
+        toy = toy_sequences(length=300, seed=42)
+        seq = toy.sequence
+        cfg = FitConfig(seed=5, inner_iterations=2, outer_cap=3, eval_grids=1)
+        init = init_random_model(3, seq.observation_alphabet, seq.action_alphabet, cfg, (3, 3, 0), seq.event_rate)
+        report = fit(init, [seq], cfg)
+        assert report.iterations == 3
+        assert report.final_model.omega == init.omega
+        # Twice the fitted exit rates is another omega, so holding it shows.
+        assert default_omega(report.final_model.generators) != init.omega
 
 
 class TestHeldOut:
