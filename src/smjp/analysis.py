@@ -119,82 +119,216 @@ def _mutual_informations(stack: np.ndarray) -> list[float]:
     return [float(np.add.reduce(terms[a:b])) for a, b in zip([0] + ends, ends)]
 
 
+def _checked_joint(joint: np.ndarray | CorrespondenceMatrix) -> np.ndarray:
+    p = joint.joint if isinstance(joint, CorrespondenceMatrix) else np.asarray(joint, dtype=np.float64)
+    if p.ndim != 2 or not np.isfinite(p).all() or np.any(p < 0):
+        raise SmjpError("joint must be a finite non-negative matrix")
+    return p
+
+
 def mutual_information(joint: np.ndarray) -> float:
     """MI of a joint distribution in nats; zero cells contribute zero."""
-    p = np.asarray(joint, dtype=np.float64)
+    p = _checked_joint(joint)
     if p.sum() <= 0:
         raise DegenerateJoint("joint distribution has zero mass")
     return _mutual_informations(p[None])[0]
 
 
 def _clustered(joint: np.ndarray, rows: np.ndarray, cols: np.ndarray, kr: int, kc: int) -> np.ndarray:
-    agg = np.zeros((kr, kc))
-    np.add.at(agg, (rows[:, None], cols), joint)
+    """Cluster aggregates of a stack of assignments (rows ``(L, ns)``, cols
+    ``(L, nz)``) as an ``(L, kr, kc)`` stack; every cell adds its joint
+    cells in row-major order."""
+    agg = np.zeros((rows.shape[0], kr, kc))
+    lane = np.arange(rows.shape[0])[:, None, None]
+    np.add.at(agg, (lane, rows[:, :, None], cols[:, None, :]), joint)
     return agg
 
 
 def information_loss(joint: np.ndarray, rows: np.ndarray, cols: np.ndarray, kr: int, kc: int) -> float:
     """Mutual information lost by coarse-graining rows/cols as assigned."""
-    return mutual_information(joint) - mutual_information(_clustered(joint, rows, cols, kr, kc))
+    return mutual_information(joint) - mutual_information(_clustered(joint, rows[None], cols[None], kr, kc)[0])
 
 
 def _init_assignment(n: int, k: int, live: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random start covering all k clusters with live rows; zero-mass rows
     fill any clusters that would stay empty (ascending, deterministic) and
-    the rest pin to the last cluster."""
+    the rest pin to the last cluster. A random permutation of the live rows
+    deals the first k to clusters 0..k-1 and draws a cluster for each of
+    the rest."""
     out = np.full(n, k - 1, dtype=np.int64)
     live_idx = np.nonzero(live)[0]
     dead_idx = np.nonzero(~live)[0]
-    if live_idx.size + dead_idx.size < k:
+    if n < k:
         raise DegenerateJoint(f"cannot form {k} clusters from {n} rows")
     perm = rng.permutation(live_idx)
-    for pos, idx in enumerate(perm):
-        out[idx] = pos % k if pos < k else int(rng.integers(k))
-    used = np.zeros(k, dtype=bool)
-    used[out[live_idx]] = True
-    missing = [c for c in range(k) if not used[c]]
-    for c, idx in zip(missing, dead_idx):
-        out[idx] = c
-    if len(missing) > dead_idx.size:
+    out[perm[:k]] = np.arange(min(k, perm.size))
+    out[perm[k:]] = rng.integers(k, size=max(perm.size - k, 0))
+    missing = np.arange(live_idx.size, k)
+    if missing.size > dead_idx.size:
         raise DegenerateJoint(f"only {live_idx.size} rows carry mass; cannot cover {k} clusters")
+    out[dead_idx[: missing.size]] = missing
     return out
 
 
-def _sweep_axis(p: np.ndarray, assign: np.ndarray, other: np.ndarray, k: int, k_other: int, live: np.ndarray) -> bool:
-    """One pass of single-row reassignments over the rows of ``p`` (pass
-    ``p.T`` to sweep columns); never moves a zero-mass row and never
-    empties a cluster. A row's k candidate moves are scored as one stack.
-    Returns whether any row moved."""
-    contrib = np.zeros((p.shape[0], k_other))
-    np.add.at(contrib, (slice(None), other), p)
-    agg = np.zeros((k, k_other))
-    np.add.at(agg, assign, contrib)
-    sizes = np.bincount(assign[live], minlength=k)
+# A move whose closed-form MI change beats every other candidate's by more
+# than this is taken as is: both forms are good to about 1e-14, so the
+# exact scan would pick it too. Closer calls go to the exact scan.
+_SCREEN_GAP = 1e-9
+
+# Sweeps a restart may take before it stops where it is.
+_MAX_SWEEPS = 200
+
+
+def _row_terms(rows: np.ndarray) -> np.ndarray:
+    """The part of MI that each aggregate row decides alone: the sum of
+    v log v over its cells minus m log m of its mass m. Zeros and rounding's
+    tiny negatives count as (within 1e-305 of) zero."""
+    cells = np.maximum(rows, np.finfo(np.float64).tiny)
+    mass = np.maximum(rows.sum(axis=-1), np.finfo(np.float64).tiny)
+    return (cells * np.log(cells)).sum(axis=-1) - mass * np.log(mass)
+
+
+def _exact_choice(agg: np.ndarray, base: np.ndarray, x: np.ndarray, cur: int) -> int:
+    """Best cluster for an element with contribution ``x`` now in ``cur``
+    (``base`` is ``agg[cur]`` without it), by the exact MI of each of the k
+    trial aggregates; ties within 1e-15 go to the first, or to ``cur``."""
+    k = agg.shape[0]
     diag = np.arange(k)
-    moved = False
-    for i in np.nonzero(live)[0]:
-        cur = assign[i]
-        if sizes[cur] <= 1:
+    # trial[c] is agg with the element moved from cluster cur to cluster c.
+    trial = np.repeat(agg[None], k, axis=0)
+    trial[:, cur] = base
+    trial[diag, diag] += x
+    best_c, best_mi = cur, None
+    for c, mi in enumerate(_mutual_informations(trial)):
+        if best_mi is None or mi > best_mi + 1e-15:
+            best_mi, best_c = mi, c
+        elif abs(mi - best_mi) <= 1e-15 and c == cur:
+            best_c = cur
+    return best_c
+
+
+def _sweep_lanes(
+    q: np.ndarray, assign: np.ndarray, other: np.ndarray, k: np.ndarray, k_other: np.ndarray
+) -> np.ndarray:
+    """One pass of single-row reassignments over the rows of ``q`` (pass
+    ``q.T`` to sweep columns), in every lane at once. Lane l puts the rows
+    in ``k[l]`` clusters by ``assign[l]`` and the columns in ``k_other[l]``
+    by ``other[l]``; ``q`` has no zero-mass row or column. Never empties a
+    cluster. Updates ``assign`` in place; returns which lanes moved a row."""
+    n_lanes, n = assign.shape
+    moved = np.zeros(n_lanes, dtype=bool)
+    if k.max() == 1:
+        return moved
+    lane = np.arange(n_lanes)
+    # Row contributions summed over the other axis's clusters, and the
+    # cluster aggregates, padded to the widest lane with zeros.
+    contrib = np.zeros((n_lanes, n, k_other.max()))
+    np.add.at(contrib, (lane[:, None, None], np.arange(n)[:, None], other[:, None, :]), q)
+    agg = np.zeros((n_lanes, k.max(), contrib.shape[2]))
+    np.add.at(agg, (lane[:, None], assign), contrib)
+    sizes = (assign[:, :, None] == np.arange(agg.shape[1])).sum(axis=1)
+    terms = _row_terms(agg)
+    # Clusters a lane does not have are never candidates.
+    absent = np.where(np.arange(agg.shape[1]) < k[:, None], 0.0, -np.inf)
+    for i in range(n):
+        cur = assign[:, i]
+        x = contrib[:, i]
+        base = agg[lane, cur] - x
+        joined = agg + x[:, None]
+        base_terms = _row_terms(base)
+        joined_terms = _row_terms(joined)
+        # gain[l, c]: MI change of moving the row from cur to c. Only rows
+        # cur and c of the aggregate change, and no column mass moves.
+        gain = joined_terms - terms + absent + (base_terms - terms[lane, cur])[:, None]
+        gain[lane, cur] = 0.0
+        best = gain.argmax(axis=1)
+        top_two = np.sort(gain, axis=1)[:, -2:]
+        can = sizes[lane, cur] > 1
+        for l in np.nonzero(can & (top_two[:, 1] - top_two[:, 0] <= _SCREEN_GAP))[0]:
+            best[l] = _exact_choice(agg[l, : k[l], : k_other[l]], base[l, : k_other[l]], x[l, : k_other[l]], cur[l])
+        go = np.nonzero(can & (best != cur))[0]
+        if not go.size:
             continue
-        base = agg[cur] - contrib[i]
-        # trial[c] is agg with row i moved from cluster cur to cluster c.
-        trial = np.repeat(agg[None], k, axis=0)
-        trial[:, cur] = base
-        trial[diag, diag] += contrib[i]
-        best_c, best_mi = cur, None
-        for c, mi in enumerate(_mutual_informations(trial)):
-            if best_mi is None or mi > best_mi + 1e-15:
-                best_mi, best_c = mi, c
-            elif abs(mi - best_mi) <= 1e-15 and c == cur:
-                best_c = cur
-        if best_c != cur:
-            agg[cur] = base
-            agg[best_c] += contrib[i]
-            sizes[cur] -= 1
-            sizes[best_c] += 1
-            assign[i] = best_c
-            moved = True
+        c_from, c_to = cur[go], best[go]
+        agg[go, c_from], terms[go, c_from] = base[go], base_terms[go]
+        agg[go, c_to], terms[go, c_to] = joined[go, c_to], joined_terms[go, c_to]
+        sizes[go, c_from] -= 1
+        sizes[go, c_to] += 1
+        assign[go, i] = c_to
+        moved[go] = True
     return moved
+
+
+def _coclusterings(
+    joint: np.ndarray | CorrespondenceMatrix,
+    pairs: Sequence[tuple[int, int]],
+    seed: int,
+    restarts: int,
+    max_sweeps: int,
+) -> list[CoClustering]:
+    """The best of ``restarts`` seeded starts for every size pair. Each
+    (pair, restart) is one lane, and the lanes sweep rows then columns
+    together; a lane stops after a sweep that moves nothing, or after
+    ``max_sweeps``. Lane r of every pair starts from ``derive_rng(seed, 4,
+    r)``, so each pair gets what a call for it alone would."""
+    p = _checked_joint(joint)
+    ns, nz = p.shape
+    starts = []
+    for n_pair, (kr, kc) in enumerate(pairs):
+        if not 1 <= kr <= ns or not 1 <= kc <= nz:
+            raise SmjpError(f"cluster counts ({kr}, {kc}) out of range for shape {p.shape}")
+        if n_pair == 0:
+            # Checked where a call for the first pair alone checks them.
+            if restarts < 1:
+                raise SmjpError(f"restarts must be at least 1, got {restarts}")
+            if max_sweeps < 1:
+                raise SmjpError(f"max_sweeps must be at least 1, got {max_sweeps}")
+            total = p.sum()
+            if total <= 0:
+                raise DegenerateJoint("joint distribution has zero mass")
+            p = p / total
+            live_rows = p.sum(axis=1) > 0
+            live_cols = p.sum(axis=0) > 0
+        for r in range(restarts):
+            rng = derive_rng(seed, 4, r)
+            starts.append((_init_assignment(ns, kr, live_rows, rng), _init_assignment(nz, kc, live_cols, rng)))
+
+    pair_of = np.repeat(np.arange(len(pairs)), restarts)
+    k_rows = np.array([kr for kr, _ in pairs])[pair_of]
+    k_cols = np.array([kc for _, kc in pairs])[pair_of]
+    all_rows = np.array([s[0] for s in starts])
+    all_cols = np.array([s[1] for s in starts])
+    # Zero-mass rows and columns never move and add only zeros to any sum,
+    # so the sweeps and the loss run on the live block alone.
+    q = p[np.ix_(live_rows, live_cols)]
+    rows, cols = all_rows[:, live_rows], all_cols[:, live_cols]
+    traces: list[list[float]] = [[] for _ in starts]
+    mi_joint = mutual_information(p)
+    active = np.arange(len(starts))
+    for _ in range(max_sweeps):
+        r, c = rows[active], cols[active]
+        moved = _sweep_lanes(q, r, c, k_rows[active], k_cols[active])
+        moved |= _sweep_lanes(q.T, c, r, k_cols[active], k_rows[active])
+        rows[active], cols[active] = r, c
+        for g in np.unique(pair_of[active]):
+            lanes = active[pair_of[active] == g]
+            mis = _mutual_informations(_clustered(q, rows[lanes], cols[lanes], *pairs[g]))
+            for l, mi in zip(lanes, mis):
+                traces[l].append(mi_joint - mi)
+        active = active[moved]
+        if not active.size:
+            break
+    all_rows[:, live_rows], all_cols[:, live_cols] = rows, cols
+
+    out = []
+    for g, (kr, kc) in enumerate(pairs):
+        best: CoClustering | None = None
+        for l in range(g * restarts, (g + 1) * restarts):
+            loss = traces[l][-1]
+            if best is None or loss < best.mutual_information_loss - 1e-15:
+                best = CoClustering(all_rows[l].copy(), all_cols[l].copy(), kr, kc, max(loss, 0.0), tuple(traces[l]))
+        out.append(best)
+    return out
 
 
 def cocluster(
@@ -203,44 +337,14 @@ def cocluster(
     k_cols: int,
     seed: int,
     restarts: int = 20,
-    max_sweeps: int = 200,
+    max_sweeps: int = _MAX_SWEEPS,
 ) -> CoClustering:
     """Alternating row/column reassignment minimizing mutual-information
     loss, restarted ``restarts`` times from seeded random starts; the best
     local optimum wins. Zero-mass rows/columns are placed deterministically
     (they fill otherwise-empty clusters, then pin to the last one).
     """
-    p = joint.joint if isinstance(joint, CorrespondenceMatrix) else np.asarray(joint, dtype=np.float64)
-    if p.ndim != 2 or np.any(p < 0):
-        raise SmjpError("joint must be a non-negative matrix")
-    ns, nz = p.shape
-    if not 1 <= k_rows <= ns or not 1 <= k_cols <= nz:
-        raise SmjpError(f"cluster counts ({k_rows}, {k_cols}) out of range for shape {p.shape}")
-    if restarts < 1:
-        raise SmjpError(f"restarts must be at least 1, got {restarts}")
-    total = p.sum()
-    if total <= 0:
-        raise DegenerateJoint("joint distribution has zero mass")
-    p = p / total
-    live_rows = p.sum(axis=1) > 0
-    live_cols = p.sum(axis=0) > 0
-
-    best: CoClustering | None = None
-    for r in range(restarts):
-        rng = derive_rng(seed, 4, r)
-        rows = _init_assignment(ns, k_rows, live_rows, rng)
-        cols = _init_assignment(nz, k_cols, live_cols, rng)
-        trace: list[float] = []
-        for _ in range(max_sweeps):
-            moved_r = _sweep_axis(p, rows, cols, k_rows, k_cols, live_rows)
-            moved_c = _sweep_axis(p.T, cols, rows, k_cols, k_rows, live_cols)
-            trace.append(information_loss(p, rows, cols, k_rows, k_cols))
-            if not (moved_r or moved_c):
-                break
-        loss = trace[-1]
-        if best is None or loss < best.mutual_information_loss - 1e-15:
-            best = CoClustering(rows.copy(), cols.copy(), k_rows, k_cols, max(loss, 0.0), tuple(trace))
-    return best
+    return _coclusterings(joint, [(k_rows, k_cols)], seed, restarts, max_sweeps)[0]
 
 
 @dataclass(frozen=True)
@@ -278,12 +382,14 @@ def select_cocluster_sizes(
     restarts: int = 20,
 ) -> SizeSelection:
     """Scan cluster-size pairs, returning the full loss surface and the
-    per-axis elbow choice."""
+    per-axis elbow choice. Each pair's co-clustering is the one
+    ``cocluster`` gives for it."""
     rows = list(row_range)
     cols = list(col_range)
     if not rows or not cols:
         raise SmjpError("size ranges must be non-empty")
-    results = {(kr, kc): cocluster(joint, kr, kc, seed, restarts) for kr in rows for kc in cols}
+    pairs = [(kr, kc) for kr in rows for kc in cols]
+    results = dict(zip(pairs, _coclusterings(joint, pairs, seed, restarts, _MAX_SWEEPS)))
     surface = np.array([[results[kr, kc].mutual_information_loss for kc in cols] for kr in rows])
     chosen = (_elbow(rows, surface.min(axis=1)), _elbow(cols, surface.min(axis=0)))
     return SizeSelection(tuple(rows), tuple(cols), surface, chosen, results[chosen])

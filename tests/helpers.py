@@ -3,16 +3,32 @@ exhaustive path enumeration, a forward filter computed entirely in the log
 domain, the pair posteriors of the scaled recursions, the grid-free
 likelihood of an event sequence, Newman modularity,
 the log-domain helpers these oracles are built from, the belief planner
-built one state at a time, and the co-clustering sweep and modularity
-merge scored one candidate at a time."""
+built one state at a time, the co-clustering (one restart and one size
+pair after another, its sweep scoring one candidate at a time) and the
+modularity merge scored one candidate at a time."""
 
 import io
 import itertools
 
 import numpy as np
 
-from smjp.analysis import DegenerateJoint, EmptyGraph
-from smjp.core import DimensionMismatch, NonFinite, StochasticMatrix, index_alphabet, matrix_exponential
+from smjp.analysis import (
+    CoClustering,
+    CorrespondenceMatrix,
+    DegenerateJoint,
+    EmptyGraph,
+    SizeSelection,
+    _elbow,
+)
+from smjp.core import (
+    DimensionMismatch,
+    NonFinite,
+    SmjpError,
+    StochasticMatrix,
+    derive_rng,
+    index_alphabet,
+    matrix_exponential,
+)
 from smjp.ctmc import NO_OBSERVATION, TAG_EVENT, TAG_VIRTUAL, TimeGrid
 from smjp.events import EventSequence, parse_event_file
 from smjp.foraging import (
@@ -378,6 +394,81 @@ def sweep_axis_by_candidate(
             assign[i] = best_c
             moved = True
     return moved
+
+
+def init_assignment_by_element(n: int, k: int, live: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Reference random start: deals a permutation of the live rows to
+    clusters one row and one draw at a time, then fills clusters no live
+    row reached with zero-mass rows in order."""
+    out = np.full(n, k - 1, dtype=np.int64)
+    live_idx = np.nonzero(live)[0]
+    dead_idx = np.nonzero(~live)[0]
+    if live_idx.size + dead_idx.size < k:
+        raise DegenerateJoint(f"cannot form {k} clusters from {n} rows")
+    perm = rng.permutation(live_idx)
+    for pos, idx in enumerate(perm):
+        out[idx] = pos % k if pos < k else int(rng.integers(k))
+    used = np.zeros(k, dtype=bool)
+    used[out[live_idx]] = True
+    missing = [c for c in range(k) if not used[c]]
+    for c, idx in zip(missing, dead_idx):
+        out[idx] = c
+    if len(missing) > dead_idx.size:
+        raise DegenerateJoint(f"only {live_idx.size} rows carry mass; cannot cover {k} clusters")
+    return out
+
+
+def cocluster_by_restart(joint, k_rows, k_cols, seed, restarts=20, max_sweeps=200) -> CoClustering:
+    """Reference co-clustering: one restart after another, each starting
+    from ``init_assignment_by_element``, sweeping rows then columns with
+    ``sweep_axis_by_candidate`` and tracing the loss through
+    ``mutual_information_masked`` of ``clustered_by_row``."""
+    p = joint.joint if isinstance(joint, CorrespondenceMatrix) else np.asarray(joint, dtype=np.float64)
+    if p.ndim != 2 or not np.isfinite(p).all() or np.any(p < 0):
+        raise SmjpError("joint must be a finite non-negative matrix")
+    ns, nz = p.shape
+    if not 1 <= k_rows <= ns or not 1 <= k_cols <= nz:
+        raise SmjpError(f"cluster counts ({k_rows}, {k_cols}) out of range for shape {p.shape}")
+    if restarts < 1:
+        raise SmjpError(f"restarts must be at least 1, got {restarts}")
+    if max_sweeps < 1:
+        raise SmjpError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    total = p.sum()
+    if total <= 0:
+        raise DegenerateJoint("joint distribution has zero mass")
+    p = p / total
+    live_rows = p.sum(axis=1) > 0
+    live_cols = p.sum(axis=0) > 0
+
+    best = None
+    for r in range(restarts):
+        rng = derive_rng(seed, 4, r)
+        rows = init_assignment_by_element(ns, k_rows, live_rows, rng)
+        cols = init_assignment_by_element(nz, k_cols, live_cols, rng)
+        trace = []
+        for _ in range(max_sweeps):
+            moved_r = sweep_axis_by_candidate(p, rows, cols, k_rows, k_cols, live_rows, by_rows=True)
+            moved_c = sweep_axis_by_candidate(p, cols, rows, k_cols, k_rows, live_cols, by_rows=False)
+            clustered = clustered_by_row(p, rows, cols, k_rows, k_cols)
+            trace.append(mutual_information_masked(p) - mutual_information_masked(clustered))
+            if not (moved_r or moved_c):
+                break
+        loss = trace[-1]
+        if best is None or loss < best.mutual_information_loss - 1e-15:
+            best = CoClustering(rows.copy(), cols.copy(), k_rows, k_cols, max(loss, 0.0), tuple(trace))
+    return best
+
+
+def select_cocluster_sizes_by_pair(joint, row_range, col_range, seed, restarts=20) -> SizeSelection:
+    """Reference size scan: one ``cocluster_by_restart`` call per size pair."""
+    rows = list(row_range)
+    cols = list(col_range)
+    if not rows or not cols:
+        raise SmjpError("size ranges must be non-empty")
+    results = {(kr, kc): cocluster_by_restart(joint, kr, kc, seed, restarts) for kr in rows for kc in cols}
+    surface = np.array([[results[kr, kc].mutual_information_loss for kc in cols] for kr in rows])
+    chosen = (_elbow(rows, surface.min(axis=1)), _elbow(cols, surface.min(axis=0)))
+    return SizeSelection(tuple(rows), tuple(cols), surface, chosen, results[chosen])
 
 
 def greedy_modularity_lists(sym: np.ndarray) -> tuple[np.ndarray, float]:

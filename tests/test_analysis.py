@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from helpers import (
-    clustered_by_row,
+    cocluster_by_restart,
     greedy_modularity_lists,
+    init_assignment_by_element,
     model_from_chains,
     modularity,
-    mutual_information_masked,
     random_model,
-    sweep_axis_by_candidate,
+    select_cocluster_sizes_by_pair,
 )
 from smjp import analysis
 from smjp.analysis import (
@@ -131,7 +131,31 @@ class TestCocluster:
         with pytest.raises(SmjpError, match=message):
             select_cocluster_sizes(block_joint((2, 2), (2, 2)), [1, 2], [2], seed=0, restarts=restarts)
 
-    def test_full_resolution_zero_loss(self):
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_max_sweeps_below_one_rejected_before_any_restart(self, monkeypatch, max_sweeps):
+        monkeypatch.setattr(analysis, "derive_rng", lambda *a: pytest.fail("started a restart"))
+        with pytest.raises(SmjpError, match=f"^max_sweeps must be at least 1, got {max_sweeps}$"):
+            cocluster(block_joint((2, 2), (2, 2)), 2, 2, seed=0, max_sweeps=max_sweeps)
+
+    def test_one_sweep_traces_one_loss(self):
+        result = cocluster(block_joint((2, 2), (2, 2)), 2, 2, seed=0, restarts=3, max_sweeps=1)
+        assert len(result.loss_trace) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, -1.0])
+    def test_joint_not_finite_and_non_negative_rejected(self, cell):
+        joint = block_joint((2, 2), (2, 2))
+        joint[0, 1] = cell
+        calls = [
+            lambda: cocluster(joint, 2, 2, seed=0),
+            lambda: select_cocluster_sizes(joint, [1, 2], [2], seed=0),
+            lambda: mutual_information(joint),
+            lambda: information_loss(joint, np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), 1, 1),
+        ]
+        for call in calls:
+            with pytest.raises(SmjpError, match="^joint must be a finite non-negative matrix$"):
+                call()
+
         rng = derive_rng(4)
         joint = rng.dirichlet(np.ones(12)).reshape(3, 4)
         result = cocluster(joint, 3, 4, seed=0)
@@ -375,7 +399,8 @@ class TestEventStatePosterior:
 
 def oracle_joints():
     """Seeded random joints from 2x2 to 6x80 with zero cells, zero rows and
-    zero columns, plus the block-diagonal cases."""
+    zero columns, plus the block-diagonal cases and a 6x40 joint with 28
+    zero columns."""
     rng = derive_rng(40)
     joints = [block_joint(s, s) for s in [(2, 2), (1, 3), (3, 2), (2, 2, 2)]]
     for shape in [(2, 2), (3, 5), (4, 4), (5, 12), (6, 20), (6, 80)]:
@@ -387,6 +412,10 @@ def oracle_joints():
             dead[-1] = 0.0
             dead[:, 1] = 0.0
             joints.append(dead)
+    # Shaped like the foraging correspondence joint: 12 live columns of 40.
+    sparse = rng.random((6, 40))
+    sparse[:, rng.permutation(40)[:28]] = 0.0
+    joints.append(sparse)
     return joints
 
 
@@ -403,18 +432,16 @@ def oracle_operators():
 @pytest.fixture
 def same_as_reference(monkeypatch):
     """Check that a public call gives the same result, field by field with
-    the same types and dtypes, or the same error, as with the co-clustering
-    sweep, the cluster aggregate, the MI and the modularity merge swapped
-    for the one-candidate-at-a-time references in helpers."""
+    the same types and dtypes, or the same error, as its reference in
+    helpers: the co-clustering one restart and one size pair at a time, and
+    the modularity merge with one member list per community."""
+    references = {cocluster: cocluster_by_restart, select_cocluster_sizes: select_cocluster_sizes_by_pair}
 
     def reference(fn, *args):
         with monkeypatch.context() as m:
-            m.setattr(analysis, "mutual_information", mutual_information_masked)
-            m.setattr(analysis, "_clustered", clustered_by_row)
-            m.setattr(analysis, "_sweep_axis", lambda p, *rest: sweep_axis_by_candidate(p, *rest, by_rows=True))
             m.setattr(analysis, "_greedy_modularity", greedy_modularity_lists)
             try:
-                return fn(*args)
+                return references.get(fn, fn)(*args)
             except SmjpError as exc:
                 return exc
 
@@ -446,6 +473,9 @@ class TestArrayFormMatchesReference:
                     # One restart on the 6x80 joint keeps the test short.
                     for restarts in (1, 5) if joint.shape[1] <= 20 else (1,):
                         same_as_reference(cocluster, joint, kr, kc, seed, restarts)
+                    # Ten restarts where both axes can move and 12 or fewer columns live.
+                    if kr > 1 and kc > 1 and (joint.sum(axis=0) > 0).sum() <= 12:
+                        same_as_reference(cocluster, joint, kr, kc, seed, 10)
 
     def test_select_cocluster_sizes_bit_for_bit(self, same_as_reference):
         for seed, joint in enumerate(oracle_joints()):
@@ -457,3 +487,57 @@ class TestArrayFormMatchesReference:
         for w in oracle_operators():
             for threshold in (0.0, 0.05, 0.2):
                 same_as_reference(extract_subgraphs, w, threshold)
+
+
+def tie_joints():
+    """Joints whose candidate moves tie: blocks, a uniform joint, and
+    random joints with duplicated rows or duplicated columns."""
+    rng = derive_rng(42)
+    joints = [block_joint((2, 2), (2, 2)), block_joint((2, 2, 2), (3, 1, 2)), np.ones((4, 5)), np.eye(4)]
+    base = rng.random((3, 5))
+    joints += [np.vstack([base, base]), np.hstack([base, base, base[:, :2]])]
+    return joints
+
+
+class TestLanes:
+    def test_ties_go_to_the_exact_scan(self, monkeypatch):
+        calls = []
+        exact = analysis._exact_choice
+        monkeypatch.setattr(analysis, "_exact_choice", lambda *a: calls.append(a) or exact(*a))
+        for seed, joint in enumerate(tie_joints()):
+            before = len(calls)
+            for kr in range(1, min(3, joint.shape[0]) + 1):
+                for kc in range(1, min(4, joint.shape[1]) + 1):
+                    got = cocluster(joint, kr, kc, seed, restarts=5)
+                    assert_same(got, cocluster_by_restart(joint, kr, kc, seed, 5))
+            assert len(calls) > before
+
+    def test_start_matches_one_draw_at_a_time(self):
+        rng = derive_rng(43)
+        for case in range(300):
+            n = int(rng.integers(1, 30))
+            live = rng.random(n) < rng.choice([0.3, 0.8, 1.0])
+            k = int(rng.integers(1, n + 1))
+            got, want = derive_rng(case, 4, 0), derive_rng(case, 4, 0)
+            try:
+                expected = init_assignment_by_element(n, k, live, want)
+            except DegenerateJoint as exc:
+                with pytest.raises(DegenerateJoint, match=re.escape(str(exc))):
+                    analysis._init_assignment(n, k, live, got)
+                continue
+            assert_same(analysis._init_assignment(n, k, live, got), expected)
+            # The next draw agrees too: the two used the generator alike.
+            assert got.random() == want.random()
+
+    def test_every_pair_equals_its_own_call(self):
+        joints = oracle_joints()[:-3] + tie_joints()
+        for seed, joint in enumerate(joints):
+            rows = range(1, min((joint.sum(axis=1) > 0).sum(), 4) + 1)
+            cols = range(1, min((joint.sum(axis=0) > 0).sum(), 6) + 1)
+            sel = select_cocluster_sizes(joint, rows, cols, seed, 3)
+            for a, kr in enumerate(rows):
+                for b, kc in enumerate(cols):
+                    alone = cocluster(joint, kr, kc, seed, 3)
+                    assert sel.loss_surface[a, b] == alone.mutual_information_loss
+                    if (kr, kc) == sel.chosen:
+                        assert_same(sel.chosen_clustering, alone)

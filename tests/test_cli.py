@@ -1,10 +1,16 @@
+import contextlib
 import hashlib
 import inspect
+import io
+import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smjp import analysis, cli, switching
 from smjp.analysis import cocluster, extract_subgraphs, select_cocluster_sizes
@@ -350,6 +356,18 @@ class TestErrorExitCodes:
         rc = run(["cocluster", "--out", tmp_path / "co", "--joint", joint, "--rows", 2, "--cols", 2, "--seed", 0])
         assert rc == EXIT_PARSE
         assert capsys.readouterr().err.splitlines() == [f"error: {joint}: no matrix rows"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("cols", ["2", "1:2"])
+    def test_joint_not_finite_and_non_negative(self, tmp_path, capsys, cell, cols):
+        joint = tmp_path / "joint.csv"
+        joint.write_text(f"# smjp-matrix v1\n# name: joint\n# rows: a b\n# cols: x y\n0.5 {cell}\n0.0 0.5\n")
+        out = tmp_path / "co"
+        rc = run(["cocluster", "--out", out, "--joint", joint, "--rows", 2, "--cols", cols, "--seed", 0])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == ["error: joint must be a finite non-negative matrix"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
         (["select-states", "--events", "{events}", "--range", "2:x"], "--range: bad range '2:x'"),
@@ -719,3 +737,49 @@ class TestConfigSweep:
             assert not out.exists()
         else:
             assert (out / "manifest.txt").exists()
+
+
+def mutated_joint_text(draw) -> str:
+    """A valid 4x6 labeled matrix with some cells set to nan, inf, -1 or 0,
+    some rows dropped or widened, and some header lines cut."""
+    cells = np.array(draw(st.lists(st.sampled_from(["0.05", "0.0", "0.125", "0.3"]), min_size=24, max_size=24)))
+    cells = cells.reshape(4, 6)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 5))
+        cells[i, j] = draw(st.sampled_from(["nan", "inf", "-inf", "-1", "0"]))
+    rows = [" ".join(r) for r in cells]
+    for _ in range(draw(st.integers(0, 2))):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] += " 0.1"
+    header = ["# smjp-matrix v1", "# name: joint", "# rows: a b c d", "# cols: u v w x y z"]
+    cut = draw(st.sets(st.integers(0, len(header) - 1), max_size=2))
+    return "\n".join([line for n, line in enumerate(header) if n not in cut] + rows) + "\n"
+
+
+class TestCoclusterFuzz:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_mutated_joint_ends_in_a_documented_exit(self, data):
+        text = mutated_joint_text(data.draw)
+        rows = data.draw(st.sampled_from(["1", "2", "1:3"]))
+        cols = data.draw(st.sampled_from(["1", "3", "2:4"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            joint, out = Path(tmp) / "joint.csv", Path(tmp) / "out"
+            joint.write_text(text)
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                rc = run(["cocluster", "--out", out, "--joint", joint, "--rows", rows, "--cols", cols,
+                          "--seed", 0, "--cocluster-restarts", 2])
+            assert rc in (0, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN, cli.EXIT_NUMERIC)
+            if rc:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+                assert not out.exists()
+            else:
+                cells = [float(v) for line in text.splitlines() if not line.startswith("#") for v in line.split()]
+                assert np.isfinite(cells).all() and min(cells) >= 0
+                report = (out / "cocluster.txt").read_text()
+                assert np.isfinite(float(report.split("loss: ")[1].split()[0]))
