@@ -84,8 +84,9 @@ def state_correspondence(model_posterior: np.ndarray, agent_posterior: np.ndarra
 
 def event_state_posterior(model: SwitchingSMJP, seq: EventSequence, config: FitConfig) -> np.ndarray:
     """Posterior state marginals at the event times, averaged over
-    ``config.eval_grids`` virtual-time draws (same streams the held-out
-    evaluation uses)."""
+    ``config.eval_grids`` virtual-time draws from the streams
+    ``(config.seed, 2, g)``. Unlike the held-out score, which is exact,
+    this is a grid average."""
     _check_alphabets(model, [seq])
     acc = np.zeros((len(seq), model.n_states))
     for g in range(config.eval_grids):

@@ -346,10 +346,9 @@ def cmd_evaluate(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     seq = parse_event_file(ws.note_input(args.events))
     if cfg.holdout_fraction > 0 and args.use_holdout:
         _, seq = split_chronological(seq, cfg.holdout_fraction)
-    ll = held_out_loglik(model, [seq], cfg.fit_config())
+    ll = held_out_loglik(model, [seq])
     print(_fmt(ll))
-    return {"evaluation.txt": _lines(["smjp-evaluation v1", f"events: {len(seq)}",
-                                      f"eval_grids: {cfg.eval_grids}", f"loglik: {_fmt(ll)}"])}
+    return {"evaluation.txt": _lines(["smjp-evaluation v1", f"events: {len(seq)}", f"loglik: {_fmt(ll)}"])}
 
 
 def _read_truth(path: str) -> tuple[np.ndarray, np.ndarray, int]:

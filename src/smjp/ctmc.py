@@ -233,18 +233,11 @@ def sample_virtual_times(
     return times[(times > t_a) & (times < t_b)]
 
 
-def build_time_grid(seq, omega: float, seed: int | np.random.Generator) -> TimeGrid:
-    """Interleave a sequence's events with virtual points.
-
-    Every event timestamp passes through bit-identically. One Poisson draw
-    over the inter-event intervals gives each its count k ~ Poisson(omega
-    * dt) of virtual points, which carry no observation and inherit the
-    interval's opening action. Inference reads only the counts, so the k
-    points sit evenly at ``lo + (hi - lo) * j/(k+1)``, j = 1..k.
-    """
-    times = np.asarray(seq.times, dtype=np.float64)
-    obs = np.asarray(seq.observations, dtype=np.int64)
-    acts = np.asarray(seq.actions, dtype=np.int64)
+def expected_virtual(times: np.ndarray, omega: float) -> np.ndarray:
+    """Expected virtual-point count ``omega * dt`` of each inter-event
+    interval, once the intervals are checked: times strictly increasing
+    from a non-negative start, a positive omega, and no interval expecting
+    more than ``MAX_EXPECTED_VIRTUAL`` points."""
     if times.size and not np.all(np.diff(times) > 0):
         raise NonMonotoneTimestamps("event timestamps must be strictly increasing")
     lo, hi = times[:-1], times[1:]
@@ -261,6 +254,23 @@ def build_time_grid(seq, omega: float, seed: int | np.random.Generator) -> TimeG
                 f"{expected[i]:.3g} expected virtual points in interval {i} "
                 f"({float(lo[i])!r}, {float(hi[i])!r}); omega or the interval length is misconfigured"
             )
+    return expected
+
+
+def build_time_grid(seq, omega: float, seed: int | np.random.Generator) -> TimeGrid:
+    """Interleave a sequence's events with virtual points.
+
+    Every event timestamp passes through bit-identically. One Poisson draw
+    over the inter-event intervals gives each its count k ~ Poisson(omega
+    * dt) of virtual points, which carry no observation and inherit the
+    interval's opening action. Inference reads only the counts, so the k
+    points sit evenly at ``lo + (hi - lo) * j/(k+1)``, j = 1..k.
+    """
+    times = np.asarray(seq.times, dtype=np.float64)
+    obs = np.asarray(seq.observations, dtype=np.int64)
+    acts = np.asarray(seq.actions, dtype=np.int64)
+    expected = expected_virtual(times, omega)
+    lo, hi = times[:-1], times[1:]
     counts = as_rng(seed).poisson(expected)
     iv = np.repeat(np.arange(lo.size), counts)
     j = np.arange(1, iv.size + 1) - (np.cumsum(counts) - counts)[iv]

@@ -10,12 +10,15 @@ Fitting alternates three phases: draw fresh grids of Poisson virtual-point
 counts, run discrete-chain EM to convergence on those fixed grids, then map
 the re-estimated chains back to generators via A = (B - I) * omega. Omega
 is fixed through a fit, since a grid's mean law between events, B expm(A
-dt), depends on it. The loop stops when held-out log-likelihood stabilizes.
+dt), depends on it. The loop stops when the held-out log-likelihood
+stabilizes; that score is exact and grid-free, the event-level filter over
+the laws B expm(A dt) between events.
 
 Random streams are derived from the config seed with fixed branch codes:
-(1, outer_iteration, sequence, grid) for training grids, (2, grid) for
-evaluation grids (shared across sequences so evaluation is additive), and
-(3, n_states, restart) for random initializations.
+(1, outer_iteration, sequence, grid) for training grids, (2, grid) for the
+grids whose posteriors analysis averages (shared across sequences), and
+(3, n_states, restart) for random initializations. Held-out scoring draws
+nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .core import (
     validate_generator,
     write_text,
 )
-from .ctmc import NO_OBSERVATION, TimeGrid, build_time_grid, uniformize
+from .ctmc import NO_OBSERVATION, TimeGrid, build_time_grid, expected_virtual, uniformize
 from .events import EventSequence, split_chronological
 
 # Probability mass on a structurally forbidden transition above this is an
@@ -50,13 +53,23 @@ STRUCTURAL_TOL = 1e-6
 
 MODEL_HEADER = "smjp-model v1"
 
-# Matrix entries per block of the likelihood reduction (512 KiB of
-# float64), which bounds its memory on long grids.
+# Matrix entries per block of the likelihood reduction and of the
+# held-out series weights (512 KiB of float64), which bounds their memory
+# on long sequences.
 _REDUCE_BLOCK_ENTRIES = 1 << 16
+
+# Largest omega * dt the held-out series sums directly; a longer interval
+# is halved until it fits and its law squared back.
+_SERIES_CAP = 32.0
 
 
 class ZeroProbabilityObservation(SmjpError):
-    """An observation has probability zero under every reachable state."""
+    """An observation has probability zero under every reachable state;
+    ``step`` is the index of its grid point when known."""
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 class InconsistentShapes(SmjpError):
@@ -173,7 +186,9 @@ class ForwardBackwardResult:
 class FitConfig:
     """Knobs for the fitting loop; defaults follow the shipped pipeline.
     Construction checks each knob's range. Omega is not a knob: a random
-    start takes the event rate, and the fit holds it."""
+    start takes the event rate, and the fit holds it. Held-out scores are
+    exact, so ``eval_grids`` sets only how many grids
+    ``analysis.event_state_posterior`` averages."""
 
     seed: int = 0
     inner_iterations: int = 10
@@ -294,10 +309,10 @@ def _check_grid(model: SwitchingSMJP, grid: TimeGrid) -> None:
         raise InconsistentShapes("grid observation index outside the model's alphabet")
 
 
-def _emission_table(emission: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _emission_table(emission: np.ndarray, grid: TimeGrid | EventSequence) -> np.ndarray:
     """(T, N) likelihood of each grid point's observation per state from an
     (N, O) or per-action (K, N, O) emission array; virtual points
-    contribute ones."""
+    contribute ones. An event sequence reads as a grid without them."""
     e = np.ones((len(grid), emission.shape[-2]))
     mask = grid.observations != NO_OBSERVATION
     if emission.ndim == 3:
@@ -316,14 +331,14 @@ def _filter_steps(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[
     a = e[0] / n
     c0 = a.sum()
     if not (np.isfinite(c0) and c0 > 0):
-        raise ZeroProbabilityObservation("observation at grid step 0 has zero likelihood")
+        raise ZeroProbabilityObservation("observation at grid step 0 has zero likelihood", 0)
     alpha[0] = a / c0
     c[0] = c0
     for i in range(t - 1):
         v = (alpha[i] @ chains[kidx[i]]) * e[i + 1]
         ci = v.sum()
         if not (np.isfinite(ci) and ci > 0):
-            raise ZeroProbabilityObservation(f"observation at grid step {i + 1} has zero likelihood")
+            raise ZeroProbabilityObservation(f"observation at grid step {i + 1} has zero likelihood", i + 1)
         alpha[i + 1] = v / ci
         c[i + 1] = ci
     return alpha, c
@@ -731,25 +746,100 @@ def rebuild_model(model: SwitchingSMJP, chains: np.ndarray, emission: np.ndarray
     return replace(model, generators=gens, emission=emission)
 
 
-def held_out_loglik(model: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConfig) -> float:
-    """Sum over sequences of the grid-averaged forward log-likelihood.
+def _power_table(chains: np.ndarray, top: int) -> np.ndarray:
+    """(K, top + 1, N*N) powers ``B_k^0 .. B_k^top`` of each chain,
+    flattened, by doubling: each pass multiplies the powers known so far
+    by the largest one."""
+    k, n, _ = chains.shape
+    table = np.empty((k, top + 1, n, n))
+    table[:, 0] = np.eye(n)
+    table[:, 1] = chains
+    p = 1
+    while p < top:
+        hi = min(2 * p, top)
+        table[:, p + 1 : hi + 1] = table[:, 1 : hi - p + 1] @ table[:, p, None]
+        p = hi
+    return table.reshape(k, top + 1, n * n)
 
-    Each sequence is scored on ``config.eval_grids`` fresh virtual-time
-    draws and the draws' log-likelihoods are averaged. Grid streams depend
-    only on (seed, draw index), so duplicating a sequence exactly doubles
-    the result.
+
+def _poisson_weights(lam: np.ndarray, terms: int) -> np.ndarray:
+    """(len(lam), terms) Poisson probabilities of 0 .. terms - 1 arrivals
+    at each mean, from ``m log(lam) - lam - log(m!)``."""
+    m = np.arange(terms)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(m[1:]))))
+    w = np.log(np.maximum(lam, np.finfo(np.float64).tiny))[:, None] * m
+    w -= lam[:, None]
+    w -= log_fact
+    return np.exp(w, out=w)
+
+
+def _interval_laws(chains: np.ndarray, table: np.ndarray, lam: np.ndarray, acts: np.ndarray) -> np.ndarray:
+    """(len(lam), N, N) stack of ``P_i = B_k expm(A_k dt_i)`` for action
+    ``k = acts[i]`` and ``lam[i] = omega dt_i``, as Jensen's uniformization
+    series ``sum_m Pois(m; lam_i) B_k^(m+1)`` truncated to the table.
+
+    An interval whose mean exceeds ``_SERIES_CAP`` is evaluated at
+    ``dt / 2^s`` instead, and its ``expm`` factor squared back s times
+    before B_k is applied. Every term is non-negative, so nothing cancels.
+    """
+    n = chains.shape[1]
+    terms = table.shape[1] - 1
+    shrink = np.ceil(np.log2(np.maximum(lam / _SERIES_CAP, 1.0))).astype(np.int64)
+    lam = np.ldexp(lam, -shrink)
+    squared = shrink > 0
+    rows = max(1, _REDUCE_BLOCK_ENTRIES // terms)
+    laws = np.empty((lam.size, n * n))
+    for k in range(len(chains)):
+        for sq, powers in ((False, table[k, 1:]), (True, table[k, :-1])):
+            idx = np.flatnonzero((acts == k) & (squared == sq))
+            for lo in range(0, idx.size, rows):
+                part = idx[lo : lo + rows]
+                laws[part] = _poisson_weights(lam[part], terms) @ powers
+    laws = laws.reshape(-1, n, n)
+    idx = np.flatnonzero(squared)
+    if idx.size:
+        f = laws[idx]
+        for j in range(int(shrink.max())):
+            more = shrink[idx] > j
+            f[more] = f[more] @ f[more]
+        laws[idx] = chains[acts[idx]] @ f
+    return laws
+
+
+def held_out_loglik(
+    model: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConfig | None = None
+) -> float:
+    """Sum over sequences of the exact event-level log-likelihood.
+
+    Between events i and i+1 the law is ``P_i = B_k expm(A_k dt_i)`` with
+    k the action at event i: the mean of a uniformization grid's steps
+    there. Each ``P_i`` is built from Jensen's series over one table of
+    chain powers shared by every sequence, and the stack is scored by the
+    grid filter's pairwise reduction. No grid is drawn, so the score reads
+    neither ``config.seed`` nor ``config.eval_grids`` (``config`` is
+    accepted for callers that pass one), and duplicating a sequence exactly
+    doubles it.
     """
     if not sequences:
         raise SmjpError("need at least one sequence to evaluate")
     _check_alphabets(model, sequences)
-    total = 0.0
+    lams = []
     for seq in sequences:
-        lls = []
-        for g in range(config.eval_grids):
-            grid = build_time_grid(seq, model.omega, derive_rng(config.seed, 2, g))
-            _check_grid(model, grid)
-            lls.append(_grid_loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions))
-        total += float(np.mean(lls))
+        if len(seq) == 0:
+            raise InconsistentShapes(f"sequence {seq.id!r} has no events")
+        lams.append(expected_virtual(seq.times, model.omega))
+    peak = min(max((float(lam.max()) for lam in lams if lam.size), default=0.0), _SERIES_CAP)
+    # The Poisson tail beyond peak + 10 sd + 40 is below 1e-30.
+    table = _power_table(model.chain_stack, int(peak + 10.0 * np.sqrt(peak)) + 41)
+    total = 0.0
+    for seq, lam in zip(sequences, lams):
+        laws = _interval_laws(model.chain_stack, table, lam, seq.actions[:-1])
+        try:
+            total += _grid_loglik(laws, _emission_table(model.emission, seq), np.arange(lam.size))
+        except ZeroProbabilityObservation as exc:
+            raise ZeroProbabilityObservation(
+                f"observation at event {exc.step} of sequence {seq.id!r} has zero likelihood", exc.step
+            ) from None
     return total
 
 
@@ -769,7 +859,7 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
 
     def signal(model: SwitchingSMJP, train_ll: float) -> float:
         if holdout:
-            return held_out_loglik(model, holdout, config)
+            return held_out_loglik(model, holdout)
         return train_ll
 
     if config.inner_iterations == 0 or config.outer_cap == 0:

@@ -783,3 +783,86 @@ class TestCoclusterFuzz:
                 assert np.isfinite(cells).all() and min(cells) >= 0
                 report = (out / "cocluster.txt").read_text()
                 assert np.isfinite(float(report.split("loss: ")[1].split()[0]))
+
+
+@pytest.fixture(scope="module")
+def evaluate_inputs(tmp_path_factory):
+    """A saved toy model and the 12 event rows and header of its data."""
+    toy = tmp_path_factory.mktemp("evaluate") / "toy"
+    assert run(toy_args(toy, seed=5, length=40)) == 0
+    lines = (toy / "events.csv").read_text().splitlines()
+    return toy / "true_model.smjp", lines[:5], lines[5:17]
+
+
+CELL_VALUES = (
+    ("nan", "inf", "-1", "0", "1e300", "1e6", "5e-324", "x", ""),
+    ("o0", "o1", "o2", ""),
+    ("a0", "a1", "a9", ""),
+)
+# True one time in four, for the mutations that end every run they touch.
+RARELY = st.integers(0, 3).map(lambda v: v == 3)
+
+
+def mutated_event_text(draw, header, rows) -> str:
+    """The toy's event file with some cells replaced, the times after one
+    row pushed far out, rows dropped, swapped or widened, and header lines
+    cut or given other alphabets."""
+    rows = [row.split(",") for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        rows[i][j] = draw(st.sampled_from(CELL_VALUES[j]))
+    # Intervals of about 2e3, 2e6 and 2e8 expected virtual points: the
+    # held-out series halves the first two and refuses the last.
+    shift = draw(st.sampled_from([0.0, 1e3, 1e6, 1e8]))
+    for row in rows[draw(st.integers(1, len(rows) - 1)):]:
+        with contextlib.suppress(ValueError):
+            row[0] = repr(float(row[0]) + shift)
+    if draw(RARELY):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    rows = [",".join(row) for row in rows[draw(st.integers(0, len(rows))):]]
+    if rows and draw(RARELY):
+        rows[-1] += ",a0"
+    header = list(header)
+    if draw(RARELY):
+        header[2] = draw(st.sampled_from(["# observations: o1 o0", "# observations: o0 o1 o2"]))
+    cut = draw(st.sets(st.integers(0, len(header) - 1), max_size=2)) if draw(RARELY) else ()
+    return "\n".join([line for n, line in enumerate(header) if n not in cut] + rows) + "\n"
+
+
+class TestEvaluateFuzz:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_mutated_events_end_in_a_documented_exit(self, evaluate_inputs, data):
+        model, header, rows = evaluate_inputs
+        text = mutated_event_text(data.draw, header, rows)
+        flags = ["--eval-grids", data.draw(st.sampled_from([1, 3]))]
+        flags += ["--use-holdout"] if data.draw(st.booleans()) else []
+        with tempfile.TemporaryDirectory() as tmp:
+            events, out = Path(tmp) / "events.csv", Path(tmp) / "out"
+            events.write_text(text)
+            stdout, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                rc = run(["evaluate", "--out", out, "--model", model, "--events", events, "--seed", 0, *flags])
+            assert rc in (0, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN, cli.EXIT_NUMERIC)
+            if rc:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+                assert not out.exists()
+            else:
+                (score,) = stdout.getvalue().split()
+                assert np.isfinite(float(score))
+                evaluation = (out / "evaluation.txt").read_text().splitlines()
+                assert evaluation[0] == "smjp-evaluation v1" and evaluation[2:] == [f"loglik: {score}"]
+
+    def test_score_reads_no_grid_knob(self, tmp_path, evaluate_inputs, capsys):
+        model, header, rows = evaluate_inputs
+        events = tmp_path / "events.csv"
+        events.write_text("\n".join(header + rows) + "\n")
+        texts = set()
+        for grids in (1, 4):
+            out = tmp_path / f"out{grids}"
+            assert run(["evaluate", "--out", out, "--model", model, "--events", events, "--eval-grids", grids]) == 0
+            texts.add((out / "evaluation.txt").read_text())
+        assert texts == {f"smjp-evaluation v1\nevents: 12\nloglik: {capsys.readouterr().out.split()[0]}\n"}

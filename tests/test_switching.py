@@ -1,4 +1,5 @@
 import io
+import itertools
 from dataclasses import replace
 from functools import cached_property
 
@@ -16,8 +17,8 @@ from helpers import (
     random_model,
     scaled_xi,
 )
-from smjp.core import derive_rng, index_alphabet
-from smjp.ctmc import NO_OBSERVATION, build_time_grid, default_omega, uniformize
+from smjp.core import derive_rng, index_alphabet, matrix_exponential
+from smjp.ctmc import MAX_EXPECTED_VIRTUAL, NO_OBSERVATION, VirtualTimeOverflow, build_time_grid, default_omega, uniformize
 from smjp.events import EventSequence, split_chronological
 from smjp.foraging import ToyConfig, generate_toy
 from smjp import switching
@@ -661,21 +662,24 @@ class TestHeldOut:
         assert two == pytest.approx(2 * one, abs=1e-12)
 
     def test_matches_enumeration_on_tiny_sequence(self):
-        from helpers import enumerate_paths
-        from smjp.core import derive_rng
-        from smjp.ctmc import build_time_grid
-
+        # Brute force over every state path at the events, each step
+        # weighted by B_k expm(A_k dt) from core.matrix_exponential.
         toy = toy_sequences(length=5, seed=12)
-        cfg = FitConfig(eval_grids=2, seed=6)
-        got = held_out_loglik(toy.model, [toy.sequence], cfg)
-        lls = []
-        for g in range(cfg.eval_grids):
-            grid = build_time_grid(toy.sequence, toy.model.omega, derive_rng(cfg.seed, 2, g))
-            assert len(grid) <= 8, "seed drift made the oracle grid too large to enumerate"
-            ll, _, _ = enumerate_paths(toy.model, grid)
-            lls.append(ll)
-        assert got == pytest.approx(np.mean(lls), abs=1e-10)
-
+        model, seq = toy.model, toy.sequence
+        assert len(seq) <= 6, "seed drift made the sequence too long to enumerate"
+        steps = [
+            model.chain_stack[a] @ matrix_exponential(model.generators[a], dt).probs
+            for a, dt in zip(seq.actions[:-1], np.diff(seq.times))
+        ]
+        emit = model.emission[:, seq.observations].T
+        total = 0.0
+        for path in itertools.product(range(model.n_states), repeat=len(seq)):
+            w = emit[0, path[0]] / model.n_states
+            for i, step in enumerate(steps):
+                w *= step[path[i], path[i + 1]] * emit[i + 1, path[i + 1]]
+            total += w
+        got = held_out_loglik(model, [seq], FitConfig(eval_grids=2, seed=6))
+        assert got == pytest.approx(np.log(total), abs=1e-10)
 
     def test_rejects_zero_eval_grids(self):
         toy = toy_sequences(length=50, seed=3)
@@ -688,14 +692,111 @@ class TestHeldOut:
         emission[:, 1] = 0.0
         emission /= emission.sum(axis=1, keepdims=True)
         model = replace(toy.model, emission=emission)
-        cfg = FitConfig(eval_grids=1, seed=3)
-        grid = build_time_grid(toy.sequence, model.omega, derive_rng(cfg.seed, 2, 0))
+        seq = toy.sequence
+        first = int(np.flatnonzero(seq.observations == 1)[0])
         with pytest.raises(ZeroProbabilityObservation) as want:
-            forward(model, grid)
+            forward(model, event_grid(seq.observations, seq.actions))
         with pytest.raises(ZeroProbabilityObservation) as got:
-            held_out_loglik(model, [toy.sequence], cfg)
-        assert str(got.value) == str(want.value)
-        assert "grid step" in str(got.value)
+            held_out_loglik(model, [seq], FitConfig(eval_grids=1, seed=3))
+        assert got.value.step == want.value.step == first
+        assert str(got.value) == f"observation at event {first} of sequence {seq.id!r} has zero likelihood"
+
+
+class TestExactHeldOut:
+    """held_out_loglik is the event-level likelihood of tests/helpers'
+    exact_loglik, built from the uniformization series."""
+
+    @pytest.mark.parametrize("per_action", [False, True])
+    @pytest.mark.parametrize("n_actions", [1, 2, 3])
+    @pytest.mark.parametrize("length", [1, 2, 40])
+    def test_matches_exact_loglik(self, per_action, n_actions, length):
+        rng = derive_rng(60, n_actions, length, per_action)
+        model = random_model(rng, 4, n_actions, 3)
+        if per_action:
+            model = replace(model, emission=np.stack([rng.dirichlet(np.ones(3), size=4) for _ in range(n_actions)]))
+        seq = random_sequence(rng, model, length)
+        got = held_out_loglik(model, [seq])
+        assert got == pytest.approx(exact_loglik(model, seq), rel=1e-9)
+
+    def test_long_interval_takes_the_squaring_path(self):
+        # Sticky chains keep expm(A dt) away from stationarity at omega dt
+        # = 40 and 300, so a law that skips B or a squaring shows.
+        rng = derive_rng(61)
+        chains = 0.9 * np.eye(3) + 0.1 * np.stack([rng.dirichlet(np.ones(3), size=3) for _ in range(2)])
+        model = model_from_chains(chains, rng.dirichlet(np.ones(3), size=3), omega=2.0)
+        seq = random_sequence(rng, model, 30)
+        times = seq.times.copy()
+        for i, mean in ((8, 40.0), (15, 300.0), (22, 5e3)):
+            times[i:] += mean / model.omega
+        seq = replace(seq, times=times)
+        assert model.omega * np.diff(seq.times).max() > 100 * switching._SERIES_CAP
+        assert held_out_loglik(model, [seq]) == pytest.approx(exact_loglik(model, seq), rel=1e-9)
+
+    def test_jordan_block_generator(self):
+        # B = I + A/20 for A = [[-1, 1, 0], [0, -1, 1], [0, 0, 0]]: a
+        # defective generator, eigenvalue -1 with one eigenvector.
+        rates = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
+        model = model_from_chains((np.eye(3) + rates / 20.0)[None], derive_rng(62).dirichlet(np.ones(2), size=3),
+                                  omega=20.0)
+        np.testing.assert_allclose(model.generators[0].rates, rates, rtol=0, atol=1e-14)
+        seq = random_sequence(derive_rng(63), model, 25)
+        lam = model.omega * np.diff(seq.times)
+        lam[3:6] = 40.0, 100.0, 400.0
+        table = switching._power_table(model.chain_stack, 200)
+        laws = switching._interval_laws(model.chain_stack, table, lam, np.zeros(lam.size, dtype=np.int64))
+        for law, x in zip(laws, lam):
+            ref = model.chain_stack[0] @ matrix_exponential(model.generators[0], x / model.omega).probs
+            np.testing.assert_allclose(law, ref, rtol=0, atol=1e-10)
+        assert held_out_loglik(model, [seq]) == pytest.approx(exact_loglik(model, seq), rel=1e-9)
+
+    def test_law_stack_scores_as_the_step_filter(self):
+        rng = derive_rng(64)
+        model = random_model(rng, 3, 2, 4)
+        seq = random_sequence(rng, model, 200)
+        lam = model.omega * np.diff(seq.times)
+        table = switching._power_table(model.chain_stack, 80)
+        laws = switching._interval_laws(model.chain_stack, table, lam, seq.actions[:-1])
+        e = _emission_table(model.emission, seq)
+        _, c = _filter_steps(laws, e, np.arange(lam.size))
+        assert _grid_loglik(laws, e, np.arange(lam.size)) == pytest.approx(np.log(c).sum(), abs=1e-9)
+
+    @pytest.mark.parametrize("entries", [63, 1000, 5000])
+    def test_chunking_leaves_the_score(self, monkeypatch, entries):
+        rng = derive_rng(65)
+        model = random_model(rng, 3, 2, 3)
+        seqs = [random_sequence(rng, model, n) for n in (1, 2, 150, 400)]
+        whole = held_out_loglik(model, seqs)
+        monkeypatch.setattr(switching, "_REDUCE_BLOCK_ENTRIES", entries)
+        assert held_out_loglik(model, seqs) == pytest.approx(whole, rel=1e-12)
+
+    def test_reads_no_grid_knob(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("held-out scoring built a grid")
+
+        monkeypatch.setattr(switching, "build_time_grid", no_grid)
+        toy = toy_sequences(length=80, seed=4)
+        scores = {held_out_loglik(toy.model, [toy.sequence], FitConfig(seed=s, eval_grids=g)) for s in (0, 9) for g in (1, 5)}
+        assert scores == {held_out_loglik(toy.model, [toy.sequence])}
+
+    def test_overflowing_interval_refused(self):
+        toy = toy_sequences(length=20, seed=5)
+        times = toy.sequence.times.copy()
+        times[-1] = times[-2] + 2 * MAX_EXPECTED_VIRTUAL / toy.model.omega
+        seq = replace(toy.sequence, times=times)
+        with pytest.raises(VirtualTimeOverflow, match=f"interval {len(times) - 2} "):
+            held_out_loglik(toy.model, [seq])
+
+
+def random_sequence(rng, model, length):
+    """Events at unit-rate exponential gaps with uniform symbols and actions."""
+    return EventSequence(
+        "r",
+        np.cumsum(rng.exponential(1.0, size=length)),
+        rng.integers(0, model.n_observations, size=length),
+        rng.integers(0, model.n_actions, size=length),
+        model.observations,
+        model.actions,
+    )
 
 
 def step_loglik(model, grid):
@@ -731,11 +832,9 @@ class TestGridLoglik:
         emission[:, 1] = 1e-300
         emission /= emission.sum(axis=1, keepdims=True)
         model = replace(toy.model, emission=emission)
-        cfg = FitConfig(eval_grids=2, seed=5)
-        got = held_out_loglik(model, [toy.sequence], cfg)
-        grids = [build_time_grid(toy.sequence, model.omega, derive_rng(cfg.seed, 2, g)) for g in range(2)]
+        got = held_out_loglik(model, [toy.sequence], FitConfig(eval_grids=2, seed=5))
         assert np.isfinite(got)
-        assert got == pytest.approx(np.mean([step_loglik(model, g) for g in grids]), abs=1e-9)
+        assert got == pytest.approx(exact_loglik(model, toy.sequence), rel=1e-9)
 
     def test_subnormal_emission_matches_step_filter(self):
         emission = np.array([[1.0 - 1e-320, 1e-320], [1.0 - 1e-320, 1e-320]])
