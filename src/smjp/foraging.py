@@ -12,6 +12,7 @@ plus the ground-truth agent state at every decision.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -414,6 +415,29 @@ class ToyData:
     config: ToyConfig
 
 
+def _toy_path(
+    cum_chain: np.ndarray, cum_emit: np.ndarray, s: int, a: int, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(states, observations, actions) at each event of the toy chain from
+    state ``s`` under action ``a``: the event's two uniform ``draws`` pick
+    the next state from the cumulative row ``cum_chain[a, s]`` and then a
+    symbol from ``cum_emit``, each by ``bisect_right`` on Python lists
+    (one C call per draw). The draws are read one float at a time from a
+    memoryview, so no list of them is built."""
+    k = cum_chain.shape[0]
+    rows, emit = cum_chain.tolist(), cum_emit.tolist()
+    states, obs, acts = [], [], []
+    pairs = iter(memoryview(np.ascontiguousarray(draws).ravel()))
+    for u, v in zip(pairs, pairs):
+        s = bisect_right(rows[a][s], u)
+        o = bisect_right(emit[s], v)
+        a = o % k
+        states.append(s)
+        obs.append(o)
+        acts.append(a)
+    return tuple(np.array(x, dtype=np.int64) for x in (states, obs, acts))
+
+
 def generate_toy(config: ToyConfig, seed: int | np.random.Generator) -> ToyData:
     """Sample an event sequence from a known switching chain.
 
@@ -446,21 +470,10 @@ def generate_toy(config: ToyConfig, seed: int | np.random.Generator) -> ToyData:
         times = np.concatenate([times, times[-1] + np.cumsum(extra)])
     times = times[times < horizon]
 
-    cum_chain = np.cumsum(chains, axis=2)
-    cum_emit = np.cumsum(emission, axis=1)
     s = int(rng.integers(n))
     a = int(rng.integers(k))
-    states = np.empty(times.size, dtype=np.int64)
-    obs = np.empty(times.size, dtype=np.int64)
-    acts = np.empty(times.size, dtype=np.int64)
     draws = rng.random((times.size, 2))
-    for i in range(times.size):
-        s = int(np.searchsorted(cum_chain[a, s], draws[i, 0], side="right"))
-        oi = int(np.searchsorted(cum_emit[s], draws[i, 1], side="right"))
-        a = oi % k
-        states[i] = s
-        obs[i] = oi
-        acts[i] = a
+    states, obs, acts = _toy_path(np.cumsum(chains, axis=2), np.cumsum(emission, axis=1), s, a, draws)
 
     obs_alpha = index_alphabet("observation", o, "o")
     act_alpha = index_alphabet("action", k, "a")

@@ -1,10 +1,12 @@
 """Action-switched latent jump-process model and its EM fitting loop.
 
-The model holds one generator per action. Inference runs on a time grid of
-event and virtual points: the discrete chain for the action in force at
-grid step t drives the transition t -> t+1, virtual points contribute a
-unit emission likelihood, and the latent prior at the first grid point is
-uniform (the initial distribution is not a learned parameter).
+The model holds one generator per action. A time grid interleaves event
+and virtual points: the discrete chain for the action in force at grid
+step t drives the transition t -> t+1, virtual points contribute a unit
+emission likelihood, and the latent prior at the first grid point is
+uniform (the initial distribution is not a learned parameter). The
+posterior functions return every grid point; the EM E-step reads a grid as
+runs of virtual steps under one action, each one step of its law B_k^r.
 
 Fitting alternates three phases: draw fresh grids of Poisson virtual-point
 counts, run discrete-chain EM to convergence on those fixed grids, then map
@@ -61,6 +63,9 @@ _REDUCE_BLOCK_ENTRIES = 1 << 16
 # Largest omega * dt the held-out series sums directly; a longer interval
 # is halved until it fits and its law squared back.
 _SERIES_CAP = 32.0
+
+# Poisson tail mass the held-out series may leave out.
+_SERIES_TAIL = 1e-30
 
 
 class ZeroProbabilityObservation(SmjpError):
@@ -595,36 +600,108 @@ def forward_backward(model: SwitchingSMJP, grid: TimeGrid) -> ForwardBackwardRes
     )
 
 
-def _accumulate_stats(
-    chains: np.ndarray,
-    emission: np.ndarray,
-    grid: TimeGrid,
-    stats: SufficientStats,
-) -> float:
-    """E-step on one grid with the working parameter arrays; adds expected
-    counts into ``stats`` and returns the grid log-likelihood.
+def _powers(mats: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``mats[i]`` to the power ``r[i] >= 1`` for each matrix of a stack,
+    by binary powering batched over the stack: one product per bit of the
+    largest exponent."""
+    out = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape).copy()
+    base = mats.copy()
+    live = np.arange(r.size)
+    bit = 0
+    while live.size:
+        odd = live[(r[live] >> bit) & 1 == 1]
+        out[odd] = out[odd] @ base[odd]
+        bit += 1
+        live = live[(r[live] >> bit) > 0]
+        base[live] = base[live] @ base[live]
+    return out
 
-    The transition counts of action a are ``B_a * (alpha_hat^T @ w)`` over
-    the steps taken under a, with ``w = e[1:] * beta_hat[1:] / c[1:]``:
-    the sum of the pair posteriors without forming them step by step.
+
+def _groups(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(key, positions) for each distinct non-negative key, in key order."""
+    order = np.argsort(keys, kind="stable")
+    uniq, first = np.unique(keys[order], return_index=True)
+    return [(int(u), idx) for u, idx in zip(uniq, np.split(order, first[1:])) if u >= 0]
+
+
+class _Runs:
+    """Fixed grids read as runs, for the E-step.
+
+    A run is a maximal stretch of grid steps under one action whose
+    interior points are all virtual: it ends at every event, at every
+    change of the step action and at the grid's last point. A run of r
+    steps under action k has the law ``B_k^r``, so the filter and the
+    smoother visit only the run ends. ``ends[g]`` is grid g's sub-grid of
+    its first point and run ends; ``law[g]`` indexes each of its runs in
+    the (action ``law_k``, length ``law_r``) pairs shared by all grids.
     """
-    kidx, obs = grid.actions, grid.observations
-    e = _emission_table(emission, grid)
-    alpha, c, beta = _filter_smooth(chains, e, kidx)
-    steps = kidx[:-1]
-    w = (e[1:] * beta[1:]) / c[1:, None]
-    for a in np.unique(steps):
-        sel = steps == a
-        stats.trans[a] += chains[a] * (alpha[:-1][sel].T @ w[sel])
-    stats.action_steps += np.bincount(steps, minlength=chains.shape[0])
-    seen = obs != NO_OBSERVATION
-    gamma = (alpha * beta)[seen]
-    if emission.ndim == 3:
-        np.add.at(stats.emit, (kidx[seen], slice(None), obs[seen]), gamma)
-    else:
-        np.add.at(stats.emit.T, obs[seen], gamma)
-    stats.n_grids += 1
-    return float(np.log(c).sum())
+
+    def __init__(self, grids: Sequence[TimeGrid], n_actions: int):
+        self.grids = grids
+        self.n_actions = n_actions
+        self.at: list[np.ndarray] = []
+        self.ends: list[TimeGrid] = []
+        self.emits: list[list[tuple[int, np.ndarray]]] = []
+        keys = [np.empty(0, dtype=np.int64)]
+        for grid in grids:
+            acts, obs = grid.actions, grid.observations
+            cut = obs != NO_OBSERVATION
+            cut[1:-1] |= acts[1:-1] != acts[:-2]
+            cut[[0, -1]] = True
+            at = np.flatnonzero(cut)
+            self.at.append(at)
+            self.ends.append(TimeGrid(grid.times[at], grid.tags[at], obs[at], acts[at]))
+            keys.append(np.diff(at) * n_actions + acts[at[:-1]])
+            # Observed run ends by (symbol, action); virtual ones are left out.
+            self.emits.append(_groups(np.where(obs[at] != NO_OBSERVATION, obs[at] * n_actions + acts[at], -1)))
+        pairs, law = np.unique(np.concatenate(keys), return_inverse=True)
+        self.law_k, self.law_r = pairs % n_actions, pairs // n_actions
+        self.law = np.split(law, np.cumsum([k.size for k in keys])[1:-1])
+        self.runs = [_groups(lg) for lg in self.law]
+        n_runs = np.bincount(law, minlength=pairs.size)
+        self.action_steps = np.bincount(self.law_k, self.law_r * n_runs, n_actions).astype(np.int64)
+
+    def estep(self, chains: np.ndarray, emission: np.ndarray) -> tuple[SufficientStats, float]:
+        """Expected counts over all grids under the working parameter
+        arrays, and the summed grid log-likelihood.
+
+        The pair posteriors of a run of r steps from end a to end b sum to
+        ``B_k * S`` with ``S = sum_i (B_k^T)^i G (B_k^T)^(r-1-i)`` and
+        ``G = alpha_hat_a^T @ w_b``, ``w = e * beta_hat / c``. S is linear
+        in G, so the G of every run of one (k, r) pair are summed first and
+        S is read off the top-right block of ``[[B_k^T, G], [0, B_k^T]]^r``
+        (Van Loan 1978); for r = 1 it is G itself.
+        """
+        k, n, _ = chains.shape
+        laws = _powers(chains[self.law_k], self.law_r)
+        stats = SufficientStats.zeros(n, k, emission.shape[-1], emission.ndim == 3)
+        block = np.zeros((self.law_r.size, 2 * n, 2 * n))
+        ll = 0.0
+        for g, ends in enumerate(self.ends):
+            e = _emission_table(emission, ends)
+            try:
+                alpha, c, beta = _filter_smooth(laws, e, self.law[g])
+            except ZeroProbabilityObservation as exc:
+                # The step filter over the whole grid names the grid step.
+                grid = self.grids[g]
+                _filter_steps(chains, _emission_table(emission, grid), grid.actions)
+                step = int(self.at[g][exc.step])
+                raise ZeroProbabilityObservation(f"observation at grid step {step} has zero likelihood", step) from None
+            ll += float(np.log(c).sum())
+            w = e[1:] * beta[1:] / c[1:, None]
+            for j, runs in self.runs[g]:
+                block[j, :n, n:] += alpha[runs].T @ w[runs]
+            gamma = alpha * beta
+            for key, seen in self.emits[g]:
+                o, a = divmod(key, self.n_actions)
+                counts = stats.emit[a, :, o] if emission.ndim == 3 else stats.emit[:, o]
+                counts += gamma[seen].sum(axis=0)
+        block[:, :n, :n] = block[:, n:, n:] = chains[self.law_k].transpose(0, 2, 1)
+        s = _powers(block, self.law_r)[:, :n, n:]
+        np.add.at(stats.trans, self.law_k, chains[self.law_k] * s)
+        stats.action_steps += self.action_steps
+        stats.n_grids = len(self.ends)
+        return stats, ll
 
 
 def m_step(
@@ -722,13 +799,9 @@ def inner_em(
     emission = np.array(model.emission, copy=True)
     trace: list[float] = []
     untouched: tuple[int, ...] = ()
+    runs = _Runs(grids, model.n_actions)
     for _ in range(config.inner_iterations):
-        stats = SufficientStats.zeros(
-            model.n_states, model.n_actions, model.n_observations, emission.ndim == 3
-        )
-        ll = 0.0
-        for grid in grids:
-            ll += _accumulate_stats(chains, emission, grid, stats)
+        stats, ll = runs.estep(chains, emission)
         chains, emission, untouched = m_step(stats, chains, emission, config.emission_floor)
         trace.append(ll)
         if len(trace) >= 2:
@@ -781,6 +854,8 @@ def _interval_laws(chains: np.ndarray, table: np.ndarray, lam: np.ndarray, acts:
     An interval whose mean exceeds ``_SERIES_CAP`` is evaluated at
     ``dt / 2^s`` instead, and its ``expm`` factor squared back s times
     before B_k is applied. Every term is non-negative, so nothing cancels.
+    The intervals are summed in chunks of increasing mean, each cut where
+    the Poisson tail of its largest mean falls below ``_SERIES_TAIL``.
     """
     n = chains.shape[1]
     terms = table.shape[1] - 1
@@ -788,13 +863,16 @@ def _interval_laws(chains: np.ndarray, table: np.ndarray, lam: np.ndarray, acts:
     lam = np.ldexp(lam, -shrink)
     squared = shrink > 0
     rows = max(1, _REDUCE_BLOCK_ENTRIES // terms)
-    laws = np.empty((lam.size, n * n))
+    order = np.argsort(lam, kind="stable")
+    chunks = []
     for k in range(len(chains)):
         for sq, powers in ((False, table[k, 1:]), (True, table[k, :-1])):
-            idx = np.flatnonzero((acts == k) & (squared == sq))
-            for lo in range(0, idx.size, rows):
-                part = idx[lo : lo + rows]
-                laws[part] = _poisson_weights(lam[part], terms) @ powers
+            idx = order[(acts[order] == k) & (squared[order] == sq)]
+            chunks += [(idx[lo : lo + rows], powers) for lo in range(0, idx.size, rows)]
+    tails = np.cumsum(_poisson_weights(lam[[part[-1] for part, _ in chunks]], terms)[:, ::-1], axis=1)
+    laws = np.empty((lam.size, n * n))
+    for (part, powers), m in zip(chunks, np.count_nonzero(tails >= _SERIES_TAIL, axis=1)):
+        laws[part] = _poisson_weights(lam[part], m) @ powers[:m]
     laws = laws.reshape(-1, n, n)
     idx = np.flatnonzero(squared)
     if idx.size:
@@ -829,7 +907,7 @@ def held_out_loglik(
             raise InconsistentShapes(f"sequence {seq.id!r} has no events")
         lams.append(expected_virtual(seq.times, model.omega))
     peak = min(max((float(lam.max()) for lam in lams if lam.size), default=0.0), _SERIES_CAP)
-    # The Poisson tail beyond peak + 10 sd + 40 is below 1e-30.
+    # The Poisson tail beyond peak + 10 sd + 40 is below _SERIES_TAIL.
     table = _power_table(model.chain_stack, int(peak + 10.0 * np.sqrt(peak)) + 41)
     total = 0.0
     for seq, lam in zip(sequences, lams):

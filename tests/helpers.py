@@ -1,11 +1,12 @@
 """Shared fixtures and oracles: small random models, random grids,
 exhaustive path enumeration, a forward filter computed entirely in the log
-domain, the pair posteriors of the scaled recursions, the grid-free
-likelihood of an event sequence, Newman modularity,
-the log-domain helpers these oracles are built from, the belief planner
-built one state at a time, the co-clustering (one restart and one size
-pair after another, its sweep scoring one candidate at a time) and the
-modularity merge scored one candidate at a time."""
+domain, the pair posteriors of the scaled recursions, the per-point
+E-step, the grid-free likelihood of an event sequence, the toy chain's
+path drawn by numpy searches, Newman modularity, the log-domain helpers
+these oracles are built from, the belief planner built one state at a
+time, the co-clustering (one restart and one size pair after another, its
+sweep scoring one candidate at a time) and the modularity merge scored one
+candidate at a time."""
 
 import io
 import itertools
@@ -44,6 +45,7 @@ from smjp.foraging import (
 )
 from smjp.switching import (
     SwitchingSMJP,
+    SufficientStats,
     ZeroProbabilityObservation,
     _check_grid,
     _emission_table,
@@ -172,6 +174,34 @@ def scaled_xi(model, grid):
     return alpha[:-1, :, None] * chains[kidx[:-1]] * w[:, None, :]
 
 
+def accumulate_stats(chains, emission, grid, stats: SufficientStats) -> float:
+    """Per-point E-step on one grid, the reference for the run-collapsed
+    one: adds expected counts into ``stats`` and returns the grid
+    log-likelihood.
+
+    The transition counts of action a are ``B_a * (alpha_hat^T @ w)`` over
+    the steps taken under a, with ``w = e[1:] * beta_hat[1:] / c[1:]``:
+    the sum of the pair posteriors without forming them step by step.
+    """
+    kidx, obs = grid.actions, grid.observations
+    e = _emission_table(emission, grid)
+    alpha, c, beta = _filter_smooth(chains, e, kidx)
+    steps = kidx[:-1]
+    w = (e[1:] * beta[1:]) / c[1:, None]
+    for a in np.unique(steps):
+        sel = steps == a
+        stats.trans[a] += chains[a] * (alpha[:-1][sel].T @ w[sel])
+    stats.action_steps += np.bincount(steps, minlength=chains.shape[0])
+    seen = obs != NO_OBSERVATION
+    gamma = (alpha * beta)[seen]
+    if emission.ndim == 3:
+        np.add.at(stats.emit, (kidx[seen], slice(None), obs[seen]), gamma)
+    else:
+        np.add.at(stats.emit.T, obs[seen], gamma)
+    stats.n_grids += 1
+    return float(np.log(c).sum())
+
+
 def exact_loglik(model, seq) -> float:
     """Grid-free log-likelihood of an event sequence: the event-level
     filter over ``P_i = B_{k_i} expm(A_{k_i} dt_i)``, with k_i the action
@@ -193,6 +223,23 @@ def exact_loglik(model, seq) -> float:
         step = model.chain_stack[a] @ matrix_exponential(model.generators[a], seq.times[i + 1] - seq.times[i]).probs
         v = (v / mass) @ step * emit(i + 1)
     return float(ll + np.log(v.sum()))
+
+
+def toy_path_searchsorted(cum_chain, cum_emit, s, a, draws):
+    """Reference for ``foraging._toy_path``: one ``np.searchsorted`` call
+    per draw on the cumulative numpy rows."""
+    k = cum_chain.shape[0]
+    states = np.empty(len(draws), dtype=np.int64)
+    obs = np.empty(len(draws), dtype=np.int64)
+    acts = np.empty(len(draws), dtype=np.int64)
+    for i in range(len(draws)):
+        s = int(np.searchsorted(cum_chain[a, s], draws[i, 0], side="right"))
+        oi = int(np.searchsorted(cum_emit[s], draws[i, 1], side="right"))
+        a = oi % k
+        states[i] = s
+        obs[i] = oi
+        acts[i] = a
+    return states, obs, acts
 
 
 def modularity(sym: np.ndarray, labels: np.ndarray) -> float:

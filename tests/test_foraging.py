@@ -4,7 +4,8 @@ from dataclasses import replace
 
 from scipy import stats as sp_stats
 
-from helpers import belief_mdp_per_state
+from helpers import belief_mdp_per_state, toy_path_searchsorted
+from smjp import foraging
 from smjp.ctmc import TAG_EVENT, TimeGrid
 from smjp.foraging import (
     A_MOVE,
@@ -312,6 +313,24 @@ class TestGenerateToy:
         h_marg = -np.sum(marg[marg > 0] * np.log(marg[marg > 0]))
         counted = h_joint - h_marg
         assert abs(per_symbol - counted) < 0.02 * counted
+
+    @pytest.mark.parametrize("config", [
+        ToyConfig(expected_length=5000),
+        ToyConfig(n_actions=1, expected_length=300),
+        ToyConfig(n_states=3, n_observations=4, n_actions=3, expected_length=400, concentration=0.2),
+    ])
+    def test_path_is_the_searchsorted_loop(self, monkeypatch, config):
+        # Seeds 0-19 and the toy seeds of the switching, analysis and
+        # acceptance tests: the data they fit cannot move.
+        seeds = [*range(20), 21, 33, 101]
+        fast = [generate_toy(config, seed) for seed in seeds]
+        monkeypatch.setattr(foraging, "_toy_path", toy_path_searchsorted)
+        for seed, got in zip(seeds, fast):
+            want = generate_toy(config, seed)
+            for name in ("times", "observations", "actions"):
+                a, b = getattr(got.sequence, name), getattr(want.sequence, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got.states.dtype == want.states.dtype and got.states.tobytes() == want.states.tobytes()
 
     def test_bad_configs(self):
         with pytest.raises(InvalidConfig):

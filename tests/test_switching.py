@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    accumulate_stats,
     enumerate_paths,
     event_grid,
     exact_loglik,
@@ -31,7 +32,6 @@ from smjp.switching import (
     SufficientStats,
     ZeroProbabilityObservation,
     _Blocks,
-    _accumulate_stats,
     _emission_table,
     _filter_scaled,
     _filter_smooth,
@@ -206,7 +206,7 @@ class TestScaledCore:
                 model = replace(model, emission=np.stack([rng.dirichlet(np.ones(o), size=n) for _ in range(k)]))
             grid = random_grid(rng, int(rng.integers(1, 300)), k, o)
             stats = SufficientStats.zeros(n, k, o, per_action)
-            ll = _accumulate_stats(model.chain_stack, np.asarray(model.emission), grid, stats)
+            ll = accumulate_stats(model.chain_stack, np.asarray(model.emission), grid, stats)
             res = forward_backward(model, grid)
             xi = scaled_xi(model, grid)
             trans = np.zeros((k, n, n))
@@ -297,7 +297,7 @@ class TestBlockedScan:
         for got, want in zip(_filter_smooth(chains, e, kidx), (alpha, c, beta)):
             assert got.tobytes() == want.tobytes()
         forward_backward(model, grid)
-        _accumulate_stats(chains, model.emission, grid, SufficientStats.zeros(4, 2, 3))
+        accumulate_stats(chains, model.emission, grid, SufficientStats.zeros(4, 2, 3))
         assert len(folds) == 3
 
     def test_impossible_observation_mid_block_names_its_step(self):
@@ -336,7 +336,7 @@ class TestMStep:
         model = model_from_chains(chains, np.eye(3))
         grid = event_grid([0, 1, 2, 0, 1], [0] * 5)
         stats = SufficientStats.zeros(3, 1, 3)
-        _accumulate_stats(model.chain_stack, model.emission, grid, stats)
+        accumulate_stats(model.chain_stack, model.emission, grid, stats)
         new_chains, new_emission, untouched = m_step(stats, model.chain_stack, np.asarray(model.emission))
         assert untouched == ()
         assert np.allclose(new_chains[0], chains[0], atol=1e-12)
@@ -347,7 +347,7 @@ class TestMStep:
         model = random_model(rng, 3, 2, 2)
         grid = random_grid(rng, 30, 1, 2)  # only action 0 appears
         stats = SufficientStats.zeros(3, 2, 2)
-        _accumulate_stats(model.chain_stack, np.asarray(model.emission), grid, stats)
+        accumulate_stats(model.chain_stack, np.asarray(model.emission), grid, stats)
         new_chains, _, untouched = m_step(stats, model.chain_stack, np.asarray(model.emission))
         assert untouched == (1,)
         assert np.array_equal(new_chains[1], model.chain_stack[1])
@@ -365,7 +365,7 @@ class TestMStep:
         model = random_model(rng, 3, 2, 2)
         grid = random_grid(rng, 50, 2, 2)
         stats = SufficientStats.zeros(3, 2, 2)
-        _accumulate_stats(model.chain_stack, np.asarray(model.emission), grid, stats)
+        accumulate_stats(model.chain_stack, np.asarray(model.emission), grid, stats)
         expected_counts = np.bincount(grid.actions[:-1], minlength=2)
         assert np.array_equal(stats.action_steps, expected_counts)
         assert stats.trans[0].sum() == pytest.approx(expected_counts[0], abs=1e-8)
