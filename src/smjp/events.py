@@ -8,6 +8,7 @@ written with shortest round-trip repr).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
@@ -85,21 +86,6 @@ class EventSequence:
             yield float(t), self.observation_alphabet.label(int(o)), self.action_alphabet.label(int(a))
 
 
-def from_symbols(
-    seq_id: str,
-    events: Iterable[tuple[float, str, str]],
-    observation_alphabet: Alphabet,
-    action_alphabet: Alphabet,
-    metadata: dict[str, str] | None = None,
-) -> EventSequence:
-    """Build a sequence from (time, observation label, action label) triples."""
-    rows = list(events)
-    times = np.array([r[0] for r in rows], dtype=np.float64)
-    obs = np.array([observation_alphabet.index(r[1]) for r in rows], dtype=np.int64)
-    act = np.array([action_alphabet.index(r[2]) for r in rows], dtype=np.int64)
-    return EventSequence(seq_id, times, obs, act, observation_alphabet, action_alphabet, dict(metadata or {}))
-
-
 def split_chronological(seq: EventSequence, holdout_fraction: float) -> tuple[EventSequence, EventSequence]:
     """Split into (head, tail) with the last ``holdout_fraction`` of events
     in the tail. Behavioral data is non-stationary, so evaluation always
@@ -150,7 +136,9 @@ def parse_event_file(source: str | TextIO) -> EventSequence:
     seq_id = "events"
     alphabets: dict[str, Alphabet] = {}
     metadata: dict[str, str] = {}
-    rows: list[tuple[float, str, str]] = []
+    times: list[float] = []
+    observations: list[int] = []
+    actions: list[int] = []
     saw_columns = False
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip("\r")
@@ -161,6 +149,8 @@ def parse_event_file(source: str | TextIO) -> EventSequence:
             if sep and key == "id":
                 seq_id = value.strip()
             elif sep and key in ("observations", "actions"):
+                if saw_columns:
+                    raise MalformedLine(name, lineno, "alphabets must be declared before events")
                 try:
                     alphabets[key] = Alphabet(key[:-1], tuple(value.split()))
                 except SmjpError as exc:
@@ -174,6 +164,8 @@ def parse_event_file(source: str | TextIO) -> EventSequence:
             saw_columns = True
             if len(alphabets) < 2:
                 raise MalformedLine(name, lineno, "alphabets must be declared before events")
+            obs_index = {lab: i for i, lab in enumerate(alphabets["observations"].labels)}
+            act_index = {lab: i for i, lab in enumerate(alphabets["actions"].labels)}
             continue
         if not saw_columns:
             raise MalformedLine(name, lineno, "event rows must follow the column header")
@@ -183,17 +175,20 @@ def parse_event_file(source: str | TextIO) -> EventSequence:
         try:
             t = float(parts[0])
         except ValueError:
-            t = float("nan")
-        if not np.isfinite(t):
+            t = math.nan
+        if not math.isfinite(t):
             raise MalformedLine(name, lineno, f"bad timestamp {parts[0]!r}")
         o, a = parts[1].strip(), parts[2].strip()
-        if o not in alphabets["observations"]:
+        oi, ai = obs_index.get(o), act_index.get(a)
+        if oi is None:
             raise UnknownSymbol(name, lineno, f"observation {o!r} not declared")
-        if a not in alphabets["actions"]:
+        if ai is None:
             raise UnknownSymbol(name, lineno, f"action {a!r} not declared")
-        if rows and t <= rows[-1][0]:
-            raise NonMonotoneTime(name, lineno, f"timestamp {t!r} not greater than {rows[-1][0]!r}")
-        rows.append((t, o, a))
+        if times and t <= times[-1]:
+            raise NonMonotoneTime(name, lineno, f"timestamp {t!r} not greater than {times[-1]!r}")
+        times.append(t)
+        observations.append(oi)
+        actions.append(ai)
     if len(alphabets) < 2:
         raise MalformedLine(name, None, "missing alphabet declarations")
-    return from_symbols(seq_id, rows, alphabets["observations"], alphabets["actions"], metadata)
+    return EventSequence(seq_id, times, observations, actions, alphabets["observations"], alphabets["actions"], metadata)

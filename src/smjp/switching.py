@@ -7,6 +7,9 @@ emission likelihood, and the latent prior at the first grid point is
 uniform (the initial distribution is not a learned parameter). The
 posterior functions return every grid point; the EM E-step reads a grid as
 runs of virtual steps under one action, each one step of its law B_k^r.
+Both run one scaled filter-smoother, ``_filter_smooth``: a blocked scan
+whose single fallback, the step-by-step loops, names the grid step of an
+impossible observation.
 
 Fitting alternates three phases: draw fresh grids of Poisson virtual-point
 counts, run discrete-chain EM to convergence on those fixed grids, then map
@@ -14,7 +17,8 @@ the re-estimated chains back to generators via A = (B - I) * omega. Omega
 is fixed through a fit, since a grid's mean law between events, B expm(A
 dt), depends on it. The loop stops when the held-out log-likelihood
 stabilizes; that score is exact and grid-free, the event-level filter over
-the laws B expm(A dt) between events.
+the laws B expm(A dt) between events. It needs no smoother and keeps a
+pairwise reduction of the step matrices, faster there than block products.
 
 Random streams are derived from the config seed with fixed branch codes:
 (1, outer_iteration, sequence, grid) for training grids, (2, grid) for the
@@ -359,81 +363,79 @@ def _smooth_steps(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, c: np.nda
     return beta
 
 
-class _Blocks:
-    """The T-1 grid steps cut into ``nb`` blocks of ``L = isqrt(T-1)``
-    steps, the last padded with identity steps (emission ones, normalizer
-    one), so every pass takes O(sqrt T) Python steps batched over blocks.
+def _filter_smooth(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha_hat, c, beta_hat) of one grid: the normalized forward pass,
+    its per-step normalizers, and the backward pass scaled by them, so that
+    alpha_hat * beta_hat is the state marginal directly.
 
-    ``chains[K[b, j]]`` and ``E[b, j]`` are the chain and the next point's
-    emission of step ``b*L + j``; index ``len(chains)`` is the identity.
-    """
-
-    def __init__(self, chains: np.ndarray, e: np.ndarray, kidx: np.ndarray):
-        t, n = e.shape
-        self.size = isqrt(t - 1)
-        self.count = -(-(t - 1) // self.size)
-        padded = self.count * self.size
-        self.chains = np.concatenate([chains, np.eye(n)[None]])
-        k = np.full(padded, len(chains))
-        k[: t - 1] = kidx[: t - 1]
-        self.K = k.reshape(self.count, self.size)
-        e_pad = np.ones((padded + 1, n))
-        e_pad[:t] = e
-        self.E = e_pad[1:].reshape(self.count, self.size, n)
-
-    @cached_property
-    def products(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each block's step product ``B_{k_i} diag(e_{i+1})`` over its
-        steps, scaled to unit sum at every step: (products, log scales),
-        formed on first use."""
-        p = self.chains[self.K[:, 0]] * self.E[:, 0, None, :]
-        logs = np.zeros(self.count)
-        for j in range(self.size):
-            if j:
-                p = (p @ self.chains[self.K[:, j]]) * self.E[:, j, None, :]
-            mass = p.sum(axis=(1, 2))
-            p /= mass[:, None, None]
-            logs += np.log(mass)
-        return p, logs
-
-
-def _filter_scaled(
-    chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, blk: _Blocks | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized forward pass; returns (alpha_hat, per-step normalizers).
-
-    A two-level blocked scan: the block products carry alpha_hat from one
-    block start to the next, then the step recursion fills all blocks at
-    once. An impossible or underflowing step reruns ``_filter_steps``.
+    A two-level blocked scan. The T-1 grid steps are cut into blocks of
+    ``L = isqrt(T-1)`` steps, the last padded with identity steps (emission
+    ones, normalizer one; a one-point grid is one such step), so each pass
+    takes O(sqrt T) Python steps batched over blocks: ``steps[K[b, j]]``
+    and ``E[b, j]`` are the chain and the next point's emission of step
+    ``b*L + j``. Each block's step product ``B_{k_i} diag(e_{i+1})``,
+    scaled to unit sum at every step, carries alpha_hat from one block
+    start to the next and beta_hat from each block end back to its start
+    (its log scales less the block's log normalizers); the step recursions
+    then fill all blocks at once. If any normalizer is zero or non-finite,
+    or the smoother is non-finite, the step loops rerun the grid and name
+    the impossible step.
     """
     t, n = e.shape
-    if t < 2:
-        return _filter_steps(chains, e, kidx)
-    blk = blk or _Blocks(chains, e, kidx)
-    nb, size = blk.count, blk.size
-    alpha = np.empty((nb * size + 1, n))
-    c = np.ones(nb * size + 1)
+    size = max(1, isqrt(t - 1))
+    nb = max(1, -(-(t - 1) // size))
+    padded = nb * size
+    steps = np.concatenate([chains, np.eye(n)[None]])
+    K = np.full(padded, len(chains))
+    K[: t - 1] = kidx[: t - 1]
+    K = K.reshape(nb, size)
+    e_pad = np.ones((padded + 1, n))
+    e_pad[:t] = e
+    E = e_pad[1:].reshape(nb, size, n)
+    alpha = np.empty((padded + 1, n))
+    beta = np.empty((padded + 1, n))
+    c = np.ones(padded + 1)
+    cblk = c[1:].reshape(nb, size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        prods = steps[K[:, 0]] * E[:, 0, None, :]
+        logs = np.zeros(nb)
+        for j in range(size):
+            if j:
+                prods = (prods @ steps[K[:, j]]) * E[:, j, None, :]
+            mass = prods.sum(axis=(1, 2))
+            prods /= mass[:, None, None]
+            logs += np.log(mass)
         a = e[0] / n
         c[0] = a.sum()
         starts = np.empty((nb, n))
         starts[0] = a / c[0]
-        prods, _ = blk.products
         for b in range(nb - 1):
             v = starts[b] @ prods[b]
             starts[b + 1] = v / v.sum()
         fill = alpha[1:].reshape(nb, size, n)
-        cfill = c[1:].reshape(nb, size)
         a = starts
         for j in range(size):
-            v = (a[:, None, :] @ blk.chains[blk.K[:, j]])[:, 0, :] * blk.E[:, j]
-            cfill[:, j] = v.sum(axis=1)
-            a = v / cfill[:, j, None]
+            v = (a[:, None, :] @ steps[K[:, j]])[:, 0, :] * E[:, j]
+            cblk[:, j] = v.sum(axis=1)
+            a = v / cblk[:, j, None]
             fill[:, j] = a
         alpha[:-1:size] = starts
-    if not (np.isfinite(c[:t]).all() and (c[:t] > 0).all()):
-        return _filter_steps(chains, e, kidx)
-    return alpha[:t], c[:t]
+        c[t:] = 1.0  # the padded steps' normalizers, not the filter's rounding of one
+        gain = np.exp(logs - np.log(cblk).sum(axis=1))
+        ends = np.ones((nb, n))
+        for b in range(nb - 1, 0, -1):
+            ends[b - 1] = (prods[b] @ ends[b]) * gain[b]
+        fill = beta[:-1].reshape(nb, size, n)
+        v = ends
+        for j in range(size - 1, -1, -1):
+            v = (steps[K[:, j]] @ (E[:, j] * v)[:, :, None])[:, :, 0] / cblk[:, j, None]
+            fill[:, j] = v
+        beta[size::size] = ends
+    alpha, c, beta = alpha[:t], c[:t], beta[:t]
+    if not (np.isfinite(c).all() and (c > 0).all() and np.isfinite(beta).all()):
+        alpha, c = _filter_steps(chains, e, kidx)
+        beta = _smooth_steps(chains, e, kidx, c)
+    return alpha, c, beta
 
 
 def _grid_loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
@@ -471,56 +473,13 @@ def _grid_loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
                 nodes = nodes[0::2] @ nodes[1::2]
     if np.isfinite(ll):
         return float(ll)
-    _, c = _filter_scaled(chains, e, kidx)
+    _, c = _filter_steps(chains, e, kidx)
     return float(np.log(c).sum())
 
 
-def _smooth_scaled(
-    chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, c: np.ndarray, blk: _Blocks | None = None
-) -> np.ndarray:
-    """Backward pass scaled by the forward normalizers, so that
-    alpha_hat * beta_hat is the state marginal directly.
-
-    The filter's blocked scan mirrored: block products carry beta_hat
-    from each block end to its start (their log scales less the block's
-    log normalizers), then the step recursion fills all blocks at once.
-    A non-finite result reruns ``_smooth_steps``.
-    """
-    t, n = e.shape
-    if t < 2:
-        return _smooth_steps(chains, e, kidx, c)
-    blk = blk or _Blocks(chains, e, kidx)
-    nb, size = blk.count, blk.size
-    c_pad = np.ones(nb * size + 1)
-    c_pad[:t] = c
-    cblk = c_pad[1:].reshape(nb, size)
-    beta = np.empty((nb * size + 1, n))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        prods, logs = blk.products
-        gain = np.exp(logs - np.log(cblk).sum(axis=1))
-        ends = np.ones((nb, n))
-        for b in range(nb - 1, 0, -1):
-            ends[b - 1] = (prods[b] @ ends[b]) * gain[b]
-        fill = beta[:-1].reshape(nb, size, n)
-        v = ends
-        for j in range(size - 1, -1, -1):
-            v = (blk.chains[blk.K[:, j]] @ (blk.E[:, j] * v)[:, :, None])[:, :, 0] / cblk[:, j, None]
-            fill[:, j] = v
-        beta[size::size] = ends
-    if not np.isfinite(beta[:t]).all():
-        return _smooth_steps(chains, e, kidx, c)
-    return beta[:t]
-
-
-def _filter_smooth(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(alpha_hat, c, beta_hat) of one grid, forming its block products once."""
-    blk = _Blocks(chains, e, kidx) if len(e) >= 2 else None
-    alpha, c = _filter_scaled(chains, e, kidx, blk)
-    return alpha, c, _smooth_scaled(chains, e, kidx, c, blk)
-
-
 def forward(model: SwitchingSMJP, grid: TimeGrid) -> tuple[np.ndarray, float]:
-    """Forward filter over the grid.
+    """Forward filter over the grid: the filter half of
+    :func:`forward_backward`.
 
     Returns
     -------
@@ -529,12 +488,8 @@ def forward(model: SwitchingSMJP, grid: TimeGrid) -> tuple[np.ndarray, float]:
     log_likelihood : float
         Log probability of all observations on this grid.
     """
-    _check_grid(model, grid)
-    alpha, c = _filter_scaled(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
-    logc = np.cumsum(np.log(c))
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(alpha) + logc[:, None]
-    return log_alpha, float(logc[-1])
+    res = forward_backward(model, grid)
+    return res.log_alpha, res.log_likelihood
 
 
 def backward(model: SwitchingSMJP, grid: TimeGrid) -> np.ndarray:

@@ -799,21 +799,23 @@ CELL_VALUES = (
     ("o0", "o1", "o2", ""),
     ("a0", "a1", "a9", ""),
 )
+# The same for the forager's symbols.
+FORAGER_CELL_VALUES = (CELL_VALUES[0], ("box-1", "reward", "o0", ""), ("stay", "move", "a9", ""))
 # True one time in four, for the mutations that end every run they touch.
 RARELY = st.integers(0, 3).map(lambda v: v == 3)
 
 
-def mutated_event_text(draw, header, rows) -> str:
-    """The toy's event file with some cells replaced, the times after one
+def mutated_event_text(draw, header, rows, cells=CELL_VALUES, shifts=(0.0, 1e3, 1e6, 1e8)) -> str:
+    """An event file with some cells replaced, the times after one
     row pushed far out, rows dropped, swapped or widened, and header lines
     cut or given other alphabets."""
     rows = [row.split(",") for row in rows]
     for _ in range(draw(st.integers(0, 2))):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
-        rows[i][j] = draw(st.sampled_from(CELL_VALUES[j]))
+        rows[i][j] = draw(st.sampled_from(cells[j]))
     # Intervals of about 2e3, 2e6 and 2e8 expected virtual points: the
     # held-out series halves the first two and refuses the last.
-    shift = draw(st.sampled_from([0.0, 1e3, 1e6, 1e8]))
+    shift = draw(st.sampled_from(shifts))
     for row in rows[draw(st.integers(1, len(rows) - 1)):]:
         with contextlib.suppress(ValueError):
             row[0] = repr(float(row[0]) + shift)
@@ -866,3 +868,64 @@ class TestEvaluateFuzz:
             assert run(["evaluate", "--out", out, "--model", model, "--events", events, "--eval-grids", grids]) == 0
             texts.add((out / "evaluation.txt").read_text())
         assert texts == {f"smjp-evaluation v1\nevents: 12\nloglik: {capsys.readouterr().out.split()[0]}\n"}
+
+
+@pytest.fixture(scope="module")
+def correspond_inputs(sweep_inputs):
+    """The sweep's fitted forager model, the header and first 12 rows of
+    its event file, and the header of its truth file."""
+    model, events, truth = sweep_inputs["correspond"][1::2]
+    lines = events.read_text().splitlines()
+    cut = lines.index("time,observation,action") + 1
+    truth_lines = truth.read_text().splitlines()
+    return model, lines[:cut], lines[cut : cut + 12], truth_lines[: truth_lines.index("time,z,location,rewarded,belief_bin") + 1]
+
+
+def mutated_truth_text(draw, header, event_text) -> str:
+    """Agent truth at the times of an event file's rows, with a row dropped
+    or shifted, a state put outside 0..n_z-1, or the n_z header removed."""
+    n_z = int(next(line for line in header if line.startswith("# n_z:")).split(":")[1])
+    times = [line.split(",")[0] for line in event_text.splitlines() if line and not line.startswith(("#", "time,"))]
+    rows = [[t, str(z), "0", "0", "0"] for t, z in zip(times, draw(st.lists(
+        st.integers(0, n_z - 1), min_size=len(times), max_size=len(times))))]
+    if rows and draw(RARELY):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    if rows and draw(RARELY):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        with contextlib.suppress(ValueError):
+            row[0] = repr(float(row[0]) + 0.25)
+    if rows and draw(RARELY):
+        rows[draw(st.integers(0, len(rows) - 1))][1] = str(draw(st.sampled_from([-1, n_z])))
+    if draw(RARELY):
+        header = [line for line in header if not line.startswith("# n_z:")]
+    return "\n".join(header + [",".join(row) for row in rows]) + "\n"
+
+
+class TestCorrespondFuzz:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_mutated_events_and_truth_end_in_a_documented_exit(self, correspond_inputs, data):
+        model, header, rows, truth_header = correspond_inputs
+        # The 1e6 shift makes a 2e6-point posterior grid, about a second a
+        # run; the evaluate fuzz meets it in the grid-free held-out score.
+        text = mutated_event_text(data.draw, header, rows, FORAGER_CELL_VALUES, shifts=(0.0, 1e3, 1e8))
+        truth_text = mutated_truth_text(data.draw, truth_header, text)
+        with tempfile.TemporaryDirectory() as tmp:
+            events, truth, out = Path(tmp) / "events.csv", Path(tmp) / "truth.csv", Path(tmp) / "out"
+            events.write_text(text)
+            truth.write_text(truth_text)
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                rc = run(["correspond", "--out", out, "--model", model, "--events", events, "--truth", truth,
+                          "--seed", 0, "--eval-grids", 1])
+            assert rc in (0, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN, cli.EXIT_NUMERIC)
+            if rc:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+                assert not out.exists()
+            else:
+                joint = (out / "correspondence.csv").read_text().splitlines()
+                cells = [float(v) for line in joint if not line.startswith("#") for v in line.split()]
+                assert np.isfinite(cells).all() and min(cells) >= 0
+                assert sum(cells) == pytest.approx(1.0)

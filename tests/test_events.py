@@ -12,7 +12,6 @@ from smjp.events import (
     NonMonotoneTime,
     UnknownSymbol,
     event_text,
-    from_symbols,
     split_chronological,
 )
 
@@ -109,6 +108,12 @@ class TestParseErrors:
             parse_event_text(text)
         assert err.value.line == 5
 
+    def test_alphabet_declared_after_column_header(self):
+        text = self.BASE + "1.0,left,stay\n# observations: right left\n2.0,left,stay\n"
+        with pytest.raises(MalformedLine, match="alphabets must be declared before events") as err:
+            parse_event_text(text)
+        assert err.value.line == 6
+
     def test_missing_header(self):
         with pytest.raises(MalformedLine):
             parse_event_text("time,observation,action\n1.0,left,stay\n")
@@ -173,8 +178,3 @@ class TestSplit:
         seq = sample_sequence(n=10)
         with pytest.raises(Exception):
             split_chronological(seq, 1.0)
-
-    def test_from_symbols_helper(self):
-        seq = from_symbols("s", [(0.0, "left", "stay"), (1.0, "reward", "press")], OBS, ACT)
-        assert seq.observations.tolist() == [0, 2]
-        assert seq.actions.tolist() == [0, 1]

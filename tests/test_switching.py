@@ -1,7 +1,6 @@
 import io
 import itertools
 from dataclasses import replace
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -31,13 +30,10 @@ from smjp.switching import (
     StructureViolation,
     SufficientStats,
     ZeroProbabilityObservation,
-    _Blocks,
     _emission_table,
-    _filter_scaled,
     _filter_smooth,
     _filter_steps,
     _grid_loglik,
-    _smooth_scaled,
     _smooth_steps,
     backward,
     fit,
@@ -194,7 +190,7 @@ class TestForwardBackwardResult:
 
 class TestScaledCore:
     """forward, backward, posterior_xi and the E-step are views of one
-    scaled filter/smoother pair; these pin them to each other."""
+    scaled filter-smoother; these pin them to each other."""
 
     @pytest.mark.parametrize("per_action", [False, True])
     def test_accumulated_stats_are_sums_of_posteriors(self, per_action):
@@ -236,6 +232,16 @@ class TestScaledCore:
         assert np.abs(xi - scaled_xi(model, grid)).max() < 1e-9
         assert np.abs(gamma - res.gamma).max() < 1e-9
 
+    def test_forward_is_the_filter_half_of_forward_backward(self):
+        rng = derive_rng(27)
+        for length in (1, 2, 50, 3000):
+            model = random_model(rng, 3, 2, 3)
+            grid = random_grid(rng, length, 2, 3)
+            log_alpha, ll = forward(model, grid)
+            res = forward_backward(model, grid)
+            assert log_alpha.tobytes() == res.log_alpha.tobytes()
+            assert np.float64(ll).tobytes() == np.float64(res.log_likelihood).tobytes()
+
     def test_backward_rejects_impossible_symbol(self):
         model = model_from_chains(np.full((1, 2, 2), 0.5), np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ZeroProbabilityObservation):
@@ -252,19 +258,20 @@ def per_action_case(rng, n, k, o, length):
 
 
 def assert_blocked_matches_steps(chains, e, kidx, alpha_atol=0.0):
-    alpha, c = _filter_scaled(chains, e, kidx)
+    alpha, c, beta = _filter_smooth(chains, e, kidx)
     alpha_ref, c_ref = _filter_steps(chains, e, kidx)
     np.testing.assert_allclose(alpha, alpha_ref, rtol=1e-12, atol=alpha_atol)
     np.testing.assert_allclose(c, c_ref, rtol=1e-12, atol=0)
-    beta = _smooth_scaled(chains, e, kidx, c)
     beta_ref = _smooth_steps(chains, e, kidx, c_ref)
     assert beta.shape == beta_ref.shape
+    # Padded steps are exact identities, so log_beta[T-1] is exactly zero.
+    assert (beta[-1] == 1.0).all()
     np.testing.assert_allclose(alpha * beta, alpha_ref * beta_ref, rtol=0, atol=1e-10)
 
 
 class TestBlockedScan:
-    """The blocked filter/smoother against the one-step-at-a-time loops
-    it replaces: blocks of isqrt(T-1) steps, the last padded."""
+    """The blocked filter-smoother against the one-step-at-a-time loops
+    it falls back to: blocks of isqrt(T-1) steps, the last padded."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("k", range(1, 5))
@@ -282,41 +289,27 @@ class TestBlockedScan:
     def test_single_point_grid(self):
         assert_blocked_matches_steps(*per_action_case(derive_rng(42), 3, 2, 3, 1))
 
-    def test_filter_and_smoother_share_one_product_fold(self, monkeypatch):
-        rng = derive_rng(46)
-        model = random_model(rng, 4, 2, 3)
-        grid = random_grid(rng, 500, 2, 3)
-        chains, e, kidx = model.chain_stack, _emission_table(model.emission, grid), grid.actions
-        alpha, c = _filter_scaled(chains, e, kidx)
-        beta = _smooth_scaled(chains, e, kidx, c)
-        folds = []
-        fold = _Blocks.products.func
-        counted = cached_property(lambda blk: folds.append(blk) or fold(blk))
-        counted.__set_name__(_Blocks, "products")
-        monkeypatch.setattr(_Blocks, "products", counted)
-        for got, want in zip(_filter_smooth(chains, e, kidx), (alpha, c, beta)):
-            assert got.tobytes() == want.tobytes()
-        forward_backward(model, grid)
-        accumulate_stats(chains, model.emission, grid, SufficientStats.zeros(4, 2, 3))
-        assert len(folds) == 3
-
     def test_impossible_observation_mid_block_names_its_step(self):
         rng = derive_rng(43)
         chains, e, kidx = per_action_case(rng, 4, 2, 3, 3000)
         e[1777] = 0.0
         with pytest.raises(ZeroProbabilityObservation, match="^observation at grid step 1777 has zero likelihood$"):
-            _filter_scaled(chains, e, kidx)
+            _filter_smooth(chains, e, kidx)
 
-    def test_non_finite_smoother_is_the_step_loops(self):
-        rng = derive_rng(45)
-        chains, e, kidx = per_action_case(rng, 3, 2, 3, 400)
-        _, c = _filter_steps(chains, e, kidx)
-        c[250] = 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            got = _smooth_scaled(chains, e, kidx, c)
-            want = _smooth_steps(chains, e, kidx, c)
-        assert not np.isfinite(want).all()
-        np.testing.assert_array_equal(got, want)
+    def test_non_finite_smoother_reruns_the_step_loops(self):
+        # A subnormal switching rate against data that flips state at step
+        # 200 overflows the smoother, blocked or not.
+        chains = np.array([[[1.0, 1e-310], [1e-310, 1.0]]])
+        e = np.tile([1.0, 1e-200], (400, 1))
+        e[200:] = [1e-200, 1.0]
+        kidx = np.zeros(400, dtype=np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _filter_smooth(chains, e, kidx)
+            alpha, c = _filter_steps(chains, e, kidx)
+            beta = _smooth_steps(chains, e, kidx, c)
+        assert not np.isfinite(beta).all()
+        for g, w in zip(got, (alpha, c, beta)):
+            assert g.tobytes() == w.tobytes()
 
     def test_tiny_and_subnormal_emissions_match_step_loops(self):
         rng = derive_rng(44)
