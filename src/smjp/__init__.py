@@ -16,16 +16,11 @@ from .core import (
     SmjpError,
     StochasticMatrix,
     derive_rng,
-    matrix_exponential,
     validate_generator,
 )
 from .ctmc import (
-    LatentTrajectory,
     TimeGrid,
     build_time_grid,
-    default_omega,
-    gillespie_sample,
-    sample_virtual_times,
     uniformize,
 )
 from .events import EventSequence, parse_event_file, split_chronological, write_event_file
@@ -78,14 +73,9 @@ __all__ = [
     "StochasticMatrix",
     "SmjpError",
     "validate_generator",
-    "matrix_exponential",
     "derive_rng",
-    "LatentTrajectory",
     "TimeGrid",
-    "gillespie_sample",
     "uniformize",
-    "default_omega",
-    "sample_virtual_times",
     "build_time_grid",
     "EventSequence",
     "parse_event_file",

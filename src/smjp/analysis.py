@@ -15,9 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import SmjpError, StochasticMatrix, derive_rng
-from .ctmc import build_time_grid
+# Nothing here builds a grid; the name stays bound because the benchmark's
+# tracer (perfbench/tracer.py) hooks ``smjp.analysis.build_time_grid``.
+from .ctmc import build_time_grid  # noqa: F401
 from .events import EventSequence
-from .switching import FitConfig, SwitchingSMJP, _check_alphabets, forward_backward
+from .switching import FitConfig, SwitchingSMJP, forward_backward
 
 
 class GridMisalignment(SmjpError):
@@ -82,18 +84,11 @@ def state_correspondence(model_posterior: np.ndarray, agent_posterior: np.ndarra
     return CorrespondenceMatrix(joint, row, col, conditional, zero_rows)
 
 
-def event_state_posterior(model: SwitchingSMJP, seq: EventSequence, config: FitConfig) -> np.ndarray:
-    """Posterior state marginals at the event times, averaged over
-    ``config.eval_grids`` virtual-time draws from the streams
-    ``(config.seed, 2, g)``. Unlike the held-out score, which is exact,
-    this is a grid average."""
-    _check_alphabets(model, [seq])
-    acc = np.zeros((len(seq), model.n_states))
-    for g in range(config.eval_grids):
-        grid = build_time_grid(seq, model.omega, derive_rng(config.seed, 2, g))
-        result = forward_backward(model, grid)
-        acc += result.gamma[grid.event_indices]
-    return acc / config.eval_grids
+def event_state_posterior(model: SwitchingSMJP, seq: EventSequence, config: FitConfig | None = None) -> np.ndarray:
+    """Posterior state marginals at the event times: the exact event-level
+    smoother, ``forward_backward(model, seq).gamma``. It draws nothing, so
+    it reads no knob of ``config`` (accepted for callers that pass one)."""
+    return forward_backward(model, seq).gamma
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +138,6 @@ def _clustered(joint: np.ndarray, rows: np.ndarray, cols: np.ndarray, kr: int, k
     lane = np.arange(rows.shape[0])[:, None, None]
     np.add.at(agg, (lane, rows[:, :, None], cols[:, None, :]), joint)
     return agg
-
-
-def information_loss(joint: np.ndarray, rows: np.ndarray, cols: np.ndarray, kr: int, kc: int) -> float:
-    """Mutual information lost by coarse-graining rows/cols as assigned."""
-    return mutual_information(joint) - mutual_information(_clustered(joint, rows[None], cols[None], kr, kc)[0])
 
 
 def _init_assignment(n: int, k: int, live: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -379,7 +379,7 @@ def cmd_correspond(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     t_truth, z, n_z = _read_truth(ws.note_input(args.truth))
     if t_truth.shape[0] != len(seq) or not np.array_equal(t_truth, seq.times):
         raise GridMisalignment("truth timestamps do not match the event sequence")
-    gamma = event_state_posterior(model, seq, cfg.fit_config())
+    gamma = event_state_posterior(model, seq)
     onehot = np.zeros((z.shape[0], n_z))
     onehot[np.arange(z.shape[0]), z] = 1.0
     corr = state_correspondence(gamma, onehot)

@@ -1,4 +1,4 @@
-"""Shared numeric types, validation, matrix functions and text I/O.
+"""Shared numeric types, validation, random streams and text I/O.
 
 Everything here is deliberately dense-matrix and float64: the latent state
 spaces this package deals with are small (tens of states), so sparse or
@@ -37,10 +37,6 @@ class NegativeOffDiagonal(SmjpError):
 
 class RowSumNonzero(SmjpError):
     """A rate matrix row deviates from zero sum beyond repair tolerance."""
-
-
-class NegativeTime(SmjpError):
-    """A time argument must be non-negative."""
 
 
 class DimensionMismatch(SmjpError):
@@ -243,42 +239,6 @@ def validate_generator(rates: np.ndarray) -> GeneratorMatrix:
         # is bit-stable.
         r[np.diag_indices(n)] -= resid
     return GeneratorMatrix(r)
-
-
-def matrix_exponential(gen: GeneratorMatrix | np.ndarray, t: float) -> StochasticMatrix:
-    """Transition-probability matrix exp(A*t) of a generator A.
-
-    Scaling-and-squaring with a truncated Taylor core, accurate to ~1e-10
-    for the small well-conditioned generators used here. Tiny negative
-    entries from rounding are clamped and rows renormalized.
-
-    Raises
-    ------
-    NegativeTime
-        If ``t < 0``.
-    """
-    rates = gen.rates if isinstance(gen, GeneratorMatrix) else validate_generator(gen).rates
-    if not np.isfinite(t) or t < 0:
-        raise NegativeTime(f"time must be finite and >= 0, got {float(t)!r}")
-    n = rates.shape[0]
-    m = rates * t
-    norm = np.abs(m).sum(axis=1).max(initial=0.0)
-    if norm == 0.0:
-        return StochasticMatrix(np.eye(n))
-    n_square = max(0, int(np.ceil(np.log2(norm / 0.5))))
-    scaled = m / 2.0**n_square
-    term = np.eye(n)
-    out = np.eye(n)
-    for k in range(1, 31):
-        term = term @ scaled / k
-        out = out + term
-        if np.abs(term).max() < 1e-18:
-            break
-    for _ in range(n_square):
-        out = out @ out
-    np.clip(out, 0.0, None, out=out)
-    out /= out.sum(axis=1, keepdims=True)
-    return StochasticMatrix(out)
 
 
 def derive_rng(seed: int, *branch: int) -> np.random.Generator:

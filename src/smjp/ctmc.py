@@ -1,9 +1,9 @@
 """Sampling for continuous-time Markov jump processes.
 
-Covers forward (Gillespie) simulation of a generator, the uniformized
-discrete chain B = I + A/omega, Poisson arrival times in one interval,
-and the mixed event/virtual time grid that the inference engine runs on,
-built from one vector of Poisson counts.
+Covers the uniformized discrete chain B = I + A/omega, the checked
+expected virtual-point count of each inter-event interval, and the mixed
+event/virtual time grid that the inference engine runs on, built from one
+vector of Poisson counts.
 """
 
 from __future__ import annotations
@@ -29,61 +29,12 @@ class OmegaTooSmall(SmjpError):
     """Uniformization rate below the maximum exit rate (or non-positive)."""
 
 
-class EmptyInterval(SmjpError):
-    """Interval endpoints are reversed or coincide."""
-
-
 class NonMonotoneTimestamps(SmjpError):
     """Event timestamps are not strictly increasing."""
 
 
-class AbsorbingStateLoop(SmjpError):
-    """Simulation entered a zero-exit-rate state on an infinite horizon."""
-
-
 class VirtualTimeOverflow(SmjpError):
     """Expected virtual-point count in one interval is absurdly large."""
-
-
-@dataclass(frozen=True)
-class LatentTrajectory:
-    """Piecewise-constant latent path: start state, jump times, one state
-    per segment, truncated at ``horizon``. A jump always changes the
-    state, as in a Gillespie path.
-    """
-
-    initial_state: int
-    jump_times: np.ndarray
-    states: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "jump_times", np.asarray(self.jump_times, dtype=np.float64))
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=np.int64))
-        jt, st = self.jump_times, self.states
-        if st.shape != (jt.shape[0] + 1,):
-            raise SmjpError("need one state per segment (jumps + 1)")
-        if st[0] != self.initial_state:
-            raise SmjpError("states[0] must equal initial_state")
-        if jt.size:
-            if not np.all(np.diff(jt) > 0):
-                raise NonMonotoneTimestamps("jump times must be strictly increasing")
-            if jt[0] <= 0 or jt[-1] >= self.horizon:
-                raise SmjpError("jump times must lie strictly inside (0, horizon)")
-            if np.any(np.diff(st) == 0):
-                raise SmjpError("repeated state across a jump in a Gillespie path")
-
-    @property
-    def n_jumps(self) -> int:
-        return int(self.jump_times.shape[0])
-
-    def holding_times(self) -> np.ndarray:
-        """Durations of all completed segments (the final, horizon-censored
-        segment is excluded)."""
-        if self.n_jumps == 0:
-            return np.empty(0)
-        edges = np.concatenate(([0.0], self.jump_times))
-        return np.diff(edges)
 
 
 @dataclass(frozen=True)
@@ -126,58 +77,6 @@ class TimeGrid:
         return np.nonzero(self.tags == TAG_EVENT)[0]
 
 
-def gillespie_sample(
-    gen: GeneratorMatrix,
-    initial_state: int,
-    horizon: float,
-    seed: int | np.random.Generator,
-) -> LatentTrajectory:
-    """Simulate the jump process forward from ``initial_state``.
-
-    Holding time in state s is exponential with the state's exit rate;
-    the destination is drawn proportional to the off-diagonal rates of
-    row s. The path is truncated at ``horizon``. A zero-exit-rate state
-    simply holds to the horizon; on an infinite horizon that would never
-    terminate, so it raises ``AbsorbingStateLoop`` instead.
-    """
-    if horizon <= 0:
-        raise SmjpError(f"horizon must be positive, got {horizon!r}")
-    n = gen.n_states
-    if not 0 <= initial_state < n:
-        raise SmjpError(f"initial state {initial_state} out of range")
-    rng = as_rng(seed)
-    rates = gen.rates
-    exit_rates = gen.exit_rates
-    # Cumulative destination distributions per state, zero weight on self.
-    dest = np.maximum(rates, 0.0)
-    np.fill_diagonal(dest, 0.0)
-    with np.errstate(invalid="ignore"):
-        cum = np.cumsum(dest, axis=1) / np.where(exit_rates > 0, exit_rates, 1.0)[:, None]
-
-    t = 0.0
-    s = int(initial_state)
-    jump_times: list[float] = []
-    states = [s]
-    while True:
-        r = exit_rates[s]
-        if r <= 0.0:
-            if np.isinf(horizon):
-                raise AbsorbingStateLoop(f"state {s} has zero exit rate")
-            break
-        t += rng.exponential(1.0 / r)
-        if t >= horizon:
-            break
-        s = int(np.searchsorted(cum[s], rng.random(), side="right"))
-        jump_times.append(t)
-        states.append(s)
-    return LatentTrajectory(
-        initial_state=int(initial_state),
-        jump_times=np.asarray(jump_times),
-        states=np.asarray(states),
-        horizon=horizon,
-    )
-
-
 def uniformize(gen: GeneratorMatrix, omega: float) -> StochasticMatrix:
     """Discrete single-step chain B = I + A/omega of the uniformized process.
 
@@ -193,44 +92,6 @@ def uniformize(gen: GeneratorMatrix, omega: float) -> StochasticMatrix:
     b = np.eye(gen.n_states) + gen.rates / omega
     np.clip(b, 0.0, 1.0, out=b)
     return StochasticMatrix(b)
-
-
-def default_omega(gens: GeneratorMatrix | list[GeneratorMatrix] | tuple[GeneratorMatrix, ...]) -> float:
-    """A uniformization rate for given generators: twice the largest exit
-    rate found, or 1.0 for all-zero generators. Fitting does not call it:
-    a fit holds the omega of its start model.
-    """
-    if isinstance(gens, GeneratorMatrix):
-        gens = [gens]
-    peak = max(g.max_exit_rate for g in gens)
-    return 2.0 * peak if peak > 0 else 1.0
-
-
-def sample_virtual_times(
-    omega: float,
-    interval: tuple[float, float],
-    seed: int | np.random.Generator,
-) -> np.ndarray:
-    """Poisson(omega) arrival times strictly inside an open interval, sorted."""
-    t_a, t_b = interval
-    if t_b <= t_a:
-        raise EmptyInterval(f"interval ({t_a!r}, {t_b!r}) is empty")
-    if t_a < 0:
-        raise SmjpError("interval must start at a non-negative time")
-    if omega <= 0:
-        raise OmegaTooSmall(f"omega must be positive, got {omega!r}")
-    expected = omega * (t_b - t_a)
-    if expected > MAX_EXPECTED_VIRTUAL:
-        raise VirtualTimeOverflow(
-            f"{expected:.3g} expected virtual points in one interval; "
-            "omega or the interval length is misconfigured"
-        )
-    rng = as_rng(seed)
-    count = rng.poisson(expected)
-    times = rng.uniform(t_a, t_b, size=count)
-    times = np.unique(times)
-    # Endpoints have probability zero but floats can land on them.
-    return times[(times > t_a) & (times < t_b)]
 
 
 def expected_virtual(times: np.ndarray, omega: float) -> np.ndarray:

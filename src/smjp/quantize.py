@@ -63,6 +63,14 @@ def quantize_locations(
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise SmjpError("points must be a non-empty (n, d) array")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise SmjpError(f"point {int(bad[0])} has a non-finite coordinate")
+    with np.errstate(over="ignore"):
+        # Bounds every squared distance, and the inertia's sum of them.
+        spread = float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum()) * pts.shape[0]
+    if not np.isfinite(spread):
+        raise SmjpError("points spread too far apart: their squared distances overflow")
     if k < 1:
         raise SmjpError("k must be at least 1")
     distinct = np.unique(pts, axis=0).shape[0]

@@ -5,11 +5,14 @@ and virtual points: the discrete chain for the action in force at grid
 step t drives the transition t -> t+1, virtual points contribute a unit
 emission likelihood, and the latent prior at the first grid point is
 uniform (the initial distribution is not a learned parameter). The
-posterior functions return every grid point; the EM E-step reads a grid as
-runs of virtual steps under one action, each one step of its law B_k^r.
-Both run one scaled filter-smoother, ``_filter_smooth``: a blocked scan
-whose single fallback, the step-by-step loops, names the grid step of an
-impossible observation.
+posterior functions take a grid or an event sequence. On a grid they
+return every grid point; on a sequence they step from event to event by
+the exact law between them, B expm(A dt), so the state posterior at the
+events is exact. The EM E-step reads a grid as runs of virtual steps
+under one action, each one step of its law B_k^r. All of them run one
+scaled filter-smoother, ``_filter_smooth``: a blocked scan whose single
+fallback, the step-by-step loops, names the step of an impossible
+observation.
 
 Fitting alternates three phases: draw fresh grids of Poisson virtual-point
 counts, run discrete-chain EM to convergence on those fixed grids, then map
@@ -21,10 +24,9 @@ the laws B expm(A dt) between events. It needs no smoother and keeps a
 pairwise reduction of the step matrices, faster there than block products.
 
 Random streams are derived from the config seed with fixed branch codes:
-(1, outer_iteration, sequence, grid) for training grids, (2, grid) for the
-grids whose posteriors analysis averages (shared across sequences), and
-(3, n_states, restart) for random initializations. Held-out scoring draws
-nothing.
+(1, outer_iteration, sequence, grid) for training grids and (3, n_states,
+restart) for random initializations. Held-out scoring and the event
+posteriors draw nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import isqrt
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -180,9 +182,9 @@ class SwitchingSMJP:
 
 @dataclass(frozen=True)
 class ForwardBackwardResult:
-    """Posterior quantities over one grid: log filters, log smoothers,
-    state marginals and per-step normalizers. Transition-pair marginals
-    come from :func:`posterior_xi`."""
+    """Posterior quantities over one grid or sequence: log filters, log
+    smoothers, state marginals and per-step normalizers. Transition-pair
+    marginals come from :func:`posterior_xi`."""
 
     log_alpha: np.ndarray
     log_beta: np.ndarray
@@ -195,9 +197,9 @@ class ForwardBackwardResult:
 class FitConfig:
     """Knobs for the fitting loop; defaults follow the shipped pipeline.
     Construction checks each knob's range. Omega is not a knob: a random
-    start takes the event rate, and the fit holds it. Held-out scores are
-    exact, so ``eval_grids`` sets only how many grids
-    ``analysis.event_state_posterior`` averages."""
+    start takes the event rate, and the fit holds it. Held-out scores and
+    event posteriors are exact and draw no grid, so ``eval_grids`` is
+    accepted and range-checked, and read by nothing."""
 
     seed: int = 0
     inner_iterations: int = 10
@@ -477,71 +479,100 @@ def _grid_loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
     return float(np.log(c).sum())
 
 
-def forward(model: SwitchingSMJP, grid: TimeGrid) -> tuple[np.ndarray, float]:
-    """Forward filter over the grid: the filter half of
-    :func:`forward_backward`.
+def forward(model: SwitchingSMJP, data: TimeGrid | EventSequence) -> tuple[np.ndarray, float]:
+    """Forward filter over a grid or a sequence's events: the filter half
+    of :func:`forward_backward`.
 
     Returns
     -------
     log_alpha : (T, N) array
         Log joint of the observations up to t and the state at t.
     log_likelihood : float
-        Log probability of all observations on this grid.
+        Log probability of all observations.
     """
-    res = forward_backward(model, grid)
+    res = forward_backward(model, data)
     return res.log_alpha, res.log_likelihood
 
 
-def backward(model: SwitchingSMJP, grid: TimeGrid) -> np.ndarray:
+def backward(model: SwitchingSMJP, data: TimeGrid | EventSequence) -> np.ndarray:
     """Backward smoother; ``log_beta[T-1]`` is the zero vector.
 
     The scaled smoother with the forward normalizers folded back in:
     ``log beta_t = log beta_hat_t + sum_{s > t} log c_s``.
     """
-    return forward_backward(model, grid).log_beta
+    return forward_backward(model, data).log_beta
+
+
+def _step_laws(model: SwitchingSMJP, data: TimeGrid | EventSequence) -> tuple[np.ndarray, np.ndarray]:
+    """(step laws, step index) of a grid or a sequence: a grid steps by the
+    chain of its step action; a sequence steps from event i to i+1 by its
+    own interval law ``P_i = B_k expm(A_k dt_i)``."""
+    if isinstance(data, EventSequence):
+        _check_alphabets(model, [data])
+        (laws,) = _event_laws(model, [data])
+        return laws, np.arange(len(data) - 1)
+    _check_grid(model, data)
+    return model.chain_stack, data.actions
+
+
+def _at_event(exc: ZeroProbabilityObservation, seq: EventSequence) -> ZeroProbabilityObservation:
+    """``exc`` from a sequence's event-level filter, naming the event and
+    the sequence."""
+    return ZeroProbabilityObservation(
+        f"observation at event {exc.step} of sequence {seq.id!r} has zero likelihood", exc.step
+    )
 
 
 def posterior_xi(
     model: SwitchingSMJP,
     log_alpha: np.ndarray,
     log_beta: np.ndarray,
-    grid: TimeGrid,
+    data: TimeGrid | EventSequence,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transition-pair posteriors xi and state marginals gamma.
 
     ``xi[t, i, j]`` is the posterior probability of being in state i at
-    grid step t and state j at step t+1; each slice is normalized.
-    ``gamma[t]`` marginalizes ``xi[t]`` over the destination (the final
-    step comes from the filter/smoother product). Each row of the log
-    inputs is shifted by its maximum before leaving the log domain, so
-    only ratios within a row matter.
+    point t and state j at point t+1 (grid points, or the events of a
+    sequence); each slice is normalized. ``gamma[t]`` marginalizes
+    ``xi[t]`` over the destination (the final point comes from the
+    filter/smoother product). Each row of the log inputs is shifted by its
+    maximum before leaving the log domain, so only ratios within a row
+    matter.
     """
-    _check_grid(model, grid)
-    t, n = len(grid), model.n_states
+    laws, kidx = _step_laws(model, data)
+    t, n = len(data), model.n_states
     if log_alpha.shape != (t, n) or log_beta.shape != (t, n):
         raise InconsistentShapes(
-            f"posterior inputs {log_alpha.shape}/{log_beta.shape} do not match grid/model ({t}, {n})"
+            f"posterior inputs {log_alpha.shape}/{log_beta.shape} do not match the data/model ({t}, {n})"
         )
     with np.errstate(invalid="ignore"):
         a = np.exp(log_alpha - log_alpha.max(axis=1, keepdims=True))
         b = np.exp(log_beta - log_beta.max(axis=1, keepdims=True))
-    w = _emission_table(model.emission, grid)[1:] * b[1:]
-    xi = a[:-1, :, None] * model.chain_stack[grid.actions[:-1]] * w[:, None, :]
+    w = _emission_table(model.emission, data)[1:] * b[1:]
+    xi = a[:-1, :, None] * laws[kidx[: t - 1]] * w[:, None, :]
     last = a[-1] * b[-1]
     mass = np.append(xi.sum(axis=(1, 2)), last.sum())
     bad = ~(np.isfinite(mass) & (mass > 0))
     if bad.any():
-        raise ZeroProbabilityObservation(f"zero posterior mass at grid step {int(np.argmax(bad))}")
+        point = "grid step" if isinstance(data, TimeGrid) else "event"
+        raise ZeroProbabilityObservation(f"zero posterior mass at {point} {int(np.argmax(bad))}")
     xi /= mass[:-1, None, None]
     return xi, np.vstack([xi.sum(axis=2), last / mass[-1]])
 
 
-def forward_backward(model: SwitchingSMJP, grid: TimeGrid) -> ForwardBackwardResult:
-    """One full smoothing pass via the scaled recursions."""
-    _check_grid(model, grid)
-    e = _emission_table(model.emission, grid)
-    chains, kidx = model.chain_stack, grid.actions
-    alpha, c, beta = _filter_smooth(chains, e, kidx)
+def forward_backward(model: SwitchingSMJP, data: TimeGrid | EventSequence) -> ForwardBackwardResult:
+    """One full smoothing pass via the scaled recursions, over a grid's
+    points or a sequence's events. On a sequence it is exact: its
+    likelihood is :func:`held_out_loglik`'s and ``gamma`` the posterior
+    over states at the events."""
+    laws, kidx = _step_laws(model, data)
+    e = _emission_table(model.emission, data)
+    try:
+        alpha, c, beta = _filter_smooth(laws, e, kidx)
+    except ZeroProbabilityObservation as exc:
+        if isinstance(data, TimeGrid):
+            raise
+        raise _at_event(exc, data) from None
     logc = np.cumsum(np.log(c))
     with np.errstate(divide="ignore"):
         log_alpha = np.log(alpha) + logc[:, None]
@@ -839,6 +870,20 @@ def _interval_laws(chains: np.ndarray, table: np.ndarray, lam: np.ndarray, acts:
     return laws
 
 
+def _event_laws(model: SwitchingSMJP, sequences: Sequence[EventSequence]) -> Iterator[np.ndarray]:
+    """The ``P_i`` stack of each sequence, built as it is iterated over one
+    table of chain powers shared by all; every sequence is checked first."""
+    lams = []
+    for seq in sequences:
+        if len(seq) == 0:
+            raise InconsistentShapes(f"sequence {seq.id!r} has no events")
+        lams.append(expected_virtual(seq.times, model.omega))
+    peak = min(max((float(lam.max()) for lam in lams if lam.size), default=0.0), _SERIES_CAP)
+    # The Poisson tail beyond peak + 10 sd + 40 is below _SERIES_TAIL.
+    table = _power_table(model.chain_stack, int(peak + 10.0 * np.sqrt(peak)) + 41)
+    return (_interval_laws(model.chain_stack, table, lam, seq.actions[:-1]) for seq, lam in zip(sequences, lams))
+
+
 def held_out_loglik(
     model: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConfig | None = None
 ) -> float:
@@ -856,23 +901,12 @@ def held_out_loglik(
     if not sequences:
         raise SmjpError("need at least one sequence to evaluate")
     _check_alphabets(model, sequences)
-    lams = []
-    for seq in sequences:
-        if len(seq) == 0:
-            raise InconsistentShapes(f"sequence {seq.id!r} has no events")
-        lams.append(expected_virtual(seq.times, model.omega))
-    peak = min(max((float(lam.max()) for lam in lams if lam.size), default=0.0), _SERIES_CAP)
-    # The Poisson tail beyond peak + 10 sd + 40 is below _SERIES_TAIL.
-    table = _power_table(model.chain_stack, int(peak + 10.0 * np.sqrt(peak)) + 41)
     total = 0.0
-    for seq, lam in zip(sequences, lams):
-        laws = _interval_laws(model.chain_stack, table, lam, seq.actions[:-1])
+    for seq, laws in zip(sequences, _event_laws(model, sequences)):
         try:
-            total += _grid_loglik(laws, _emission_table(model.emission, seq), np.arange(lam.size))
+            total += _grid_loglik(laws, _emission_table(model.emission, seq), np.arange(len(laws)))
         except ZeroProbabilityObservation as exc:
-            raise ZeroProbabilityObservation(
-                f"observation at event {exc.step} of sequence {seq.id!r} has zero likelihood", exc.step
-            ) from None
+            raise _at_event(exc, seq) from None
     return total
 
 

@@ -6,10 +6,14 @@ path drawn by numpy searches, Newman modularity, the log-domain helpers
 these oracles are built from, the belief planner built one state at a
 time, the co-clustering (one restart and one size pair after another, its
 sweep scoring one candidate at a time) and the modularity merge scored one
-candidate at a time."""
+candidate at a time. The last section holds what only tests use: a
+Taylor matrix exponential, Gillespie paths, a uniformization rate rule,
+Poisson times in one interval and the information lost by a given
+co-clustering."""
 
 import io
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +23,31 @@ from smjp.analysis import (
     DegenerateJoint,
     EmptyGraph,
     SizeSelection,
+    _clustered,
     _elbow,
+    mutual_information,
 )
 from smjp.core import (
     DimensionMismatch,
+    GeneratorMatrix,
     NonFinite,
     SmjpError,
     StochasticMatrix,
+    as_rng,
     derive_rng,
     index_alphabet,
-    matrix_exponential,
+    validate_generator,
 )
-from smjp.ctmc import NO_OBSERVATION, TAG_EVENT, TAG_VIRTUAL, TimeGrid
+from smjp.ctmc import (
+    MAX_EXPECTED_VIRTUAL,
+    NO_OBSERVATION,
+    TAG_EVENT,
+    TAG_VIRTUAL,
+    NonMonotoneTimestamps,
+    OmegaTooSmall,
+    TimeGrid,
+    VirtualTimeOverflow,
+)
 from smjp.events import EventSequence, parse_event_file
 from smjp.foraging import (
     A_MOVE,
@@ -559,3 +576,191 @@ def greedy_modularity_lists(sym: np.ndarray) -> tuple[np.ndarray, float]:
         if q > best_q + 1e-12:
             best_q, best_labels = q, snapshot()
     return best_labels, best_q
+
+
+# ---------------------------------------------------------------------------
+# Test-only samplers and oracles: nothing in the package calls these.
+
+
+class NegativeTime(SmjpError):
+    """A time argument must be non-negative."""
+
+
+class EmptyInterval(SmjpError):
+    """Interval endpoints are reversed or coincide."""
+
+
+class AbsorbingStateLoop(SmjpError):
+    """Simulation entered a zero-exit-rate state on an infinite horizon."""
+
+
+def matrix_exponential(gen: GeneratorMatrix | np.ndarray, t: float) -> StochasticMatrix:
+    """Transition-probability matrix exp(A*t) of a generator A.
+
+    Scaling-and-squaring with a truncated Taylor core, accurate to ~1e-10
+    for the small well-conditioned generators used here. Tiny negative
+    entries from rounding are clamped and rows renormalized.
+
+    Raises
+    ------
+    NegativeTime
+        If ``t < 0``.
+    """
+    rates = gen.rates if isinstance(gen, GeneratorMatrix) else validate_generator(gen).rates
+    if not np.isfinite(t) or t < 0:
+        raise NegativeTime(f"time must be finite and >= 0, got {float(t)!r}")
+    n = rates.shape[0]
+    m = rates * t
+    norm = np.abs(m).sum(axis=1).max(initial=0.0)
+    if norm == 0.0:
+        return StochasticMatrix(np.eye(n))
+    n_square = max(0, int(np.ceil(np.log2(norm / 0.5))))
+    scaled = m / 2.0**n_square
+    term = np.eye(n)
+    out = np.eye(n)
+    for k in range(1, 31):
+        term = term @ scaled / k
+        out = out + term
+        if np.abs(term).max() < 1e-18:
+            break
+    for _ in range(n_square):
+        out = out @ out
+    np.clip(out, 0.0, None, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return StochasticMatrix(out)
+
+
+@dataclass(frozen=True)
+class LatentTrajectory:
+    """Piecewise-constant latent path: start state, jump times, one state
+    per segment, truncated at ``horizon``. A jump always changes the
+    state, as in a Gillespie path.
+    """
+
+    initial_state: int
+    jump_times: np.ndarray
+    states: np.ndarray
+    horizon: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "jump_times", np.asarray(self.jump_times, dtype=np.float64))
+        object.__setattr__(self, "states", np.asarray(self.states, dtype=np.int64))
+        jt, st = self.jump_times, self.states
+        if st.shape != (jt.shape[0] + 1,):
+            raise SmjpError("need one state per segment (jumps + 1)")
+        if st[0] != self.initial_state:
+            raise SmjpError("states[0] must equal initial_state")
+        if jt.size:
+            if not np.all(np.diff(jt) > 0):
+                raise NonMonotoneTimestamps("jump times must be strictly increasing")
+            if jt[0] <= 0 or jt[-1] >= self.horizon:
+                raise SmjpError("jump times must lie strictly inside (0, horizon)")
+            if np.any(np.diff(st) == 0):
+                raise SmjpError("repeated state across a jump in a Gillespie path")
+
+    @property
+    def n_jumps(self) -> int:
+        return int(self.jump_times.shape[0])
+
+    def holding_times(self) -> np.ndarray:
+        """Durations of all completed segments (the final, horizon-censored
+        segment is excluded)."""
+        if self.n_jumps == 0:
+            return np.empty(0)
+        edges = np.concatenate(([0.0], self.jump_times))
+        return np.diff(edges)
+
+
+def gillespie_sample(
+    gen: GeneratorMatrix,
+    initial_state: int,
+    horizon: float,
+    seed: int | np.random.Generator,
+) -> LatentTrajectory:
+    """Simulate the jump process forward from ``initial_state``.
+
+    Holding time in state s is exponential with the state's exit rate;
+    the destination is drawn proportional to the off-diagonal rates of
+    row s. The path is truncated at ``horizon``. A zero-exit-rate state
+    simply holds to the horizon; on an infinite horizon that would never
+    terminate, so it raises ``AbsorbingStateLoop`` instead.
+    """
+    if horizon <= 0:
+        raise SmjpError(f"horizon must be positive, got {horizon!r}")
+    n = gen.n_states
+    if not 0 <= initial_state < n:
+        raise SmjpError(f"initial state {initial_state} out of range")
+    rng = as_rng(seed)
+    rates = gen.rates
+    exit_rates = gen.exit_rates
+    # Cumulative destination distributions per state, zero weight on self.
+    dest = np.maximum(rates, 0.0)
+    np.fill_diagonal(dest, 0.0)
+    with np.errstate(invalid="ignore"):
+        cum = np.cumsum(dest, axis=1) / np.where(exit_rates > 0, exit_rates, 1.0)[:, None]
+
+    t = 0.0
+    s = int(initial_state)
+    jump_times: list[float] = []
+    states = [s]
+    while True:
+        r = exit_rates[s]
+        if r <= 0.0:
+            if np.isinf(horizon):
+                raise AbsorbingStateLoop(f"state {s} has zero exit rate")
+            break
+        t += rng.exponential(1.0 / r)
+        if t >= horizon:
+            break
+        s = int(np.searchsorted(cum[s], rng.random(), side="right"))
+        jump_times.append(t)
+        states.append(s)
+    return LatentTrajectory(
+        initial_state=int(initial_state),
+        jump_times=np.asarray(jump_times),
+        states=np.asarray(states),
+        horizon=horizon,
+    )
+
+
+def default_omega(gens: GeneratorMatrix | list[GeneratorMatrix] | tuple[GeneratorMatrix, ...]) -> float:
+    """A uniformization rate for given generators: twice the largest exit
+    rate found, or 1.0 for all-zero generators. Fitting does not call it:
+    a fit holds the omega of its start model.
+    """
+    if isinstance(gens, GeneratorMatrix):
+        gens = [gens]
+    peak = max(g.max_exit_rate for g in gens)
+    return 2.0 * peak if peak > 0 else 1.0
+
+
+def sample_virtual_times(
+    omega: float,
+    interval: tuple[float, float],
+    seed: int | np.random.Generator,
+) -> np.ndarray:
+    """Poisson(omega) arrival times strictly inside an open interval, sorted."""
+    t_a, t_b = interval
+    if t_b <= t_a:
+        raise EmptyInterval(f"interval ({t_a!r}, {t_b!r}) is empty")
+    if t_a < 0:
+        raise SmjpError("interval must start at a non-negative time")
+    if omega <= 0:
+        raise OmegaTooSmall(f"omega must be positive, got {omega!r}")
+    expected = omega * (t_b - t_a)
+    if expected > MAX_EXPECTED_VIRTUAL:
+        raise VirtualTimeOverflow(
+            f"{expected:.3g} expected virtual points in one interval; "
+            "omega or the interval length is misconfigured"
+        )
+    rng = as_rng(seed)
+    count = rng.poisson(expected)
+    times = rng.uniform(t_a, t_b, size=count)
+    times = np.unique(times)
+    # Endpoints have probability zero but floats can land on them.
+    return times[(times > t_a) & (times < t_b)]
+
+
+def information_loss(joint: np.ndarray, rows: np.ndarray, cols: np.ndarray, kr: int, kc: int) -> float:
+    """Mutual information lost by coarse-graining rows/cols as assigned."""
+    return mutual_information(joint) - mutual_information(_clustered(joint, rows[None], cols[None], kr, kc)[0])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from helpers import enumerate_paths, random_grid, random_model
+from helpers import default_omega, enumerate_paths, gillespie_sample, matrix_exponential, random_grid, random_model
 from test_analysis import block_joint, brute_force_loss, planted_operator
 from test_core import random_generator
 
@@ -23,8 +23,8 @@ from smjp.analysis import (
     state_correspondence,
 )
 from smjp.cli import main as cli_main
-from smjp.core import derive_rng, matrix_exponential, validate_generator
-from smjp.ctmc import default_omega, gillespie_sample, uniformize
+from smjp.core import derive_rng, validate_generator
+from smjp.ctmc import uniformize
 from smjp.events import split_chronological
 from smjp.foraging import (
     ToyConfig,

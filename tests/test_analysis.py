@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     cocluster_by_restart,
     greedy_modularity_lists,
+    information_loss,
     init_assignment_by_element,
     model_from_chains,
     modularity,
@@ -24,7 +25,6 @@ from smjp.analysis import (
     cocluster,
     event_state_posterior,
     extract_subgraphs,
-    information_loss,
     interval_stats,
     joint_operator,
     mutual_information,

@@ -586,6 +586,22 @@ class TestErrorExitCodes:
             "error: sequence 'toy' observation alphabet differs from the model's"]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "correspond"])
+    def test_header_only_event_file(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        run(toy_args(data, length=40))
+        lines = (data / "events.csv").read_text().splitlines()
+        events = tmp_path / "empty.csv"
+        events.write_text("\n".join(lines[: lines.index("time,observation,action") + 1]) + "\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("# smjp-agent-truth v1\n# n_z: 1\ntime,z,location,rewarded,belief_bin\n")
+        args = [command, "--out", tmp_path / "x", "--model", data / "true_model.smjp", "--events", events]
+        capsys.readouterr()
+        rc = run(args + (["--truth", truth] if command == "correspond" else []))
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == ["error: sequence 'toy' has no events"]
+        assert not (tmp_path / "x").exists()
+
     def test_points_with_a_different_coordinate_count(self, tmp_path, capsys):
         pfile = tmp_path / "p.csv"
         pfile.write_text("x,y\n0.0,0.0\n0,1,0.2\n")
@@ -739,6 +755,22 @@ class TestConfigSweep:
             assert (out / "manifest.txt").exists()
 
 
+def fuzz_run(args, out: Path) -> tuple[int, str]:
+    """(exit code, stdout) of one fuzzed command run with warnings as
+    errors. The code must be 0 or a documented failure, and a failure must
+    print one ``error:`` line and leave no ``out``."""
+    stdout, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = run([*args, "--out", out])
+    assert rc in (0, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN, cli.EXIT_NUMERIC)
+    if rc:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+    return rc, stdout.getvalue()
+
+
 def mutated_joint_text(draw) -> str:
     """A valid 4x6 labeled matrix with some cells set to nan, inf, -1 or 0,
     some rows dropped or widened, and some header lines cut."""
@@ -768,17 +800,9 @@ class TestCoclusterFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             joint, out = Path(tmp) / "joint.csv", Path(tmp) / "out"
             joint.write_text(text)
-            err = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-                warnings.simplefilter("error")
-                rc = run(["cocluster", "--out", out, "--joint", joint, "--rows", rows, "--cols", cols,
-                          "--seed", 0, "--cocluster-restarts", 2])
-            assert rc in (0, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN, cli.EXIT_NUMERIC)
-            if rc:
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error: ")
-                assert not out.exists()
-            else:
+            rc, _ = fuzz_run(["cocluster", "--joint", joint, "--rows", rows, "--cols", cols,
+                              "--seed", 0, "--cocluster-restarts", 2], out)
+            if rc == 0:
                 cells = [float(v) for line in text.splitlines() if not line.startswith("#") for v in line.split()]
                 assert np.isfinite(cells).all() and min(cells) >= 0
                 report = (out / "cocluster.txt").read_text()
@@ -805,7 +829,7 @@ FORAGER_CELL_VALUES = (CELL_VALUES[0], ("box-1", "reward", "o0", ""), ("stay", "
 RARELY = st.integers(0, 3).map(lambda v: v == 3)
 
 
-def mutated_event_text(draw, header, rows, cells=CELL_VALUES, shifts=(0.0, 1e3, 1e6, 1e8)) -> str:
+def mutated_event_text(draw, header, rows, cells=CELL_VALUES) -> str:
     """An event file with some cells replaced, the times after one
     row pushed far out, rows dropped, swapped or widened, and header lines
     cut or given other alphabets."""
@@ -814,8 +838,8 @@ def mutated_event_text(draw, header, rows, cells=CELL_VALUES, shifts=(0.0, 1e3, 
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
         rows[i][j] = draw(st.sampled_from(cells[j]))
     # Intervals of about 2e3, 2e6 and 2e8 expected virtual points: the
-    # held-out series halves the first two and refuses the last.
-    shift = draw(st.sampled_from(shifts))
+    # event-level series halves the first two and refuses the last.
+    shift = draw(st.sampled_from([0.0, 1e3, 1e6, 1e8]))
     for row in rows[draw(st.integers(1, len(rows) - 1)):]:
         with contextlib.suppress(ValueError):
             row[0] = repr(float(row[0]) + shift)
@@ -843,17 +867,9 @@ class TestEvaluateFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             events, out = Path(tmp) / "events.csv", Path(tmp) / "out"
             events.write_text(text)
-            stdout, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
-                warnings.simplefilter("error")
-                rc = run(["evaluate", "--out", out, "--model", model, "--events", events, "--seed", 0, *flags])
-            assert rc in (0, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN, cli.EXIT_NUMERIC)
-            if rc:
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error: ")
-                assert not out.exists()
-            else:
-                (score,) = stdout.getvalue().split()
+            rc, stdout = fuzz_run(["evaluate", "--model", model, "--events", events, "--seed", 0, *flags], out)
+            if rc == 0:
+                (score,) = stdout.split()
                 assert np.isfinite(float(score))
                 evaluation = (out / "evaluation.txt").read_text().splitlines()
                 assert evaluation[0] == "smjp-evaluation v1" and evaluation[2:] == [f"loglik: {score}"]
@@ -906,26 +922,80 @@ class TestCorrespondFuzz:
     @given(st.data())
     def test_mutated_events_and_truth_end_in_a_documented_exit(self, correspond_inputs, data):
         model, header, rows, truth_header = correspond_inputs
-        # The 1e6 shift makes a 2e6-point posterior grid, about a second a
-        # run; the evaluate fuzz meets it in the grid-free held-out score.
-        text = mutated_event_text(data.draw, header, rows, FORAGER_CELL_VALUES, shifts=(0.0, 1e3, 1e8))
+        text = mutated_event_text(data.draw, header, rows, FORAGER_CELL_VALUES)
         truth_text = mutated_truth_text(data.draw, truth_header, text)
         with tempfile.TemporaryDirectory() as tmp:
             events, truth, out = Path(tmp) / "events.csv", Path(tmp) / "truth.csv", Path(tmp) / "out"
             events.write_text(text)
             truth.write_text(truth_text)
-            err = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-                warnings.simplefilter("error")
-                rc = run(["correspond", "--out", out, "--model", model, "--events", events, "--truth", truth,
-                          "--seed", 0, "--eval-grids", 1])
-            assert rc in (0, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN, cli.EXIT_NUMERIC)
-            if rc:
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error: ")
-                assert not out.exists()
-            else:
+            rc, _ = fuzz_run(["correspond", "--model", model, "--events", events, "--truth", truth,
+                              "--seed", 0, "--eval-grids", 1], out)
+            if rc == 0:
                 joint = (out / "correspondence.csv").read_text().splitlines()
                 cells = [float(v) for line in joint if not line.startswith("#") for v in line.split()]
                 assert np.isfinite(cells).all() and min(cells) >= 0
                 assert sum(cells) == pytest.approx(1.0)
+
+
+@pytest.fixture(scope="module")
+def intervals_inputs(sweep_inputs):
+    """The header and first 60 rows of the sweep's forager event file."""
+    lines = sweep_inputs["intervals"][1].read_text().splitlines()
+    cut = lines.index("time,observation,action") + 1
+    return lines[:cut], lines[cut : cut + 60]
+
+
+class TestIntervalsFuzz:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_mutated_events_end_in_a_documented_exit(self, intervals_inputs, data):
+        header, rows = intervals_inputs
+        text = mutated_event_text(data.draw, header, rows, FORAGER_CELL_VALUES)
+        flags = []
+        for flag, values in (("--observation", FORAGER_CELL_VALUES[1][:-1]), ("--action", FORAGER_CELL_VALUES[2][:-1]),
+                             ("--bin-width", ["0", "nan", "inf", "-1"])):
+            if data.draw(RARELY):
+                flags += [flag, data.draw(st.sampled_from(values))]
+        with tempfile.TemporaryDirectory() as tmp:
+            events, out = Path(tmp) / "events.csv", Path(tmp) / "out"
+            events.write_text(text)
+            rc, _ = fuzz_run(["intervals", "--events", events, "--seed", 0, *flags], out)
+            if rc == 0:
+                report = dict(line.split(": ", 1) for line in (out / "intervals.txt").read_text().splitlines()[1:9])
+                assert int(report["n_intervals"]) >= 10
+                assert all(np.isfinite(float(report[key])) for key in ("mean_interval", "exp_rate", "ks_pvalue"))
+
+
+def mutated_points_text(draw) -> str:
+    """A 12-point file on a 4x3 lattice with some cells replaced, rows
+    dropped, repeated or widened, and the header cut."""
+    rows = [[repr(float(i % 4)), repr(float(i % 3) + 0.5)] for i in range(12)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))
+        rows[i][j] = draw(st.sampled_from(CELL_VALUES[0]))
+    rows = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    if rows and draw(RARELY):
+        rows[draw(st.integers(0, len(rows) - 1))] += ",0.0"
+    if draw(RARELY):
+        rows = rows[:1] * len(rows)
+    header = [] if draw(RARELY) else ["x,y"]
+    return "\n".join(header + rows) + "\n"
+
+
+class TestQuantizeFuzz:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_mutated_points_end_in_a_documented_exit(self, data):
+        text = mutated_points_text(data.draw)
+        k = data.draw(st.sampled_from(["1", "3", "12", "0"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            points, out = Path(tmp) / "points.csv", Path(tmp) / "out"
+            points.write_text(text)
+            rc, _ = fuzz_run(["quantize", "--points", points, "--k-locations", k, "--seed", 0], out)
+            if rc == 0:
+                labels = (out / "labels.csv").read_text().splitlines()[2:]
+                assert len(labels) == len([line for line in text.splitlines() if line and line != "x,y"])
+                inertia = (out / "centroids.csv").read_text().splitlines()[1]
+                assert np.isfinite(float(inertia.split(": ")[1]))

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import log_domain_dot, logsumexp
+from helpers import NegativeTime, log_domain_dot, logsumexp, matrix_exponential
 from smjp.core import (
     Alphabet,
     DimensionMismatch,
     NegativeOffDiagonal,
-    NegativeTime,
     NonFinite,
     RowSumNonzero,
     SmjpError,
     StochasticMatrix,
     derive_rng,
-    matrix_exponential,
     validate_generator,
 )
 

@@ -2,20 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from smjp.core import Alphabet, SmjpError, derive_rng, matrix_exponential, validate_generator
+from helpers import AbsorbingStateLoop, EmptyInterval, default_omega, gillespie_sample, matrix_exponential, sample_virtual_times
+from smjp.core import Alphabet, SmjpError, derive_rng, validate_generator
 from smjp.ctmc import (
     NO_OBSERVATION,
     TAG_EVENT,
     TAG_VIRTUAL,
-    AbsorbingStateLoop,
-    EmptyInterval,
     NonMonotoneTimestamps,
     OmegaTooSmall,
     VirtualTimeOverflow,
     build_time_grid,
-    default_omega,
-    gillespie_sample,
-    sample_virtual_times,
     uniformize,
 )
 from smjp.events import EventSequence

@@ -5,7 +5,9 @@ or a hook would time a copy its caller never calls."""
 
 import importlib
 import importlib.util
+import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,8 @@ import pytest
 
 import smjp
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_hooks():
@@ -29,6 +32,16 @@ def resolve(module_name, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     return owner
+
+
+def test_readme_entry_points_resolve_in_the_package():
+    # The function column of README's "Key entry points" table, the rows
+    # after its header and separator lines.
+    lines = (ROOT / "README.md").read_text().split("| area | functions |\n")[1].splitlines()[1:]
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines)
+    names = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[2])]
+    assert len(names) > 30
+    assert [n for n in names if n not in smjp.__all__ or not callable(getattr(smjp, n, None))] == []
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smjp.core import derive_rng
+from smjp.core import SmjpError, derive_rng
 from smjp.quantize import KTooLarge, quantize_locations
 
 
@@ -49,3 +49,14 @@ class TestQuantizeLocations:
         single = quantize_locations(pts, 1, seed=0).inertia
         multi = quantize_locations(pts, 4, seed=0).inertia
         assert multi <= single
+
+    @pytest.mark.parametrize("cell, message", [
+        (np.nan, "point 2 has a non-finite coordinate"),
+        (-np.inf, "point 2 has a non-finite coordinate"),
+        (1e300, "points spread too far apart: their squared distances overflow"),
+    ])
+    def test_points_whose_distances_are_not_finite_refused(self, cell, message):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+        pts[2, 1] = cell
+        with pytest.raises(SmjpError, match=f"^{message}$"):
+            quantize_locations(pts, 2, seed=3)

@@ -7,21 +7,24 @@ import pytest
 
 from helpers import (
     accumulate_stats,
+    default_omega,
     enumerate_paths,
     event_grid,
     exact_loglik,
     forward_logspace,
     logsumexp,
+    matrix_exponential,
     model_from_chains,
     random_grid,
     random_model,
     scaled_xi,
 )
-from smjp.core import derive_rng, index_alphabet, matrix_exponential
-from smjp.ctmc import MAX_EXPECTED_VIRTUAL, NO_OBSERVATION, VirtualTimeOverflow, build_time_grid, default_omega, uniformize
+from smjp.core import derive_rng, index_alphabet
+from smjp.ctmc import MAX_EXPECTED_VIRTUAL, NO_OBSERVATION, VirtualTimeOverflow, build_time_grid, uniformize
 from smjp.events import EventSequence, split_chronological
 from smjp.foraging import ToyConfig, generate_toy
-from smjp import switching
+from smjp import analysis, switching
+from smjp.analysis import event_state_posterior
 from smjp.core import SmjpError
 from smjp.switching import (
     EmptyStatistics,
@@ -665,14 +668,23 @@ class TestHeldOut:
             for a, dt in zip(seq.actions[:-1], np.diff(seq.times))
         ]
         emit = model.emission[:, seq.observations].T
+        n = model.n_states
         total = 0.0
-        for path in itertools.product(range(model.n_states), repeat=len(seq)):
-            w = emit[0, path[0]] / model.n_states
+        gamma = np.zeros((len(seq), n))
+        xi = np.zeros((len(seq) - 1, n, n))
+        for path in itertools.product(range(n), repeat=len(seq)):
+            w = emit[0, path[0]] / n
             for i, step in enumerate(steps):
                 w *= step[path[i], path[i + 1]] * emit[i + 1, path[i + 1]]
             total += w
+            gamma[np.arange(len(seq)), path] += w
+            xi[np.arange(len(seq) - 1), path[:-1], path[1:]] += w
         got = held_out_loglik(model, [seq], FitConfig(eval_grids=2, seed=6))
         assert got == pytest.approx(np.log(total), abs=1e-10)
+        np.testing.assert_allclose(event_state_posterior(model, seq), gamma / total, rtol=0, atol=1e-12)
+        res = forward_backward(model, seq)
+        got_xi, _ = posterior_xi(model, res.log_alpha, res.log_beta, seq)
+        np.testing.assert_allclose(got_xi, xi / total, rtol=0, atol=1e-12)
 
     def test_rejects_zero_eval_grids(self):
         toy = toy_sequences(length=50, seed=3)
@@ -689,10 +701,12 @@ class TestHeldOut:
         first = int(np.flatnonzero(seq.observations == 1)[0])
         with pytest.raises(ZeroProbabilityObservation) as want:
             forward(model, event_grid(seq.observations, seq.actions))
-        with pytest.raises(ZeroProbabilityObservation) as got:
-            held_out_loglik(model, [seq], FitConfig(eval_grids=1, seed=3))
-        assert got.value.step == want.value.step == first
-        assert str(got.value) == f"observation at event {first} of sequence {seq.id!r} has zero likelihood"
+        for call in (lambda: held_out_loglik(model, [seq], FitConfig(eval_grids=1, seed=3)),
+                     lambda: forward_backward(model, seq)):
+            with pytest.raises(ZeroProbabilityObservation) as got:
+                call()
+            assert got.value.step == want.value.step == first
+            assert str(got.value) == f"observation at event {first} of sequence {seq.id!r} has zero likelihood"
 
 
 class TestExactHeldOut:
@@ -710,6 +724,8 @@ class TestExactHeldOut:
         seq = random_sequence(rng, model, length)
         got = held_out_loglik(model, [seq])
         assert got == pytest.approx(exact_loglik(model, seq), rel=1e-9)
+        # The event-level filter-smoother runs on the same laws.
+        assert forward(model, seq)[1] == pytest.approx(got, rel=1e-12)
 
     def test_long_interval_takes_the_squaring_path(self):
         # Sticky chains keep expm(A dt) away from stationarity at omega dt
@@ -764,12 +780,16 @@ class TestExactHeldOut:
 
     def test_reads_no_grid_knob(self, monkeypatch):
         def no_grid(*args):
-            raise AssertionError("held-out scoring built a grid")
+            raise AssertionError("built a grid")
 
-        monkeypatch.setattr(switching, "build_time_grid", no_grid)
+        for module in (analysis, switching):
+            monkeypatch.setattr(module, "build_time_grid", no_grid)
         toy = toy_sequences(length=80, seed=4)
-        scores = {held_out_loglik(toy.model, [toy.sequence], FitConfig(seed=s, eval_grids=g)) for s in (0, 9) for g in (1, 5)}
+        configs = [FitConfig(seed=s, eval_grids=g) for s in (0, 9) for g in (1, 5)]
+        scores = {held_out_loglik(toy.model, [toy.sequence], cfg) for cfg in configs}
         assert scores == {held_out_loglik(toy.model, [toy.sequence])}
+        gammas = {event_state_posterior(toy.model, toy.sequence, cfg).tobytes() for cfg in configs}
+        assert gammas == {event_state_posterior(toy.model, toy.sequence).tobytes()}
 
     def test_overflowing_interval_refused(self):
         toy = toy_sequences(length=20, seed=5)
