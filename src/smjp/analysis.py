@@ -488,6 +488,12 @@ def extract_subgraphs(
 # ---------------------------------------------------------------------------
 # Interval statistics.
 
+# The most histogram bins an explicit bin width may ask for (8 MB of
+# edges). The default width, a quarter of the mean interval, gives at
+# most 4n+1 bins for n intervals, so it is never held to this bound.
+MAX_HISTOGRAM_BINS = 1_000_000
+
+
 @dataclass(frozen=True)
 class IntervalStats:
     n_intervals: int
@@ -513,6 +519,9 @@ def interval_stats(
     ------
     TooFewEvents
         With fewer than 10 matching intervals.
+    SmjpError
+        When an explicit ``bin_width`` is not finite and positive, or
+        would need more than ``MAX_HISTOGRAM_BINS`` bins.
     """
     if bin_width is not None and not 0.0 < bin_width < np.inf:
         raise SmjpError(f"bin_width must be finite and positive, got {float(bin_width)!r}")
@@ -525,6 +534,11 @@ def interval_stats(
     intervals = np.diff(times)
     if intervals.size < 10:
         raise TooFewEvents(f"only {intervals.size} matching intervals, need at least 10")
+    if bin_width is not None:
+        n_bins = float(intervals.max()) / bin_width
+        if n_bins > MAX_HISTOGRAM_BINS:
+            raise SmjpError(f"bin_width {float(bin_width)!r} needs {n_bins:.6g} histogram bins, "
+                            f"more than {MAX_HISTOGRAM_BINS}")
     mean = float(intervals.mean())
     rate = 1.0 / mean
     loglik = intervals.size * np.log(rate) - rate * intervals.sum()

@@ -4,9 +4,13 @@ planner on discretized beliefs, and a small switching-chain toy generator.
 The world has two feeding boxes whose rewards arm after independent
 exponential waits. The planner tracks one availability belief per box,
 plans on a grid of belief bins (belief MDP solved by value iteration) and
-acts on a fixed decision tick. The simulator replays the same belief
-arithmetic against the true hidden box states and records an event stream
-plus the ground-truth agent state at every decision.
+acts on a fixed decision tick. Every (action, location) row block of the
+planner's kernel reaches one location, so each Bellman sweep multiplies
+those blocks by the matching half of the value vector. The simulator
+replays the same belief arithmetic on Python floats against the true
+hidden box states and records an event stream plus the ground-truth agent
+state at every decision. ``tests/helpers.py`` keeps the dense sweep and
+the per-step simulator loop as oracles.
 """
 
 from __future__ import annotations
@@ -150,9 +154,6 @@ class BeliefMDP:
         rest = index // self.m_bins
         return rest // self.m_bins, rest % self.m_bins, bin1
 
-    def belief_bin(self, belief: float) -> int:
-        return _belief_bin(belief, self.m_bins)
-
 
 def _belief_bin(belief: float, m_bins: int) -> int:
     """The bin whose centre is nearest to ``belief``."""
@@ -241,11 +242,38 @@ class ValueIterationResult:
 def value_iteration(mdp: BeliefMDP, tol: float = 1e-8, sweep_cap: int = 100_000) -> ValueIterationResult:
     """Iterate the Bellman optimality operator to a sup-norm residual
     below ``tol``; greedy policy ties break toward the lowest action index
-    (stay before presses before move)."""
-    values = np.zeros(mdp.n_states)
+    (stay before presses before move).
+
+    Each sweep uses the layout ``build_belief_mdp`` guarantees: the rows
+    of an (action, location) block reach one location only, the other
+    one for a move and the same one otherwise. So a sweep multiplies
+    eight m²×m² blocks by the matching half of the value vector, and the
+    terms it skips are exact zeros of the dense product.
+
+    Raises
+    ------
+    InvalidConfig
+        When some (action, location) block reaches both locations.
+    NonConvergence
+        When ``sweep_cap`` sweeps leave the residual at or above ``tol``.
+    """
+    k, n = mdp.n_actions, mdp.n_states
+    half = n // 2
+    actions, sources = np.arange(k)[:, None], np.arange(2)[None, :]
+    targets = np.where(actions == A_MOVE, 1 - sources, sources)
+    split = mdp.transition.reshape(k, 2, half, 2, half)
+    stray = split[actions, sources, :, 1 - targets].any(axis=(2, 3))
+    if stray.any():
+        a, loc = np.argwhere(stray)[0]
+        raise InvalidConfig(f"action {ACTION_LABELS[a]} at location {loc} must reach only location "
+                            f"{targets[a, loc]}, but its transition reaches location {1 - targets[a, loc]}")
+    blocks = split[actions, sources, :, targets]
+    reward, discounts = mdp.reward.T, mdp.step_discounts[:, None]
+    values = np.zeros(n)
     residuals: list[float] = []
     for sweep in range(sweep_cap):
-        q = mdp.reward.T + mdp.step_discounts[:, None] * (mdp.transition @ values)
+        reached = values.reshape(2, half)[targets]
+        q = reward + discounts * np.matmul(blocks, reached[..., None]).reshape(k, n)
         new_values = q.max(axis=0)
         resid = float(np.abs(new_values - values).max())
         residuals.append(resid)
@@ -316,6 +344,8 @@ def simulate_agent(
     ground-truth trace.
     """
     check_horizon(horizon)
+    if start_location not in (0, 1):
+        raise InvalidConfig(f"start_location must be 0 or 1, got {start_location!r}")
     if policy is None:
         if mdp.policy is None:
             raise SmjpError("planner has no policy; solve it or pass one explicitly")
@@ -330,19 +360,25 @@ def simulate_agent(
     act_alpha = Alphabet("action", ACTION_LABELS)
     reward_obs, no_reward_obs = obs_alpha.index("reward"), obs_alpha.index("no-reward")
     act_at = policy.reshape(2, mdp.m_bins, mdp.m_bins).tolist()
-    belief_bin = mdp.belief_bin
+    scale = mdp.m_bins - 1
+    # belief_update's accrual of each box over a tick and over a move.
+    tick, travel = world.decision_tick, world.travel_time
+    tick_0, tick_1 = (1.0 - math.exp(-tick / mean) for mean in means)
+    travel_0, travel_1 = (1.0 - math.exp(-travel / mean) for mean in means)
 
     t = 0.0
     loc = int(start_location)
-    beliefs = [0.0, 0.0]
+    p0 = p1 = 0.0  # the two boxes' beliefs
     next_food = [rng.exponential(means[0]), rng.exponential(means[1])]
-    # One row per decision: time, observation, action, location, rewarded,
+    # One list per column: time, observation, action, location, rewarded,
     # belief bin of the occupied box, and both beliefs before the step.
-    rows: list[tuple] = []
+    # The beliefs stay in [0, 1] by construction, so belief_update's and
+    # _belief_bin's checks are left out of this loop.
+    times, obs, acts, locs, rewards, local_bins, belief_0, belief_1 = ([] for _ in range(8))
 
     while t < horizon:
-        bins = (belief_bin(beliefs[0]), belief_bin(beliefs[1]))
-        a = act_at[loc][bins[0]][bins[1]]
+        b0, b1 = round(p0 * scale), round(p1 * scale)
+        a = act_at[loc][b0][b1]
         acted = a == LOCAL_PRESS[loc]
         rewarded = acted and t >= next_food[loc]
         if rewarded:
@@ -351,15 +387,26 @@ def simulate_agent(
             o = loc  # location symbol
         else:
             o = reward_obs if rewarded else no_reward_obs
-        rows.append((t, o, a, loc, rewarded, bins[loc], beliefs[0], beliefs[1]))
-        dt = world.travel_time if a == A_MOVE else world.decision_tick
-        for box in range(2):
-            beliefs[box] = belief_update(beliefs[box], acted and box == loc, rewarded, means[box], dt)
-        t += dt
+        times.append(t)
+        obs.append(o)
+        acts.append(a)
+        locs.append(loc)
+        rewards.append(rewarded)
+        local_bins.append(b1 if loc else b0)
+        belief_0.append(p0)
+        belief_1.append(p1)
         if a == A_MOVE:
+            p0 += (1.0 - p0) * travel_0
+            p1 += (1.0 - p1) * travel_1
+            t += travel
             loc = 1 - loc
+            continue
+        # A press resets its box: zero after a reward, else accrual from zero.
+        p0 = (0.0 if rewarded else tick_0) if acted and loc == 0 else p0 + (1.0 - p0) * tick_0
+        p1 = (0.0 if rewarded else tick_1) if acted and loc == 1 else p1 + (1.0 - p1) * tick_1
+        t += tick
 
-    times, obs, acts, locs, rewards, local_bins, *belief_log = map(np.asarray, zip(*rows))
+    times, obs, acts, locs, rewards, local_bins = map(np.asarray, (times, obs, acts, locs, rewards, local_bins))
     seq = EventSequence(
         "foraging-agent", times, obs, acts, obs_alpha, act_alpha, {"horizon": repr(float(horizon))}
     )
@@ -369,7 +416,7 @@ def simulate_agent(
         location=locs,
         rewarded=rewards,
         belief_bin=local_bins,
-        beliefs=np.stack(belief_log, axis=1),
+        beliefs=np.column_stack((belief_0, belief_1)),
         m_bins=mdp.m_bins,
     )
     return seq, trace

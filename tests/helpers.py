@@ -4,7 +4,8 @@ domain, the pair posteriors of the scaled recursions, the per-point
 E-step, the grid-free likelihood of an event sequence, the toy chain's
 path drawn by numpy searches, Newman modularity, the log-domain helpers
 these oracles are built from, the belief planner built one state at a
-time, the co-clustering (one restart and one size pair after another, its
+time, its dense Bellman sweep, the agent run one checked belief update
+at a time, the co-clustering (one restart and one size pair after another, its
 sweep scoring one candidate at a time) and the modularity merge scored one
 candidate at a time. The last section holds what only tests use: a
 Taylor matrix exponential, Gillespie paths, a uniformization rate rule,
@@ -28,6 +29,7 @@ from smjp.analysis import (
     mutual_information,
 )
 from smjp.core import (
+    Alphabet,
     DimensionMismatch,
     GeneratorMatrix,
     NonFinite,
@@ -55,10 +57,17 @@ from smjp.foraging import (
     A_PRESS_2,
     A_STAY,
     ACTION_LABELS,
+    LOCAL_PRESS,
+    OBSERVATION_LABELS,
+    AgentTrace,
     BeliefMDP,
     InvalidConfig,
+    NonConvergence,
+    ValueIterationResult,
     WorldConfig,
+    _belief_bin,
     belief_update,
+    check_horizon,
 )
 from smjp.switching import (
     SwitchingSMJP,
@@ -385,6 +394,79 @@ def belief_mdp_per_state(world: WorldConfig, m_bins: int = 10, diffusion_eps: fl
         reward=reward,
         step_discounts=world.discount ** (durations / tick),
     )
+
+
+def value_iteration_dense(mdp: BeliefMDP, tol: float = 1e-8, sweep_cap: int = 100_000) -> ValueIterationResult:
+    """Dense reference for ``value_iteration``: each sweep multiplies every
+    action's whole n×n kernel by the whole value vector."""
+    values = np.zeros(mdp.n_states)
+    residuals: list[float] = []
+    for sweep in range(sweep_cap):
+        q = mdp.reward.T + mdp.step_discounts[:, None] * (mdp.transition @ values)
+        new_values = q.max(axis=0)
+        resid = float(np.abs(new_values - values).max())
+        residuals.append(resid)
+        values = new_values
+        if resid < tol:
+            policy = q.argmax(axis=0)
+            return ValueIterationResult(values, policy.astype(np.int64), tuple(residuals), sweep + 1)
+    raise NonConvergence(f"no convergence after {sweep_cap} sweeps")
+
+
+def simulate_agent_per_step(mdp, horizon, seed, policy=None, start_location=0):
+    """Per-step reference for ``simulate_agent``: every decision bins the
+    beliefs and advances them through the checked ``belief_update``, and
+    the rows are collected as tuples."""
+    check_horizon(horizon)
+    if policy is None:
+        policy = mdp.policy
+    policy = np.asarray(policy, dtype=np.int64)
+    rng = as_rng(seed)
+    world = mdp.world
+    means = world.box_means
+    obs_alpha = Alphabet("observation", OBSERVATION_LABELS)
+    act_alpha = Alphabet("action", ACTION_LABELS)
+    reward_obs, no_reward_obs = obs_alpha.index("reward"), obs_alpha.index("no-reward")
+    act_at = policy.reshape(2, mdp.m_bins, mdp.m_bins).tolist()
+
+    t = 0.0
+    loc = int(start_location)
+    beliefs = [0.0, 0.0]
+    next_food = [rng.exponential(means[0]), rng.exponential(means[1])]
+    rows: list[tuple] = []
+    while t < horizon:
+        bins = (_belief_bin(beliefs[0], mdp.m_bins), _belief_bin(beliefs[1], mdp.m_bins))
+        a = act_at[loc][bins[0]][bins[1]]
+        acted = a == LOCAL_PRESS[loc]
+        rewarded = acted and t >= next_food[loc]
+        if rewarded:
+            next_food[loc] = t + rng.exponential(means[loc])
+        if a == A_STAY or a == A_MOVE:
+            o = loc
+        else:
+            o = reward_obs if rewarded else no_reward_obs
+        rows.append((t, o, a, loc, rewarded, bins[loc], beliefs[0], beliefs[1]))
+        dt = world.travel_time if a == A_MOVE else world.decision_tick
+        for box in range(2):
+            beliefs[box] = belief_update(beliefs[box], acted and box == loc, rewarded, means[box], dt)
+        t += dt
+        if a == A_MOVE:
+            loc = 1 - loc
+
+    times, obs, acts, locs, rewards, local_bins, *belief_log = map(np.asarray, zip(*rows))
+    seq = EventSequence(
+        "foraging-agent", times, obs, acts, obs_alpha, act_alpha, {"horizon": repr(float(horizon))}
+    )
+    trace = AgentTrace(
+        times=times,
+        z=(locs * 2 + rewards) * mdp.m_bins + local_bins,
+        location=locs,
+        rewarded=rewards,
+        belief_bin=local_bins,
+        beliefs=np.stack(belief_log, axis=1),
+        m_bins=mdp.m_bins,
+    )
+    return seq, trace
 
 
 def mutual_information_masked(joint: np.ndarray) -> float:

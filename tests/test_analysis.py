@@ -368,6 +368,21 @@ class TestIntervalStats:
         with pytest.raises(SmjpError, match=f"^bin_width must be finite and positive, got {width!r}$"):
             interval_stats(seq, bin_width=width)
 
+    def test_explicit_width_over_the_bin_bound_refused(self):
+        seq = interval_sequence(np.r_[np.ones(14), 1e9])
+        with pytest.raises(SmjpError, match=r"^bin_width 1\.0 needs 1e\+09 histogram bins, more than 1000000$"):
+            interval_stats(seq, bin_width=1.0)
+        assert interval_stats(seq, bin_width=1e3).hist_counts.size == 1_000_000
+
+    def test_default_width_is_never_held_to_the_bin_bound(self):
+        # 300 000 intervals and one far gap: the default width, a quarter of
+        # the mean, gives about 4n bins, more than an explicit width may ask.
+        n = 300_000
+        seq = interval_sequence(np.r_[np.ones(n - 1), 1e12])
+        res = interval_stats(seq)
+        assert analysis.MAX_HISTOGRAM_BINS < res.hist_counts.size <= 4 * n + 1
+        assert res.hist_counts.sum() == n
+
     def test_too_few_events(self):
         seq = interval_sequence(np.ones(5))
         with pytest.raises(TooFewEvents):

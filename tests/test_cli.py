@@ -945,6 +945,28 @@ def intervals_inputs(sweep_inputs):
     return lines[:cut], lines[cut : cut + 60]
 
 
+class TestIntervalsBinBound:
+    @pytest.mark.parametrize("gap, width, bins", [(1e300, "1", "1e+300"), (1e9, "1", "1e+09"),
+                                                  (0.0, "1e-07", "5e+06")])
+    def test_explicit_width_over_the_bin_bound_exits_4(self, tmp_path, capsys, intervals_inputs, gap, width, bins):
+        # 16 event rows, the last pushed out by the gap.
+        header, rows = intervals_inputs
+        cells = [row.split(",") for row in rows[:16]]
+        cells[-1][0] = repr(float(cells[-1][0]) + gap)
+        events = tmp_path / "events.csv"
+        events.write_text("\n".join(header + [",".join(c) for c in cells]) + "\n")
+        capsys.readouterr()
+        rc = run(["intervals", "--out", tmp_path / "refused", "--events", events, "--bin-width", width])
+        assert rc == EXIT_DOMAIN
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bin_width {float(width)!r} needs {bins} histogram bins, more than 1000000"]
+        assert not (tmp_path / "refused").exists()
+        # The default width, a quarter of the mean interval, is never refused.
+        assert run(["intervals", "--out", tmp_path / "default", "--events", events]) == 0
+        histogram = (tmp_path / "default" / "intervals.txt").read_text().split("histogram:\n")[1].splitlines()
+        assert len(histogram) <= 4 * 15 + 1
+
+
 class TestIntervalsFuzz:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(st.data())
@@ -953,7 +975,7 @@ class TestIntervalsFuzz:
         text = mutated_event_text(data.draw, header, rows, FORAGER_CELL_VALUES)
         flags = []
         for flag, values in (("--observation", FORAGER_CELL_VALUES[1][:-1]), ("--action", FORAGER_CELL_VALUES[2][:-1]),
-                             ("--bin-width", ["0", "nan", "inf", "-1"])):
+                             ("--bin-width", ["0", "nan", "inf", "-1", "0.5", "1e-7"])):
             if data.draw(RARELY):
                 flags += [flag, data.draw(st.sampled_from(values))]
         with tempfile.TemporaryDirectory() as tmp:
@@ -999,3 +1021,66 @@ class TestQuantizeFuzz:
                 assert len(labels) == len([line for line in text.splitlines() if line and line != "x,y"])
                 inertia = (out / "centroids.csv").read_text().splitlines()[1]
                 assert np.isfinite(float(inertia.split(": ")[1]))
+
+
+def _is_number_row(line: str) -> bool:
+    try:
+        return bool([float(x) for x in line.split()])
+    except ValueError:
+        return False
+
+
+def mutated_model_text(draw, lines) -> str:
+    """A saved model with some matrix cells replaced, one generator block
+    scaled, omega or the action alphabet replaced, and lines dropped."""
+    lines = list(lines)
+    rows = [i for i, line in enumerate(lines) if _is_number_row(line)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.sampled_from(rows))
+        cells = lines[i].split()
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(CELL_VALUES[0]))
+        lines[i] = " ".join(cells)
+    if draw(RARELY):
+        # Scaling a whole generator keeps its rows summing to zero.
+        starts = [i for i, line in enumerate(lines) if line.startswith("generator ")]
+        start, factor = draw(st.sampled_from(starts)), draw(st.sampled_from([0.0, 1e-300, 1e6, 1e300]))
+        end = next(i for i in range(start + 1, len(lines) + 1) if i == len(lines) or not _is_number_row(lines[i]))
+        for i in range(start + 1, end):
+            lines[i] = " ".join(repr(float(x) * factor) for x in lines[i].split())
+    if draw(RARELY):
+        lines[lines.index(next(line for line in lines if line.startswith("omega:")))] = (
+            "omega: " + draw(st.sampled_from(CELL_VALUES[0])))
+    if draw(RARELY):
+        lines[2] = draw(st.sampled_from(["actions: stay press-1 press-2", "actions: a b c d e", "actions:"]))
+    for _ in range(draw(st.integers(0, 2)) if draw(RARELY) else 0):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def operators_inputs(sweep_inputs):
+    """The lines of the sweep's fitted forager model (3 states, 4 actions)."""
+    return sweep_inputs["operators"][1].read_text().splitlines()
+
+
+class TestOperatorsFuzz:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_mutated_model_ends_in_a_documented_exit(self, operators_inputs, data):
+        text = mutated_model_text(data.draw, operators_inputs)
+        flags = []
+        for flag, values in (("--operator-threshold", ["0", "0.05", "0.5", "0.99", "1", "-0.1", "nan", "inf"]),
+                             ("--persistence-frac", ["0", "0.7", "1", "1.5", "-0.1", "nan", "inf"])):
+            if data.draw(st.booleans()):
+                flags += [flag, data.draw(st.sampled_from(values))]
+        with tempfile.TemporaryDirectory() as tmp:
+            model, out = Path(tmp) / "model.smjp", Path(tmp) / "out"
+            model.write_text(text)
+            rc, _ = fuzz_run(["operators", "--model", model, "--seed", 0, *flags], out)
+            if rc == 0:
+                report = (out / "operators.txt").read_text().splitlines()
+                matrices = [[float(x) for x in line.split()] for line in report if _is_number_row(line)]
+                assert matrices and np.isfinite(matrices).all() and min(map(min, matrices)) >= 0
+                assert np.allclose([sum(row) for row in matrices], 1.0)
+                assert all(np.isfinite(float(line.split(": ")[1])) for line in report
+                           if line.startswith("modularity: "))

@@ -1,13 +1,16 @@
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from scipy import stats as sp_stats
 
-from helpers import belief_mdp_per_state, toy_path_searchsorted
+from helpers import belief_mdp_per_state, simulate_agent_per_step, toy_path_searchsorted, value_iteration_dense
 from smjp import foraging
 from smjp.ctmc import TAG_EVENT, TimeGrid
 from smjp.foraging import (
+    ACTION_LABELS,
     A_MOVE,
     A_PRESS_1,
     A_PRESS_2,
@@ -26,6 +29,31 @@ from smjp.foraging import (
     value_iteration,
 )
 from smjp.switching import forward
+
+
+# The worlds whose planners the block sweep and the scalar agent loop are
+# pinned on: (world, m_bins).
+PLANNER_WORLDS = {
+    "default": (WorldConfig(), 10),
+    "m5": (WorldConfig(), 5),
+    "m8": (WorldConfig(), 8),
+    "m20": (WorldConfig(), 20),
+    "free-press": (WorldConfig(press_cost=0.0), 10),
+    "far-boxes": (WorldConfig(box_means=(5.0, 50.0), travel_time=3.0), 10),
+    "quarter-tick": (WorldConfig(decision_tick=0.25), 10),
+}
+
+
+@lru_cache(maxsize=None)
+def solved_planner(name):
+    """The named world's planner with its block-sweep solution attached."""
+    mdp = build_belief_mdp(*PLANNER_WORLDS[name])
+    result = value_iteration(mdp)
+    return replace(mdp, values=result.values, policy=result.policy), result
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestWorldConfig:
@@ -185,6 +213,30 @@ class TestValueIteration:
         policy = np.array(per_location, dtype=np.int64).ravel()
         assert policy_is_nontrivial(replace(mdp, policy=policy)) is expected
 
+    @pytest.mark.parametrize("name", sorted(PLANNER_WORLDS))
+    def test_block_sweep_matches_the_dense_oracle(self, name):
+        mdp, got = solved_planner(name)
+        want = value_iteration_dense(mdp)
+        assert np.array_equal(got.policy, want.policy) and got.policy.dtype == want.policy.dtype
+        assert got.sweeps == want.sweeps and len(got.residuals) == len(want.residuals)
+        assert np.allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+        assert np.allclose(got.residuals, want.residuals, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("action, location", [(A_STAY, 0), (A_PRESS_2, 1), (A_MOVE, 1)])
+    def test_transition_reaching_both_locations_is_refused(self, action, location):
+        mdp = build_belief_mdp(WorldConfig(), m_bins=3)
+        trans = mdp.transition.copy().reshape(4, 2, 9, 2, 9)
+        # Half of one row's mass goes to the location the action cannot reach.
+        reached = 1 - location if action == A_MOVE else location
+        row = trans[action, location, 4]
+        row[1 - reached] = row[reached] / 2
+        row[reached] /= 2
+        broken = replace(mdp, transition=trans.reshape(4, 18, 18))
+        with pytest.raises(InvalidConfig) as err:
+            value_iteration(broken)
+        assert str(err.value) == (f"action {ACTION_LABELS[action]} at location {location} must reach only location {reached}, "
+                                  f"but its transition reaches location {1 - reached}")
+
     def test_policy_structure_insensitive_to_halved_tick(self):
         # The decision cadence is a discretization knob: halving it must not
         # change the qualitative policy (lowest belief bin worth pressing).
@@ -255,6 +307,59 @@ class TestSimulateAgent:
         assert trace.z.min() >= 0 and trace.z.max() < trace.n_z
         oh = trace.one_hot()
         assert np.array_equal(oh.sum(axis=1), np.ones(len(seq)))
+
+
+class TestScalarAgentLoop:
+    """``simulate_agent`` against the per-step oracle: the event stream and
+    the truth trace equal in bytes and dtype."""
+
+    SEEDS = [*range(10), 42]
+
+    def assert_same_run(self, mdp, horizon, seed, **kwargs):
+        got_seq, got_trace = simulate_agent(mdp, horizon, seed, **kwargs)
+        want_seq, want_trace = simulate_agent_per_step(mdp, horizon, seed, **kwargs)
+        for name in ("times", "observations", "actions"):
+            assert same_bytes(getattr(got_seq, name), getattr(want_seq, name)), name
+        for name in ("times", "z", "location", "rewarded", "belief_bin", "beliefs"):
+            assert same_bytes(getattr(got_trace, name), getattr(want_trace, name)), name
+        assert got_seq.metadata == want_seq.metadata and got_trace.m_bins == want_trace.m_bins
+
+    @pytest.mark.parametrize("name", sorted(PLANNER_WORLDS))
+    def test_solved_policy_matches_the_oracle(self, name):
+        mdp, _ = solved_planner(name)
+        for seed in self.SEEDS:
+            self.assert_same_run(mdp, 800.0, seed)
+
+    @pytest.mark.parametrize("start_location", [0, 1])
+    @pytest.mark.parametrize("policy", ["solved", "all-stay", "all-move", "local-press", "random"])
+    def test_policies_and_start_locations_match_the_oracle(self, policy, start_location):
+        mdp, _ = solved_planner("default")
+        by_location = np.array([[A_PRESS_1], [A_PRESS_2]]).repeat(mdp.n_states // 2, axis=1).ravel()
+        chosen = {
+            "solved": None,
+            "all-stay": np.full(mdp.n_states, A_STAY),
+            "all-move": np.full(mdp.n_states, A_MOVE),
+            "local-press": by_location,
+            "random": np.random.default_rng(8).integers(0, mdp.n_actions, mdp.n_states),
+        }[policy]
+        for seed in self.SEEDS:
+            self.assert_same_run(mdp, 800.0, seed, policy=chosen, start_location=start_location)
+
+    def test_forager_horizon_matches_the_oracle(self):
+        # The 6000-s run of criterion 07 and of the forage-pipeline workload.
+        mdp, _ = solved_planner("default")
+        for seed in (1, 2, 42):
+            self.assert_same_run(mdp, 6000.0, seed)
+
+    @pytest.mark.parametrize("start_location", [2, -1, 0.5, float("nan")])
+    def test_bad_start_location_refused_before_any_draw(self, start_location):
+        mdp, _ = solved_planner("m5")
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidConfig) as err:
+            simulate_agent(mdp, 100.0, rng, start_location=start_location)
+        assert str(err.value) == f"start_location must be 0 or 1, got {start_location!r}"
+        assert rng.bit_generator.state == before
 
 
 class TestGenerateToy:
