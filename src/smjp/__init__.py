@@ -29,15 +29,12 @@ from .switching import (
     FitReport,
     ForwardBackwardResult,
     SwitchingSMJP,
-    backward,
     fit,
     fit_best,
-    forward,
     forward_backward,
     held_out_loglik,
     load_model,
     m_step,
-    posterior_xi,
     save_model,
     select_num_states,
     update_generator,
@@ -85,9 +82,6 @@ __all__ = [
     "FitConfig",
     "FitReport",
     "ForwardBackwardResult",
-    "forward",
-    "backward",
-    "posterior_xi",
     "forward_backward",
     "m_step",
     "update_generator",

@@ -33,6 +33,10 @@ A_STAY, A_PRESS_1, A_PRESS_2, A_MOVE = range(4)
 # location acts on its box; the other press is a wasted tick.
 LOCAL_PRESS = (A_PRESS_1, A_PRESS_2)
 
+# Largest belief grid the planner builds: its kernel holds 4 * (2 m^2)^2
+# float64s, 128 m^4 bytes, under 512 MiB up to m = 45.
+MAX_M_BINS = 45
+
 
 class InvalidConfig(SmjpError):
     """A world/planner configuration value is out of range."""
@@ -184,6 +188,9 @@ def build_belief_mdp(world: WorldConfig, m_bins: int = 10, diffusion_eps: float 
     """
     if not (m_bins >= 2 and float(m_bins).is_integer()):
         raise InvalidConfig(f"m_bins must be an integer of at least 2, got {m_bins!r}")
+    if m_bins > MAX_M_BINS:
+        raise InvalidConfig(f"m_bins must be at most {MAX_M_BINS}, got {m_bins!r} (the kernel takes 128 m^4 bytes)")
+    m_bins = int(m_bins)
     if not 0.0 <= diffusion_eps <= 0.2:
         raise InvalidConfig(f"diffusion_eps must be in [0, 0.2], got {diffusion_eps!r}")
     bins = np.linspace(0.0, 1.0, m_bins)

@@ -4,15 +4,14 @@ The model holds one generator per action. A time grid interleaves event
 and virtual points: the discrete chain for the action in force at grid
 step t drives the transition t -> t+1, virtual points contribute a unit
 emission likelihood, and the latent prior at the first grid point is
-uniform (the initial distribution is not a learned parameter). The
-posterior functions take a grid or an event sequence. On a grid they
-return every grid point; on a sequence they step from event to event by
-the exact law between them, B expm(A dt), so the state posterior at the
-events is exact. The EM E-step reads a grid as runs of virtual steps
-under one action, each one step of its law B_k^r. All of them run one
-scaled filter-smoother, ``_filter_smooth``: a blocked scan whose single
-fallback, the step-by-step loops, names the step of an impossible
-observation.
+uniform (the initial distribution is not a learned parameter). The one
+posterior entry point, ``forward_backward``, takes an event sequence and
+steps from event to event by the exact law between them, B expm(A dt), so
+the state posterior at the events is exact. The EM E-step reads a grid as
+runs of virtual steps under one action, each one step of its law B_k^r.
+Both run one scaled filter-smoother, ``_filter_smooth``: a blocked scan
+whose single fallback, the step-by-step loops, names the step of an
+impossible observation.
 
 Fitting alternates three phases: draw fresh grids of Poisson virtual-point
 counts, run discrete-chain EM to convergence on those fixed grids, then map
@@ -182,15 +181,25 @@ class SwitchingSMJP:
 
 @dataclass(frozen=True)
 class ForwardBackwardResult:
-    """Posterior quantities over one grid or sequence: log filters, log
+    """Posterior quantities at the events of one sequence: log filters, log
     smoothers, state marginals and per-step normalizers. Transition-pair
-    marginals come from :func:`posterior_xi`."""
+    marginals are not formed; the E-step sums them in closed form."""
 
     log_alpha: np.ndarray
     log_beta: np.ndarray
     gamma: np.ndarray
     log_likelihood: float
     per_step_scaling: np.ndarray
+
+    @classmethod
+    def from_scaled(cls, alpha: np.ndarray, c: np.ndarray, beta: np.ndarray) -> ForwardBackwardResult:
+        """The result of one ``_filter_smooth`` pass, its normalizers folded
+        back into the logs; ``log_beta[T-1]`` is the zero vector."""
+        logc = np.cumsum(np.log(c))
+        with np.errstate(divide="ignore"):
+            log_alpha = np.log(alpha) + logc[:, None]
+            log_beta = np.log(beta) + (logc[-1] - logc)[:, None]
+        return cls(log_alpha, log_beta, alpha * beta, float(logc[-1]), c)
 
 
 @dataclass(frozen=True)
@@ -307,17 +316,6 @@ def _check_alphabets(model: SwitchingSMJP, sequences: Sequence[EventSequence]) -
             raise InconsistentShapes(f"sequence {seq.id!r} observation alphabet differs from the model's")
         if seq.action_alphabet.labels != model.actions.labels:
             raise InconsistentShapes(f"sequence {seq.id!r} action alphabet differs from the model's")
-
-
-def _check_grid(model: SwitchingSMJP, grid: TimeGrid) -> None:
-    if len(grid) == 0:
-        raise InconsistentShapes("grid is empty")
-    if grid.actions.min() < 0 or grid.actions.max() >= model.n_actions:
-        raise InconsistentShapes("grid action index outside the model's action alphabet")
-    obs = grid.observations
-    real = obs[obs != NO_OBSERVATION]
-    if real.size and (real.min() < 0 or real.max() >= model.n_observations):
-        raise InconsistentShapes("grid observation index outside the model's alphabet")
 
 
 def _emission_table(emission: np.ndarray, grid: TimeGrid | EventSequence) -> np.ndarray:
@@ -479,42 +477,6 @@ def _grid_loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
     return float(np.log(c).sum())
 
 
-def forward(model: SwitchingSMJP, data: TimeGrid | EventSequence) -> tuple[np.ndarray, float]:
-    """Forward filter over a grid or a sequence's events: the filter half
-    of :func:`forward_backward`.
-
-    Returns
-    -------
-    log_alpha : (T, N) array
-        Log joint of the observations up to t and the state at t.
-    log_likelihood : float
-        Log probability of all observations.
-    """
-    res = forward_backward(model, data)
-    return res.log_alpha, res.log_likelihood
-
-
-def backward(model: SwitchingSMJP, data: TimeGrid | EventSequence) -> np.ndarray:
-    """Backward smoother; ``log_beta[T-1]`` is the zero vector.
-
-    The scaled smoother with the forward normalizers folded back in:
-    ``log beta_t = log beta_hat_t + sum_{s > t} log c_s``.
-    """
-    return forward_backward(model, data).log_beta
-
-
-def _step_laws(model: SwitchingSMJP, data: TimeGrid | EventSequence) -> tuple[np.ndarray, np.ndarray]:
-    """(step laws, step index) of a grid or a sequence: a grid steps by the
-    chain of its step action; a sequence steps from event i to i+1 by its
-    own interval law ``P_i = B_k expm(A_k dt_i)``."""
-    if isinstance(data, EventSequence):
-        _check_alphabets(model, [data])
-        (laws,) = _event_laws(model, [data])
-        return laws, np.arange(len(data) - 1)
-    _check_grid(model, data)
-    return model.chain_stack, data.actions
-
-
 def _at_event(exc: ZeroProbabilityObservation, seq: EventSequence) -> ZeroProbabilityObservation:
     """``exc`` from a sequence's event-level filter, naming the event and
     the sequence."""
@@ -523,67 +485,21 @@ def _at_event(exc: ZeroProbabilityObservation, seq: EventSequence) -> ZeroProbab
     )
 
 
-def posterior_xi(
-    model: SwitchingSMJP,
-    log_alpha: np.ndarray,
-    log_beta: np.ndarray,
-    data: TimeGrid | EventSequence,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transition-pair posteriors xi and state marginals gamma.
-
-    ``xi[t, i, j]`` is the posterior probability of being in state i at
-    point t and state j at point t+1 (grid points, or the events of a
-    sequence); each slice is normalized. ``gamma[t]`` marginalizes
-    ``xi[t]`` over the destination (the final point comes from the
-    filter/smoother product). Each row of the log inputs is shifted by its
-    maximum before leaving the log domain, so only ratios within a row
-    matter.
-    """
-    laws, kidx = _step_laws(model, data)
-    t, n = len(data), model.n_states
-    if log_alpha.shape != (t, n) or log_beta.shape != (t, n):
-        raise InconsistentShapes(
-            f"posterior inputs {log_alpha.shape}/{log_beta.shape} do not match the data/model ({t}, {n})"
-        )
-    with np.errstate(invalid="ignore"):
-        a = np.exp(log_alpha - log_alpha.max(axis=1, keepdims=True))
-        b = np.exp(log_beta - log_beta.max(axis=1, keepdims=True))
-    w = _emission_table(model.emission, data)[1:] * b[1:]
-    xi = a[:-1, :, None] * laws[kidx[: t - 1]] * w[:, None, :]
-    last = a[-1] * b[-1]
-    mass = np.append(xi.sum(axis=(1, 2)), last.sum())
-    bad = ~(np.isfinite(mass) & (mass > 0))
-    if bad.any():
-        point = "grid step" if isinstance(data, TimeGrid) else "event"
-        raise ZeroProbabilityObservation(f"zero posterior mass at {point} {int(np.argmax(bad))}")
-    xi /= mass[:-1, None, None]
-    return xi, np.vstack([xi.sum(axis=2), last / mass[-1]])
-
-
-def forward_backward(model: SwitchingSMJP, data: TimeGrid | EventSequence) -> ForwardBackwardResult:
-    """One full smoothing pass via the scaled recursions, over a grid's
-    points or a sequence's events. On a sequence it is exact: its
-    likelihood is :func:`held_out_loglik`'s and ``gamma`` the posterior
-    over states at the events."""
-    laws, kidx = _step_laws(model, data)
-    e = _emission_table(model.emission, data)
+def forward_backward(model: SwitchingSMJP, seq: EventSequence) -> ForwardBackwardResult:
+    """One full smoothing pass over a sequence's events via the scaled
+    recursions, stepping from event i to i+1 by its own interval law ``P_i
+    = B_k expm(A_k dt_i)``. It is exact: its likelihood is
+    :func:`held_out_loglik`'s and ``gamma`` the posterior over states at
+    the events."""
+    if not isinstance(seq, EventSequence):
+        raise InconsistentShapes(f"forward_backward takes an EventSequence, got {type(seq).__name__}")
+    _check_alphabets(model, [seq])
+    (laws,) = _event_laws(model, [seq])
     try:
-        alpha, c, beta = _filter_smooth(laws, e, kidx)
+        scaled = _filter_smooth(laws, _emission_table(model.emission, seq), np.arange(len(seq) - 1))
     except ZeroProbabilityObservation as exc:
-        if isinstance(data, TimeGrid):
-            raise
-        raise _at_event(exc, data) from None
-    logc = np.cumsum(np.log(c))
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(alpha) + logc[:, None]
-        log_beta = np.log(beta) + (logc[-1] - logc)[:, None]
-    return ForwardBackwardResult(
-        log_alpha=log_alpha,
-        log_beta=log_beta,
-        gamma=alpha * beta,
-        log_likelihood=float(logc[-1]),
-        per_step_scaling=c,
-    )
+        raise _at_event(exc, seq) from None
+    return ForwardBackwardResult.from_scaled(*scaled)
 
 
 def _powers(mats: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -623,7 +539,6 @@ class _Runs:
     """
 
     def __init__(self, grids: Sequence[TimeGrid], n_actions: int):
-        self.grids = grids
         self.n_actions = n_actions
         self.at: list[np.ndarray] = []
         self.ends: list[TimeGrid] = []
@@ -668,9 +583,6 @@ class _Runs:
             try:
                 alpha, c, beta = _filter_smooth(laws, e, self.law[g])
             except ZeroProbabilityObservation as exc:
-                # The step filter over the whole grid names the grid step.
-                grid = self.grids[g]
-                _filter_steps(chains, _emission_table(emission, grid), grid.actions)
                 step = int(self.at[g][exc.step])
                 raise ZeroProbabilityObservation(f"observation at grid step {step} has zero likelihood", step) from None
             ll += float(np.log(c).sum())

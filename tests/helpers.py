@@ -1,12 +1,13 @@
 """Shared fixtures and oracles: small random models, random grids,
-exhaustive path enumeration, a forward filter computed entirely in the log
-domain, the pair posteriors of the scaled recursions, the per-point
-E-step, the grid-free likelihood of an event sequence, the toy chain's
-path drawn by numpy searches, Newman modularity, the log-domain helpers
-these oracles are built from, the belief planner built one state at a
-time, its dense Bellman sweep, the agent run one checked belief update
-at a time, the co-clustering (one restart and one size pair after another, its
-sweep scoring one candidate at a time) and the modularity merge scored one
+exhaustive path enumeration, the filter-smoother's posterior over every
+grid point, a forward filter computed entirely in the log domain, the pair
+posteriors of the scaled recursions, the per-point E-step, the grid-free
+likelihood of an event sequence, the toy chain's path drawn by numpy
+searches, Newman modularity, the log-domain helpers these oracles are
+built from, the belief planner built one state at a time, its dense
+Bellman sweep, the agent run one checked belief update at a time, the
+co-clustering (one restart and one size pair after another, its sweep
+scoring one candidate at a time) and the modularity merge scored one
 candidate at a time. The last section holds what only tests use: a
 Taylor matrix exponential, Gillespie paths, a uniformization rate rule,
 Poisson times in one interval and the information lost by a given
@@ -70,11 +71,13 @@ from smjp.foraging import (
     check_horizon,
 )
 from smjp.switching import (
+    ForwardBackwardResult,
+    InconsistentShapes,
     SwitchingSMJP,
     SufficientStats,
     ZeroProbabilityObservation,
-    _check_grid,
     _emission_table,
+    _event_laws,
     _filter_smooth,
     update_generator,
 )
@@ -166,6 +169,27 @@ def enumerate_paths(model, grid):
     return np.log(total), gamma / total, xi / total
 
 
+def _check_grid(model, grid):
+    if len(grid) == 0:
+        raise InconsistentShapes("grid is empty")
+    if grid.actions.min() < 0 or grid.actions.max() >= model.n_actions:
+        raise InconsistentShapes("grid action index outside the model's action alphabet")
+    obs = grid.observations
+    real = obs[obs != NO_OBSERVATION]
+    if real.size and (real.min() < 0 or real.max() >= model.n_observations):
+        raise InconsistentShapes("grid observation index outside the model's alphabet")
+
+
+def grid_forward_backward(model, grid):
+    """``forward_backward``'s result over every point of a grid: the
+    scaled filter-smoother the E-step runs on run ends, here stepping each
+    point by the chain of its action. An impossible observation raises
+    ``ZeroProbabilityObservation`` naming its grid step."""
+    _check_grid(model, grid)
+    e = _emission_table(model.emission, grid)
+    return ForwardBackwardResult.from_scaled(*_filter_smooth(model.chain_stack, e, grid.actions))
+
+
 def forward_logspace(model, grid):
     """Reference forward filter computed entirely in the log domain.
 
@@ -188,16 +212,22 @@ def forward_logspace(model, grid):
     return log_alpha, float(ll)
 
 
-def scaled_xi(model, grid):
+def scaled_xi(model, data):
     """(T-1, N, N) transition-pair posteriors straight from the scaled
-    filter/smoother: ``alpha_hat[t, i] * B[i, j] * e[t+1, j] *
-    beta_hat[t+1, j] / c[t+1]``."""
-    _check_grid(model, grid)
-    e = _emission_table(model.emission, grid)
-    chains, kidx = model.chain_stack, grid.actions
-    alpha, c, beta = _filter_smooth(chains, e, kidx)
+    filter/smoother: ``alpha_hat[t, i] * P_t[i, j] * e[t+1, j] *
+    beta_hat[t+1, j] / c[t+1]``. On a grid ``P_t`` is the chain of step
+    t's action; on an event sequence it is the interval law of
+    ``_event_laws``, the stack ``forward_backward`` steps by."""
+    if isinstance(data, TimeGrid):
+        _check_grid(model, data)
+        laws, kidx = model.chain_stack, data.actions
+    else:
+        (laws,) = _event_laws(model, [data])
+        kidx = np.arange(len(data) - 1)
+    e = _emission_table(model.emission, data)
+    alpha, c, beta = _filter_smooth(laws, e, kidx)
     w = (e[1:] * beta[1:]) / c[1:, None]
-    return alpha[:-1, :, None] * chains[kidx[:-1]] * w[:, None, :]
+    return alpha[:-1, :, None] * laws[kidx[: len(e) - 1]] * w[:, None, :]
 
 
 def accumulate_stats(chains, emission, grid, stats: SufficientStats) -> float:

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from helpers import default_omega, enumerate_paths, gillespie_sample, matrix_exponential, random_grid, random_model
+from helpers import (
+    default_omega,
+    enumerate_paths,
+    gillespie_sample,
+    grid_forward_backward,
+    matrix_exponential,
+    random_grid,
+    random_model,
+    scaled_xi,
+)
 from test_analysis import block_joint, brute_force_loss, planted_operator
 from test_core import random_generator
 
@@ -36,12 +45,9 @@ from smjp.foraging import (
 )
 from smjp.switching import (
     FitConfig,
-    backward,
     fit_best,
-    forward,
     held_out_loglik,
     inner_em,
-    posterior_xi,
     select_num_states,
     update_generator,
 )
@@ -62,13 +68,11 @@ def test_criterion_01_likelihood_oracle():
         t = int(rng.integers(1, 7))
         model = random_model(rng, n, k, o)
         grid = random_grid(rng, t, k, o)
-        log_alpha, ll = forward(model, grid)
-        log_beta = backward(model, grid)
-        xi, gamma = posterior_xi(model, log_alpha, log_beta, grid)
+        res = grid_forward_backward(model, grid)
         ll_o, gamma_o, xi_o = enumerate_paths(model, grid)
-        worst = max(worst, abs(ll - ll_o), np.abs(gamma - gamma_o).max())
+        worst = max(worst, abs(res.log_likelihood - ll_o), np.abs(res.gamma - gamma_o).max())
         if t > 1:
-            worst = max(worst, np.abs(xi - xi_o).max())
+            worst = max(worst, np.abs(scaled_xi(model, grid) - xi_o).max())
         assert worst < 1e-9
     elapsed = time.time() - start
     assert elapsed < 10.0

@@ -561,6 +561,14 @@ class TestErrorExitCodes:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "x").exists()
 
+    def test_m_bins_above_the_bound(self, tmp_path, capsys):
+        # 3000 bins would need a 589 TiB kernel; the planner refuses it first.
+        rc = run(["simulate-foraging", "--out", tmp_path / "x", "--m-bins", 3000, "--horizon", 10, "--seed", 0])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == [
+            "error: m_bins must be at most 45, got 3000 (the kernel takes 128 m^4 bytes)"]
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "correspond"])
     @pytest.mark.parametrize("relabel", [
         lambda text: text.replace("# observations: o0 o1\n", "# observations: o1 o0\n"),
@@ -884,6 +892,44 @@ class TestEvaluateFuzz:
             assert run(["evaluate", "--out", out, "--model", model, "--events", events, "--eval-grids", grids]) == 0
             texts.add((out / "evaluation.txt").read_text())
         assert texts == {f"smjp-evaluation v1\nevents: 12\nloglik: {capsys.readouterr().out.split()[0]}\n"}
+
+
+class TestFitFuzz:
+    """``fit`` and ``select-states`` on mutated toy events, rows duplicated
+    into tied times among them, and on stray flag values."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_mutated_events_and_flags_end_in_a_documented_exit(self, evaluate_inputs, data):
+        _, header, rows = evaluate_inputs
+        rows = list(rows)
+        if data.draw(RARELY):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            rows.insert(i, rows[i])
+        text = mutated_event_text(data.draw, header, rows)
+
+        def value(good, bad):
+            return data.draw(st.sampled_from(bad if data.draw(RARELY) else good))
+
+        command = data.draw(st.sampled_from(["fit", "select-states"]))
+        flags = ["--seed", 0, "--restarts", 1, "--outer-cap", 1, "--inner-iterations", 1,
+                 "--holdout-fraction", value(["0", "0.2", "0.5"], ["0.95", "1", "-0.1", "nan"])]
+        if command == "fit":
+            flags += ["--n-states", value([1, 2, 3], [0]),
+                      "--emission-floor", value(["0", "0.01", "1"], ["-1", "nan", "inf"])]
+        else:
+            flags += ["--range", value(["1:3", "2", "2:3"], ["0:2", "3:1", "x", "1:"])]
+        with tempfile.TemporaryDirectory() as tmp:
+            events, out = Path(tmp) / "events.csv", Path(tmp) / "out"
+            events.write_text(text)
+            rc, _ = fuzz_run([command, "--events", events, *flags], out)
+            if rc == 0 and command == "fit":
+                switching.load_model(out / "model.smjp")
+                report = (out / "fit_report.txt").read_text()
+                assert report.startswith("smjp-fit-report v1\n") and "iterations: 1\n" in report
+            elif rc == 0:
+                lines = (out / "state_selection.csv").read_text().splitlines()
+                assert int(lines[1].split(": ")[1]) in [int(line.split(",")[0]) for line in lines[3:]]
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import accumulate_stats, model_from_chains, random_grid, random_model
+from helpers import accumulate_stats, grid_forward_backward, model_from_chains, random_grid, random_model
 from smjp.core import derive_rng
 from smjp.ctmc import NO_OBSERVATION, TAG_EVENT, TAG_VIRTUAL, TimeGrid, build_time_grid
 from smjp.events import EventSequence
-from smjp.switching import SufficientStats, ZeroProbabilityObservation, _Runs, forward
+from smjp.switching import SufficientStats, ZeroProbabilityObservation, _Runs
 
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -130,7 +130,7 @@ def test_impossible_observation_names_the_grid_step_as_forward():
     runs = _Runs([grid], 2)
     assert len(runs.ends[0]) < len(grid)
     with pytest.raises(ZeroProbabilityObservation) as want:
-        forward(model, grid)
+        grid_forward_backward(model, grid)
     with pytest.raises(ZeroProbabilityObservation) as got:
         runs.estep(model.chain_stack, np.asarray(model.emission))
     assert got.value.step == want.value.step == int(grid.event_indices[57])

@@ -6,7 +6,13 @@ import pytest
 
 from scipy import stats as sp_stats
 
-from helpers import belief_mdp_per_state, simulate_agent_per_step, toy_path_searchsorted, value_iteration_dense
+from helpers import (
+    belief_mdp_per_state,
+    grid_forward_backward,
+    simulate_agent_per_step,
+    toy_path_searchsorted,
+    value_iteration_dense,
+)
 from smjp import foraging
 from smjp.ctmc import TAG_EVENT, TimeGrid
 from smjp.foraging import (
@@ -15,6 +21,7 @@ from smjp.foraging import (
     A_PRESS_1,
     A_PRESS_2,
     A_STAY,
+    MAX_M_BINS,
     InvalidConfig,
     InvalidProbability,
     NonConvergence,
@@ -28,7 +35,6 @@ from smjp.foraging import (
     solve_belief_mdp,
     value_iteration,
 )
-from smjp.switching import forward
 
 
 # The worlds whose planners the block sweep and the scalar agent loop are
@@ -154,6 +160,25 @@ class TestBuildBeliefMdp:
         with pytest.raises(InvalidConfig) as err:
             build(WorldConfig(), **{"m_bins": 5, setting: value})
         assert str(err.value) == message
+
+    def test_integral_float_m_bins_builds_the_integer_grid(self):
+        got, want = build_belief_mdp(WorldConfig(), 10.0), build_belief_mdp(WorldConfig(), 10)
+        assert type(got.m_bins) is int and got.m_bins == 10
+        for name in ("belief_bins", "transition", "reward", "step_discounts"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_m_bins_bound_keeps_the_kernel_under_512_mib(self):
+        assert build_belief_mdp(WorldConfig(), 4).transition.nbytes == 128 * 4**4
+        assert 128 * MAX_M_BINS**4 < 512 * 2**20 < 128 * (MAX_M_BINS + 1) ** 4
+
+    @pytest.mark.parametrize("m_bins", [MAX_M_BINS + 1, 3000, 3000.0])
+    def test_m_bins_above_the_bound_refused_before_any_array(self, monkeypatch, m_bins):
+        world = WorldConfig()
+        # Without numpy the builder cannot allocate, so the refusal comes first.
+        monkeypatch.setattr(foraging, "np", None)
+        with pytest.raises(InvalidConfig) as err:
+            build_belief_mdp(world, m_bins)
+        assert str(err.value) == f"m_bins must be at most 45, got {m_bins!r} (the kernel takes 128 m^4 bytes)"
 
 
 class TestValueIteration:
@@ -404,7 +429,7 @@ class TestGenerateToy:
             seq.observations,
             seq.actions,
         )
-        _, ll = forward(toy.model, grid)
+        ll = grid_forward_backward(toy.model, grid).log_likelihood
         per_symbol = -ll / len(seq)
         k = 5
         obs = seq.observations

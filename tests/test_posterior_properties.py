@@ -1,15 +1,14 @@
-"""Property tests for the posterior path: the scaled filter/smoother and
-``posterior_xi`` against the exhaustive-sum oracle on short grids, and
-``forward`` against the log-domain filter on long ones."""
+"""Property tests for the scaled filter-smoother over grid points: its
+state and pair posteriors against the exhaustive-sum oracle on short
+grids, and its filter against the log-domain one on long grids."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import enumerate_paths, forward_logspace, random_grid, random_model
+from helpers import enumerate_paths, forward_logspace, grid_forward_backward, random_grid, random_model, scaled_xi
 from smjp.core import derive_rng
-from smjp.switching import backward, forward, forward_backward, posterior_xi
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -29,20 +28,18 @@ def model_and_grid(draw, max_states, max_length):
 def test_posteriors_match_enumeration(case):
     model, grid = case
     ll_o, gamma_o, xi_o = enumerate_paths(model, grid)
-    res = forward_backward(model, grid)
+    res = grid_forward_backward(model, grid)
     assert res.log_likelihood == pytest.approx(ll_o, abs=1e-10)
     assert np.abs(res.gamma - gamma_o).max() < 1e-10
-    log_alpha, _ = forward(model, grid)
-    xi, gamma = posterior_xi(model, log_alpha, backward(model, grid), grid)
-    assert np.abs(xi - xi_o).max(initial=0.0) < 1e-10
-    assert np.abs(gamma - gamma_o).max() < 1e-10
+    assert np.abs(scaled_xi(model, grid) - xi_o).max(initial=0.0) < 1e-10
 
 
 @PROPERTY
 @given(model_and_grid(max_states=8, max_length=500))
 def test_forward_matches_log_domain(case):
     model, grid = case
-    log_alpha_fast, ll_fast = forward(model, grid)
+    res = grid_forward_backward(model, grid)
+    log_alpha_fast, ll_fast = res.log_alpha, res.log_likelihood
     log_alpha_ref, ll_ref = forward_logspace(model, grid)
     assert ll_fast == pytest.approx(ll_ref, abs=1e-8)
     finite = np.isfinite(log_alpha_ref)

@@ -12,6 +12,7 @@ from helpers import (
     event_grid,
     exact_loglik,
     forward_logspace,
+    grid_forward_backward,
     logsumexp,
     matrix_exponential,
     model_from_chains,
@@ -38,10 +39,8 @@ from smjp.switching import (
     _filter_steps,
     _grid_loglik,
     _smooth_steps,
-    backward,
     fit,
     fit_best,
-    forward,
     forward_backward,
     held_out_loglik,
     init_random_model,
@@ -49,7 +48,6 @@ from smjp.switching import (
     load_model,
     m_step,
     model_text,
-    posterior_xi,
     rebuild_model,
     select_num_states,
     update_generator,
@@ -61,7 +59,7 @@ class TestForward:
         rng = derive_rng(0)
         model = random_model(rng, 1, 2, 3)
         grid = random_grid(rng, 40, 2, 3)
-        _, ll = forward(model, grid)
+        ll = grid_forward_backward(model, grid).log_likelihood
         expected = sum(
             np.log(model.emission[0, o]) for o in grid.observations if o != NO_OBSERVATION
         )
@@ -74,7 +72,7 @@ class TestForward:
         model = model_from_chains(chains, emission)
         rng = derive_rng(1)
         grid = random_grid(rng, 60, k, o)
-        _, ll = forward(model, grid)
+        ll = grid_forward_backward(model, grid).log_likelihood
         assert ll == pytest.approx(grid.n_events * np.log(1.0 / o), abs=1e-9)
 
     def test_matches_enumeration(self):
@@ -86,7 +84,7 @@ class TestForward:
             t = int(rng.integers(1, 7))
             model = random_model(rng, n, k, o)
             grid = random_grid(rng, t, k, o)
-            _, ll = forward(model, grid)
+            ll = grid_forward_backward(model, grid).log_likelihood
             expected_ll, _, _ = enumerate_paths(model, grid)
             assert ll == pytest.approx(expected_ll, abs=1e-10)
 
@@ -95,8 +93,8 @@ class TestForward:
         chains = np.full((1, 2, 2), 0.5)
         model = model_from_chains(chains, emission)
         grid = event_grid([0, 1], [0, 0])
-        with pytest.raises(ZeroProbabilityObservation):
-            forward(model, grid)
+        with pytest.raises(ZeroProbabilityObservation, match="^observation at grid step 1 has zero likelihood$"):
+            grid_forward_backward(model, grid)
 
 
 class TestBackward:
@@ -104,7 +102,7 @@ class TestBackward:
         rng = derive_rng(3)
         model = random_model(rng, 3, 2, 2)
         grid = random_grid(rng, 12, 2, 2)
-        log_beta = backward(model, grid)
+        log_beta = grid_forward_backward(model, grid).log_beta
         assert np.array_equal(log_beta[-1], np.zeros(3))
 
     def test_alpha_beta_consistency(self):
@@ -112,9 +110,9 @@ class TestBackward:
         for _ in range(10):
             model = random_model(rng, int(rng.integers(2, 4)), 2, 3)
             grid = random_grid(rng, int(rng.integers(2, 30)), 2, 3)
-            log_alpha, ll = forward(model, grid)
-            log_beta = backward(model, grid)
-            recombined = np.array([logsumexp(log_alpha[t] + log_beta[t]) for t in range(len(grid))])
+            res = grid_forward_backward(model, grid)
+            ll = res.log_likelihood
+            recombined = np.array([logsumexp(res.log_alpha[t] + res.log_beta[t]) for t in range(len(grid))])
             assert np.abs(recombined - ll).max() < 1e-8 * max(1.0, abs(ll))
 
     def test_deterministic_chain_picks_single_path(self):
@@ -124,9 +122,8 @@ class TestBackward:
         chains[0, 0, 1] = chains[0, 1, 2] = chains[0, 2, 0] = 1.0
         model = model_from_chains(chains, np.eye(3))
         grid = event_grid([0, 1, 2, 0], [0, 0, 0, 0])
-        log_alpha, ll = forward(model, grid)
-        log_beta = backward(model, grid)
-        gamma = np.exp(log_alpha + log_beta - ll)
+        res = grid_forward_backward(model, grid)
+        gamma = np.exp(res.log_alpha + res.log_beta - res.log_likelihood)
         assert np.allclose(gamma, np.eye(4, 3)[[0, 1, 2, 0]], atol=1e-12)
 
 
@@ -138,9 +135,7 @@ class TestPosteriorXi:
             t = int(rng.integers(2, 7))
             model = random_model(rng, n, 2, 3)
             grid = random_grid(rng, t, 2, 3)
-            log_alpha, _ = forward(model, grid)
-            log_beta = backward(model, grid)
-            xi, gamma = posterior_xi(model, log_alpha, log_beta, grid)
+            xi, gamma = scaled_xi(model, grid), grid_forward_backward(model, grid).gamma
             assert np.abs(xi.sum(axis=(1, 2)) - 1.0).max() < 1e-9
             assert np.abs(gamma.sum(axis=1) - 1.0).max() < 1e-9
             _, gamma_o, xi_o = enumerate_paths(model, grid)
@@ -153,18 +148,10 @@ class TestPosteriorXi:
         chains[0, 1, 0] = 1.0
         model = model_from_chains(chains, np.eye(2))
         grid = event_grid([0, 1], [0, 0])
-        log_alpha, _ = forward(model, grid)
-        log_beta = backward(model, grid)
-        xi, gamma = posterior_xi(model, log_alpha, log_beta, grid)
+        xi = scaled_xi(model, grid)
         assert xi[0, 0, 1] == pytest.approx(1.0, abs=1e-12)
         assert xi[0].sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_shape_mismatch_rejected(self):
-        rng = derive_rng(6)
-        model = random_model(rng, 2, 1, 2)
-        grid = random_grid(rng, 5, 1, 2)
-        with pytest.raises(InconsistentShapes):
-            posterior_xi(model, np.zeros((4, 2)), np.zeros((5, 2)), grid)
 
 
 class TestForwardBackwardResult:
@@ -173,7 +160,7 @@ class TestForwardBackwardResult:
         for _ in range(10):
             model = random_model(rng, int(rng.integers(2, 5)), 2, 3)
             grid = random_grid(rng, int(rng.integers(2, 60)), 2, 3)
-            res = forward_backward(model, grid)
+            res = grid_forward_backward(model, grid)
             xi = scaled_xi(model, grid)
             assert np.abs(res.gamma.sum(axis=1) - 1.0).max() < 1e-9
             assert np.abs(xi.sum(axis=(1, 2)) - 1.0).max() < 1e-9
@@ -184,16 +171,24 @@ class TestForwardBackwardResult:
         rng = derive_rng(8)
         model = random_model(rng, 4, 2, 3)
         grid = random_grid(rng, 10_000, 2, 3)
-        log_alpha_fast, ll_fast = forward(model, grid)
+        res = grid_forward_backward(model, grid)
+        log_alpha_fast, ll_fast = res.log_alpha, res.log_likelihood
         log_alpha_ref, ll_ref = forward_logspace(model, grid)
         assert ll_fast == pytest.approx(ll_ref, abs=1e-8)
         finite = np.isfinite(log_alpha_ref)
         assert np.abs(log_alpha_fast[finite] - log_alpha_ref[finite]).max() < 1e-6
 
 
+    def test_rejects_a_grid(self):
+        rng = derive_rng(9)
+        model = random_model(rng, 2, 1, 2)
+        with pytest.raises(InconsistentShapes, match="^forward_backward takes an EventSequence, got TimeGrid$"):
+            forward_backward(model, random_grid(rng, 5, 1, 2))
+
+
 class TestScaledCore:
-    """forward, backward, posterior_xi and the E-step are views of one
-    scaled filter-smoother; these pin them to each other."""
+    """The per-point E-step's counts are sums of the filter-smoother's
+    posteriors."""
 
     @pytest.mark.parametrize("per_action", [False, True])
     def test_accumulated_stats_are_sums_of_posteriors(self, per_action):
@@ -206,7 +201,7 @@ class TestScaledCore:
             grid = random_grid(rng, int(rng.integers(1, 300)), k, o)
             stats = SufficientStats.zeros(n, k, o, per_action)
             ll = accumulate_stats(model.chain_stack, np.asarray(model.emission), grid, stats)
-            res = forward_backward(model, grid)
+            res = grid_forward_backward(model, grid)
             xi = scaled_xi(model, grid)
             trans = np.zeros((k, n, n))
             emit = np.zeros(stats.emit.shape)
@@ -224,31 +219,6 @@ class TestScaledCore:
             np.testing.assert_allclose(stats.emit, emit, rtol=1e-12, atol=0)
             assert ll == pytest.approx(res.log_likelihood, rel=1e-12)
             assert np.array_equal(stats.action_steps, np.bincount(grid.actions[:-1], minlength=k))
-
-    def test_posterior_xi_matches_forward_backward_long_grid(self):
-        rng = derive_rng(26)
-        model = random_model(rng, 4, 2, 3)
-        grid = random_grid(rng, 10_000, 2, 3)
-        log_alpha, _ = forward(model, grid)
-        xi, gamma = posterior_xi(model, log_alpha, backward(model, grid), grid)
-        res = forward_backward(model, grid)
-        assert np.abs(xi - scaled_xi(model, grid)).max() < 1e-9
-        assert np.abs(gamma - res.gamma).max() < 1e-9
-
-    def test_forward_is_the_filter_half_of_forward_backward(self):
-        rng = derive_rng(27)
-        for length in (1, 2, 50, 3000):
-            model = random_model(rng, 3, 2, 3)
-            grid = random_grid(rng, length, 2, 3)
-            log_alpha, ll = forward(model, grid)
-            res = forward_backward(model, grid)
-            assert log_alpha.tobytes() == res.log_alpha.tobytes()
-            assert np.float64(ll).tobytes() == np.float64(res.log_likelihood).tobytes()
-
-    def test_backward_rejects_impossible_symbol(self):
-        model = model_from_chains(np.full((1, 2, 2), 0.5), np.array([[1.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(ZeroProbabilityObservation):
-            backward(model, event_grid([0, 1, 0], [0, 0, 0]))
 
 
 def per_action_case(rng, n, k, o, length):
@@ -580,8 +550,8 @@ def small_case():
 def grid_mean_loglik(model, seq, grids=2000):
     """Log of the mean likelihood over ``grids`` fixed-seed grids, and the
     delta-method standard error of that log."""
-    lls = np.array([forward(model, build_time_grid(seq, model.omega, derive_rng(61, g)))[1]
-                    for g in range(grids)])
+    draws = (build_time_grid(seq, model.omega, derive_rng(61, g)) for g in range(grids))
+    lls = np.array([grid_forward_backward(model, grid).log_likelihood for grid in draws])
     w = np.exp(lls - lls.max())
     return float(lls.max() + np.log(w.mean())), float(w.std() / (w.mean() * np.sqrt(grids)))
 
@@ -682,9 +652,7 @@ class TestHeldOut:
         got = held_out_loglik(model, [seq], FitConfig(eval_grids=2, seed=6))
         assert got == pytest.approx(np.log(total), abs=1e-10)
         np.testing.assert_allclose(event_state_posterior(model, seq), gamma / total, rtol=0, atol=1e-12)
-        res = forward_backward(model, seq)
-        got_xi, _ = posterior_xi(model, res.log_alpha, res.log_beta, seq)
-        np.testing.assert_allclose(got_xi, xi / total, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scaled_xi(model, seq), xi / total, rtol=0, atol=1e-12)
 
     def test_rejects_zero_eval_grids(self):
         toy = toy_sequences(length=50, seed=3)
@@ -700,7 +668,7 @@ class TestHeldOut:
         seq = toy.sequence
         first = int(np.flatnonzero(seq.observations == 1)[0])
         with pytest.raises(ZeroProbabilityObservation) as want:
-            forward(model, event_grid(seq.observations, seq.actions))
+            grid_forward_backward(model, event_grid(seq.observations, seq.actions))
         for call in (lambda: held_out_loglik(model, [seq], FitConfig(eval_grids=1, seed=3)),
                      lambda: forward_backward(model, seq)):
             with pytest.raises(ZeroProbabilityObservation) as got:
@@ -725,7 +693,7 @@ class TestExactHeldOut:
         got = held_out_loglik(model, [seq])
         assert got == pytest.approx(exact_loglik(model, seq), rel=1e-9)
         # The event-level filter-smoother runs on the same laws.
-        assert forward(model, seq)[1] == pytest.approx(got, rel=1e-12)
+        assert forward_backward(model, seq).log_likelihood == pytest.approx(got, rel=1e-12)
 
     def test_long_interval_takes_the_squaring_path(self):
         # Sticky chains keep expm(A dt) away from stationarity at omega dt
@@ -981,11 +949,10 @@ class TestPerActionEmission:
         emission[1] = [[0.0, 1.0], [0.0, 1.0]]  # action 1 always emits symbol 1
         model = model_from_chains(chains, emission)
         good = event_grid([0, 1], [0, 1])
-        _, ll = forward(model, good)
-        assert ll == pytest.approx(0.0, abs=1e-12)
+        assert grid_forward_backward(model, good).log_likelihood == pytest.approx(0.0, abs=1e-12)
         bad = event_grid([0, 0], [0, 1])
         with pytest.raises(ZeroProbabilityObservation):
-            forward(model, bad)
+            grid_forward_backward(model, bad)
 
     def test_em_recovers_per_action_emissions(self):
         rng = derive_rng(19)
