@@ -319,7 +319,7 @@ def cmd_fit(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     return {"model.smjp": _text(save_model, report.final_model, meta), "fit_report.txt": _lines(lines)}
 
 
-def _parse_range(flag: str, text: str) -> list[int]:
+def _parse_range(flag: str, text: str) -> range:
     lo, sep, hi = text.partition(":")
     try:
         lo_i = int(lo)
@@ -328,7 +328,7 @@ def _parse_range(flag: str, text: str) -> list[int]:
         raise UsageError(f"{flag}: bad range {text!r}") from None
     if hi_i < lo_i:
         raise UsageError(f"{flag}: bad range {text!r}")
-    return list(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
 def cmd_select_states(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
@@ -395,6 +395,10 @@ def cmd_cocluster(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     rows = _parse_range("--rows", args.rows)
     cols = _parse_range("--cols", args.cols)
     joint, _, _ = read_labeled_matrix(ws.note_input(args.joint))
+    # Checked on the ranges' ends, so no list of sizes or pairs is built first.
+    for flag, sizes, n in (("--rows", rows, joint.shape[0]), ("--cols", cols, joint.shape[1])):
+        if sizes[0] < 1 or sizes[-1] > n:
+            raise SmjpError(f"{flag}: cluster counts {sizes[0]}:{sizes[-1]} out of range for shape {joint.shape}")
     outputs: dict[str, str] = {}
     lines = ["smjp-cocluster v1"]
     if len(rows) > 1 or len(cols) > 1:

@@ -3,14 +3,13 @@ planner on discretized beliefs, and a small switching-chain toy generator.
 
 The world has two feeding boxes whose rewards arm after independent
 exponential waits. The planner tracks one availability belief per box,
-plans on a grid of belief bins (belief MDP solved by value iteration) and
-acts on a fixed decision tick. Every (action, location) row block of the
-planner's kernel reaches one location, so each Bellman sweep multiplies
-those blocks by the matching half of the value vector. The simulator
-replays the same belief arithmetic on Python floats against the true
-hidden box states and records an event stream plus the ground-truth agent
-state at every decision. ``tests/helpers.py`` keeps the dense sweep and
-the per-step simulator loop as oracles.
+plans on a grid of belief bins and acts on a fixed decision tick. Its
+belief MDP is solved exactly by policy iteration: one dense linear solve
+per round, a handful of rounds. The simulator replays the same belief
+arithmetic on Python floats against the true hidden box states and
+records an event stream plus the ground-truth agent state at every
+decision. ``tests/helpers.py`` keeps dense value iteration and the
+per-step simulator loop as oracles.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class InvalidProbability(SmjpError):
 
 
 class NonConvergence(SmjpError):
-    """Value iteration hit its sweep cap; the discount must be < 1."""
+    """The planner hit its round cap; the discount must be < 1."""
 
 
 def _require_finite(**values) -> None:
@@ -247,48 +246,37 @@ class ValueIterationResult:
 
 
 def value_iteration(mdp: BeliefMDP, tol: float = 1e-8, sweep_cap: int = 100_000) -> ValueIterationResult:
-    """Iterate the Bellman optimality operator to a sup-norm residual
-    below ``tol``; greedy policy ties break toward the lowest action index
-    (stay before presses before move).
+    """Solve the planner by Howard's policy iteration to a sup-norm Bellman
+    residual below ``tol``; greedy policy ties break toward the lowest
+    action index (stay before presses before move).
 
-    Each sweep uses the layout ``build_belief_mdp`` guarantees: the rows
-    of an (action, location) block reach one location only, the other
-    one for a move and the same one otherwise. So a sweep multiplies
-    eight m²×m² blocks by the matching half of the value vector, and the
-    terms it skips are exact zeros of the dense product.
-
-    Raises
-    ------
-    InvalidConfig
-        When some (action, location) block reaches both locations.
-    NonConvergence
-        When ``sweep_cap`` sweeps leave the residual at or above ``tol``.
+    From all-stay, each round solves the policy's linear system and backs
+    its values up once through every action. It stops when that backup
+    moves no value by ``tol`` or more, returning the backed-up values and
+    their greedy policy; otherwise a state switches to its best action
+    only where that beats its current one by more than ``tol``, so ties
+    cannot cycle. ``residuals`` has one entry per round and ``sweeps``
+    counts the rounds; ``sweep_cap`` rounds without convergence raise
+    ``NonConvergence``.
     """
-    k, n = mdp.n_actions, mdp.n_states
-    half = n // 2
-    actions, sources = np.arange(k)[:, None], np.arange(2)[None, :]
-    targets = np.where(actions == A_MOVE, 1 - sources, sources)
-    split = mdp.transition.reshape(k, 2, half, 2, half)
-    stray = split[actions, sources, :, 1 - targets].any(axis=(2, 3))
-    if stray.any():
-        a, loc = np.argwhere(stray)[0]
-        raise InvalidConfig(f"action {ACTION_LABELS[a]} at location {loc} must reach only location "
-                            f"{targets[a, loc]}, but its transition reaches location {1 - targets[a, loc]}")
-    blocks = split[actions, sources, :, targets]
-    reward, discounts = mdp.reward.T, mdp.step_discounts[:, None]
-    values = np.zeros(n)
+    states = np.arange(mdp.n_states)
+    reward, discounts = mdp.reward.T, mdp.step_discounts
+    policy = np.full_like(states, A_STAY)
     residuals: list[float] = []
-    for sweep in range(sweep_cap):
-        reached = values.reshape(2, half)[targets]
-        q = reward + discounts * np.matmul(blocks, reached[..., None]).reshape(k, n)
-        new_values = q.max(axis=0)
-        resid = float(np.abs(new_values - values).max())
-        residuals.append(resid)
-        values = new_values
-        if resid < tol:
-            policy = q.argmax(axis=0)
-            return ValueIterationResult(values, policy.astype(np.int64), tuple(residuals), sweep + 1)
-    raise NonConvergence(f"no convergence after {sweep_cap} sweeps")
+    for rounds in range(1, sweep_cap + 1):
+        # I - diag(discount) P_policy, built in the gathered rows.
+        system = mdp.transition[policy, states]
+        system *= -discounts[policy, None]
+        system[states, states] += 1.0
+        policy_values = np.linalg.solve(system, reward[policy, states])
+        q = reward + discounts[:, None] * (mdp.transition @ policy_values)
+        values = q.max(axis=0)
+        gain = values - policy_values
+        residuals.append(float(np.abs(gain).max()))
+        if residuals[-1] < tol:
+            return ValueIterationResult(values, q.argmax(axis=0), tuple(residuals), rounds)
+        policy = np.where(gain > tol, q.argmax(axis=0), policy)
+    raise NonConvergence(f"no convergence after {sweep_cap} rounds")
 
 
 def solve_belief_mdp(world: WorldConfig, m_bins: int = 10, diffusion_eps: float = 0.05, tol: float = 1e-8) -> BeliefMDP:

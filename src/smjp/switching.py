@@ -829,20 +829,19 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
     ``config.holdout_fraction`` is only ever used for the stopping rule
     and the reported held-out log-likelihood. With
     ``inner_iterations == 0`` (or ``outer_cap == 0``) the model is
-    returned unchanged.
+    returned unchanged; without a held-out part its one training score
+    is then its exact log-likelihood on the training parts.
     """
     _check_alphabets(init, sequences)
     splits = _training_splits(sequences, config)
     train = [h for h, _ in splits]
     holdout = [t for _, t in splits if len(t) > 0]
 
-    def signal(model: SwitchingSMJP, train_ll: float) -> float:
-        if holdout:
-            return held_out_loglik(model, holdout)
-        return train_ll
-
     if config.inner_iterations == 0 or config.outer_cap == 0:
-        return FitReport(init, (), (), (), signal(init, float("nan")), 0, False)
+        if holdout:
+            return FitReport(init, (), (), (), held_out_loglik(init, holdout), 0, False)
+        # The score restarts and state counts are compared by.
+        return FitReport(init, (held_out_loglik(init, train),), (), (), float("nan"), 0, False)
 
     model = init
     train_trace: list[float] = []
@@ -861,7 +860,7 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
         chains, emission, trace, untouched = inner_em(model, grids, config)
         no_data.update(untouched)
         model = rebuild_model(model, chains, emission)
-        hll = signal(model, trace[-1])
+        hll = held_out_loglik(model, holdout) if holdout else trace[-1]
         if not np.isfinite(hll):
             raise NonFiniteLikelihood(f"non-finite held-out log-likelihood at outer iteration {outer}")
         train_trace.append(trace[-1])

@@ -5,7 +5,7 @@ posteriors of the scaled recursions, the per-point E-step, the grid-free
 likelihood of an event sequence, the toy chain's path drawn by numpy
 searches, Newman modularity, the log-domain helpers these oracles are
 built from, the belief planner built one state at a time, its dense
-Bellman sweep, the agent run one checked belief update at a time, the
+Bellman backup and value iteration, the agent run one checked belief update at a time, the
 co-clustering (one restart and one size pair after another, its sweep
 scoring one candidate at a time) and the modularity merge scored one
 candidate at a time. The last section holds what only tests use: a
@@ -426,13 +426,19 @@ def belief_mdp_per_state(world: WorldConfig, m_bins: int = 10, diffusion_eps: fl
     )
 
 
+def bellman_backup(mdp: BeliefMDP, values: np.ndarray) -> np.ndarray:
+    """The action values of one dense Bellman backup of ``values``: every
+    action's whole n×n kernel times the whole value vector."""
+    return mdp.reward.T + mdp.step_discounts[:, None] * (mdp.transition @ values)
+
+
 def value_iteration_dense(mdp: BeliefMDP, tol: float = 1e-8, sweep_cap: int = 100_000) -> ValueIterationResult:
-    """Dense reference for ``value_iteration``: each sweep multiplies every
-    action's whole n×n kernel by the whole value vector."""
+    """Dense reference for ``value_iteration``: Bellman sweeps from zero
+    to a sup-norm residual below ``tol``, ties to the lowest action."""
     values = np.zeros(mdp.n_states)
     residuals: list[float] = []
     for sweep in range(sweep_cap):
-        q = mdp.reward.T + mdp.step_discounts[:, None] * (mdp.transition @ values)
+        q = bellman_backup(mdp, values)
         new_values = q.max(axis=0)
         resid = float(np.abs(new_values - values).max())
         residuals.append(resid)

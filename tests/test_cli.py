@@ -16,6 +16,7 @@ from smjp import analysis, cli, switching
 from smjp.analysis import cocluster, extract_subgraphs, select_cocluster_sizes
 from smjp.cli import EXIT_DOMAIN, EXIT_PARSE, EXIT_USAGE, main
 from smjp.core import SmjpError, derive_rng
+from smjp.events import parse_event_file
 from smjp.foraging import ToyConfig, WorldConfig, solve_belief_mdp
 from smjp.switching import FitConfig
 
@@ -94,6 +95,41 @@ class TestFitEvaluateChain:
         text = (fit_out / "model.smjp").read_text()
         assert text.startswith("smjp-model v1\n")
         assert "meta heldout_loglik:" in text
+
+
+class TestZeroPassesWithoutHoldout:
+    """Zero EM passes and no held-out part: every start is scored by its
+    exact training log-likelihood, and the command exits 0."""
+
+    @pytest.mark.parametrize("zero", [["--inner-iterations", 0], ["--outer-cap", 0],
+                                      ["--inner-iterations", 0, "--outer-cap", 0]])
+    def test_fit_with_two_restarts_keeps_the_best_start(self, tmp_path, capsys, zero):
+        data = tmp_path / "data"
+        run(toy_args(data, seed=3, length=200))
+        out = tmp_path / "fit"
+        rc = run(["fit", "--out", out, "--events", data / "events.csv", "--n-states", 3, "--seed", 4,
+                  "--holdout-fraction", 0, "--restarts", 2] + zero)
+        assert rc == 0 and capsys.readouterr().err == ""
+        seq = parse_event_file(data / "events.csv")
+        cfg = FitConfig(seed=4, holdout_fraction=0.0, restarts=2)
+        starts = [switching.init_random_model(3, seq.observation_alphabet, seq.action_alphabet, cfg, (3, 3, r),
+                                              seq.event_rate) for r in range(2)]
+        scores = [switching.held_out_loglik(start, [seq]) for start in starts]
+        assert scores[0] != scores[1]
+        best = starts[int(np.argmax(scores))]
+        saved, _ = switching.load_model(out / "model.smjp")
+        assert all(np.array_equal(a, b) for a, b in zip(saved.chain_stack, best.chain_stack))
+
+    def test_select_states_scores_every_count(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(toy_args(data, seed=3, length=200))
+        out = tmp_path / "sel"
+        rc = run(["select-states", "--out", out, "--events", data / "events.csv", "--range", "2:3", "--seed", 4,
+                  "--inner-iterations", 0, "--holdout-fraction", 0])
+        assert rc == 0 and capsys.readouterr().err == ""
+        rows = (out / "state_selection.csv").read_text().splitlines()[3:]
+        assert [r.split(",")[0] for r in rows] == ["2", "3"]
+        assert all(np.isfinite(float(r.split(",")[1])) for r in rows)
 
 
 class TestSelectStates:
@@ -349,6 +385,22 @@ class TestErrorExitCodes:
         rc = run(["quantize", "--out", tmp_path / "q", "--points", pfile, "--k-locations", 1, "--seed", 0])
         assert rc == EXIT_PARSE
         assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=pfile)]
+
+    @pytest.mark.parametrize("rows, cols, message", [
+        ("1:1000000000", "2:10", "--rows: cluster counts 1:1000000000 out of range for shape (2, 2)"),
+        ("0:2", "2", "--rows: cluster counts 0:2 out of range for shape (2, 2)"),
+        ("2", "2:1000000000", "--cols: cluster counts 2:1000000000 out of range for shape (2, 2)"),
+    ])
+    def test_size_range_past_the_joint_refused_before_any_pair(self, tmp_path, capsys, monkeypatch, rows, cols,
+                                                               message):
+        monkeypatch.setattr(cli, "select_cocluster_sizes", lambda *a: pytest.fail("built the size pairs"))
+        joint = tmp_path / "joint.csv"
+        joint.write_text("# smjp-matrix v1\n# name: joint\n# rows: a b\n# cols: x y\n0.5 0.0\n0.0 0.5\n")
+        out = tmp_path / "co"
+        rc = run(["cocluster", "--out", out, "--joint", joint, "--rows", rows, "--cols", cols, "--seed", 0])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == ["error: " + message]
+        assert not out.exists()
 
     def test_header_only_joint(self, tmp_path, capsys):
         joint = tmp_path / "joint.csv"

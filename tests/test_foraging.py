@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as sp_stats
 
 from helpers import (
+    bellman_backup,
     belief_mdp_per_state,
     grid_forward_backward,
     simulate_agent_per_step,
@@ -16,7 +17,6 @@ from helpers import (
 from smjp import foraging
 from smjp.ctmc import TAG_EVENT, TimeGrid
 from smjp.foraging import (
-    ACTION_LABELS,
     A_MOVE,
     A_PRESS_1,
     A_PRESS_2,
@@ -37,7 +37,7 @@ from smjp.foraging import (
 )
 
 
-# The worlds whose planners the block sweep and the scalar agent loop are
+# The worlds whose planners policy iteration and the scalar agent loop are
 # pinned on: (world, m_bins).
 PLANNER_WORLDS = {
     "default": (WorldConfig(), 10),
@@ -52,7 +52,7 @@ PLANNER_WORLDS = {
 
 @lru_cache(maxsize=None)
 def solved_planner(name):
-    """The named world's planner with its block-sweep solution attached."""
+    """The named world's planner with its policy-iteration solution attached."""
     mdp = build_belief_mdp(*PLANNER_WORLDS[name])
     result = value_iteration(mdp)
     return replace(mdp, values=result.values, policy=result.policy), result
@@ -196,12 +196,11 @@ class TestValueIteration:
         result = value_iteration(mdp, tol=1e-8)
         assert result.residuals[-1] < 1e-8
 
-    def test_contraction_per_sweep(self):
-        mdp = build_belief_mdp(WorldConfig(), m_bins=5)
-        result = value_iteration(mdp, tol=1e-8)
-        r = np.asarray(result.residuals)
-        gamma = mdp.world.discount
-        assert np.all(r[1:] <= gamma * r[:-1] + 1e-12)
+    @pytest.mark.parametrize("name", sorted(PLANNER_WORLDS))
+    def test_values_are_a_bellman_fixed_point(self, name):
+        mdp, result = solved_planner(name)
+        backed_up = bellman_backup(mdp, result.values).max(axis=0)
+        assert np.abs(backed_up - result.values).max() < 1e-8
 
     def test_zero_costs_press_whenever_belief_positive(self):
         # Needs the default diffusion: without it the binned belief can get
@@ -216,10 +215,14 @@ class TestValueIteration:
             if local_bin > 0:
                 assert mdp.policy[s] == local_press
 
-    def test_sweep_cap_guard(self):
+    def test_round_cap_guard(self):
         mdp = build_belief_mdp(WorldConfig(), m_bins=4)
-        with pytest.raises(NonConvergence):
-            value_iteration(mdp, tol=1e-12, sweep_cap=3)
+        rounds = value_iteration(mdp).sweeps
+        assert rounds > 1
+        with pytest.raises(NonConvergence) as err:
+            value_iteration(mdp, sweep_cap=rounds - 1)
+        assert str(err.value) == f"no convergence after {rounds - 1} rounds"
+        assert value_iteration(mdp, sweep_cap=rounds).sweeps == rounds
 
     def test_default_policy_nontrivial(self):
         mdp = solve_belief_mdp(WorldConfig())
@@ -238,29 +241,31 @@ class TestValueIteration:
         policy = np.array(per_location, dtype=np.int64).ravel()
         assert policy_is_nontrivial(replace(mdp, policy=policy)) is expected
 
-    @pytest.mark.parametrize("name", sorted(PLANNER_WORLDS))
-    def test_block_sweep_matches_the_dense_oracle(self, name):
-        mdp, got = solved_planner(name)
-        want = value_iteration_dense(mdp)
+    @staticmethod
+    def assert_matches_the_dense_oracle(mdp, got, tol=1e-8):
+        want = value_iteration_dense(mdp, tol)
+        gamma = mdp.world.discount
         assert np.array_equal(got.policy, want.policy) and got.policy.dtype == want.policy.dtype
-        assert got.sweeps == want.sweeps and len(got.residuals) == len(want.residuals)
-        assert np.allclose(got.values, want.values, rtol=1e-12, atol=0.0)
-        assert np.allclose(got.residuals, want.residuals, rtol=1e-12, atol=0.0)
+        # Value iteration stops within gamma * tol / (1 - gamma) of the fixed point.
+        assert np.abs(got.values - want.values).max() <= gamma * tol / (1 - gamma) + 1e-12
+        assert got.residuals[-1] < tol and len(got.residuals) == got.sweeps
+
+    @pytest.mark.parametrize("name", sorted(PLANNER_WORLDS))
+    def test_policy_iteration_matches_the_dense_oracle(self, name):
+        mdp, got = solved_planner(name)
+        self.assert_matches_the_dense_oracle(mdp, got)
 
     @pytest.mark.parametrize("action, location", [(A_STAY, 0), (A_PRESS_2, 1), (A_MOVE, 1)])
-    def test_transition_reaching_both_locations_is_refused(self, action, location):
+    def test_transition_reaching_both_locations_is_solved_as_the_oracle_solves_it(self, action, location):
         mdp = build_belief_mdp(WorldConfig(), m_bins=3)
         trans = mdp.transition.copy().reshape(4, 2, 9, 2, 9)
-        # Half of one row's mass goes to the location the action cannot reach.
+        # Half of one row's mass goes to the location the action does not reach.
         reached = 1 - location if action == A_MOVE else location
         row = trans[action, location, 4]
         row[1 - reached] = row[reached] / 2
         row[reached] /= 2
-        broken = replace(mdp, transition=trans.reshape(4, 18, 18))
-        with pytest.raises(InvalidConfig) as err:
-            value_iteration(broken)
-        assert str(err.value) == (f"action {ACTION_LABELS[action]} at location {location} must reach only location {reached}, "
-                                  f"but its transition reaches location {1 - reached}")
+        both = replace(mdp, transition=trans.reshape(4, 18, 18))
+        self.assert_matches_the_dense_oracle(both, value_iteration(both))
 
     def test_policy_structure_insensitive_to_halved_tick(self):
         # The decision cadence is a discretization knob: halving it must not
