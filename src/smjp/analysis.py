@@ -374,11 +374,18 @@ def select_cocluster_sizes(
 ) -> SizeSelection:
     """Scan cluster-size pairs, returning the full loss surface and the
     per-axis elbow choice. Each pair's co-clustering is the one
-    ``cocluster`` gives for it."""
+    ``cocluster`` gives for it. Each range is checked against the joint's
+    shape on its ends (a ``range`` is monotone) before any list of sizes
+    or pairs is built."""
+    if not len(row_range) or not len(col_range):
+        raise SmjpError("size ranges must be non-empty")
+    shape = _checked_joint(joint).shape
+    for axis, sizes, n in (("row", row_range, shape[0]), ("column", col_range, shape[1])):
+        ends = (sizes[0], sizes[-1]) if isinstance(sizes, range) else sizes
+        if min(ends) < 1 or max(ends) > n:
+            raise SmjpError(f"{axis} cluster counts {min(ends)}..{max(ends)} out of range for shape {shape}")
     rows = list(row_range)
     cols = list(col_range)
-    if not rows or not cols:
-        raise SmjpError("size ranges must be non-empty")
     pairs = [(kr, kc) for kr in rows for kc in cols]
     results = dict(zip(pairs, _coclusterings(joint, pairs, seed, restarts, _MAX_SWEEPS)))
     surface = np.array([[results[kr, kc].mutual_information_loss for kc in cols] for kr in rows])

@@ -6,12 +6,13 @@ step t drives the transition t -> t+1, virtual points contribute a unit
 emission likelihood, and the latent prior at the first grid point is
 uniform (the initial distribution is not a learned parameter). The one
 posterior entry point, ``forward_backward``, takes an event sequence and
-steps from event to event by the exact law between them, B expm(A dt), so
-the state posterior at the events is exact. The EM E-step reads a grid as
-runs of virtual steps under one action, each one step of its law B_k^r.
-Both run one scaled filter-smoother, ``_filter_smooth``: a blocked scan
-whose single fallback, the step-by-step loops, names the step of an
-impossible observation.
+steps from event to event by the exact law between them, B expm(A dt),
+built once per distinct (action, dt), so the state posterior at the
+events is exact. The EM E-step reads a grid as runs of virtual steps under
+one action, each one step of its law B_k^r. Both run one scaled
+filter-smoother, ``_filter_smooth``: a scan over blocks of eight steps
+with a log-depth carry between blocks, whose single fallback, the
+step-by-step loops, names the step of an impossible observation.
 
 Fitting alternates three phases: draw fresh grids of Poisson virtual-point
 counts, run discrete-chain EM to convergence on those fixed grids, then map
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import isqrt
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -64,6 +64,14 @@ MODEL_HEADER = "smjp-model v1"
 # held-out series weights (512 KiB of float64), which bounds their memory
 # on long sequences.
 _REDUCE_BLOCK_ENTRIES = 1 << 16
+
+# Grid steps per block of the filter-smoother's scan.
+_SCAN_BLOCK = 8
+
+# Smallest unit-scaled mass a block product of the scan may have: below
+# it, its small entries could have lost bits to underflow, so the step
+# loops take over.
+_SCAN_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 
 # Largest omega * dt the held-out series sums directly; a longer interval
 # is halved until it fits and its law squared back.
@@ -321,14 +329,13 @@ def _check_alphabets(model: SwitchingSMJP, sequences: Sequence[EventSequence]) -
 def _emission_table(emission: np.ndarray, grid: TimeGrid | EventSequence) -> np.ndarray:
     """(T, N) likelihood of each grid point's observation per state from an
     (N, O) or per-action (K, N, O) emission array; virtual points
-    contribute ones. An event sequence reads as a grid without them."""
-    e = np.ones((len(grid), emission.shape[-2]))
-    mask = grid.observations != NO_OBSERVATION
-    if emission.ndim == 3:
-        e[mask] = emission[grid.actions[mask], :, grid.observations[mask]]
-    else:
-        e[mask] = emission[:, grid.observations[mask]].T
-    return e
+    contribute ones. An event sequence reads as a grid without them. One
+    gather from the emission's columns behind a column of ones, the
+    column ``NO_OBSERVATION`` reads."""
+    cols = np.swapaxes(emission, -1, -2)
+    rows = np.concatenate([np.ones_like(cols[..., :1, :]), cols], axis=-2)
+    at = grid.observations - NO_OBSERVATION
+    return rows[grid.actions, at] if emission.ndim == 3 else rows[at]
 
 
 def _filter_steps(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,76 +370,129 @@ def _smooth_steps(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray, c: np.nda
     return beta
 
 
+def _row_sums(v: np.ndarray) -> np.ndarray:
+    """``v.sum(axis=1)`` of a (B, N) array with short rows, added column by
+    column in the same order; numpy reduces short rows slowly."""
+    s = v[:, 0].copy()
+    for i in range(1, v.shape[1]):
+        s += v[:, i]
+    return s
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """``v`` with each row scaled to unit sum, in place."""
+    v /= _row_sums(v)[:, None]
+    return v
+
+
+def _carry(prods: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directions into and out of every block of a chain of block products,
+    by one up-sweep and two down-sweeps (Blelloch 1990; Sarkka and
+    Garcia-Fernandez, IEEE TAC 2021): ``starts[b]`` is ``first @ prods[0]
+    @ .. @ prods[b-1]`` and ``ends[b]`` is ``prods[b+1] @ .. @ prods[-1] @
+    1``, each scaled to unit sum (``ends[-1]`` stays the ones vector).
+
+    The up-sweep multiplies neighbours level by level, an odd last node
+    passing up alone, and scales each product to unit sum. Going back down,
+    a left child inherits its parent's prefix and a right child its
+    parent's suffix; the other child's is the parent's times its sibling."""
+    levels = [prods]
+    while len(levels[-1]) > 1:
+        p = levels[-1]
+        up = p[0 : len(p) - 1 : 2] @ p[1::2]
+        up /= up.sum(axis=(1, 2))[:, None, None]
+        levels.append(np.concatenate([up, p[-1:]]) if len(p) % 2 else up)
+    starts, ends = first[None], np.ones((1, first.size))
+    for p in reversed(levels[:-1]):
+        h = len(p) // 2
+        pre = np.empty((len(p), first.size))
+        pre[0::2] = starts
+        pre[1::2] = _unit_rows(np.einsum("bi,bij->bj", starts[:h], p[0 : 2 * h : 2]))
+        suf = np.empty_like(pre)
+        suf[1::2] = ends[:h]
+        suf[0 : 2 * h : 2] = _unit_rows(np.einsum("bij,bj->bi", p[1::2], ends[:h]))
+        suf[2 * h :] = ends[h:]
+        starts, ends = pre, suf
+    return starts, ends
+
+
 def _filter_smooth(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(alpha_hat, c, beta_hat) of one grid: the normalized forward pass,
     its per-step normalizers, and the backward pass scaled by them, so that
     alpha_hat * beta_hat is the state marginal directly.
 
-    A two-level blocked scan. The T-1 grid steps are cut into blocks of
-    ``L = isqrt(T-1)`` steps, the last padded with identity steps (emission
-    ones, normalizer one; a one-point grid is one such step), so each pass
-    takes O(sqrt T) Python steps batched over blocks: ``steps[K[b, j]]``
-    and ``E[b, j]`` are the chain and the next point's emission of step
-    ``b*L + j``. Each block's step product ``B_{k_i} diag(e_{i+1})``,
-    scaled to unit sum at every step, carries alpha_hat from one block
-    start to the next and beta_hat from each block end back to its start
-    (its log scales less the block's log normalizers); the step recursions
-    then fill all blocks at once. If any normalizer is zero or non-finite,
-    or the smoother is non-finite, the step loops rerun the grid and name
-    the impossible step.
+    A short-block scan with a log-depth carry. The T-1 grid steps are cut
+    into blocks of ``_SCAN_BLOCK`` steps, the last padded with identity
+    steps (emission ones, normalizer one; a one-point grid is one such
+    step). The work arrays are lane-major: ``K[j, b]`` and ``E[j, b]`` are
+    the chain and the next point's emission of step ``b*L + j``, so each
+    in-block step is one batched operation over every block. Each block's
+    step product ``B_{k_i} diag(e_{i+1})`` is formed by L-1 batched
+    products and scaled to unit sum once; :func:`_carry` turns those into
+    alpha_hat at every block start and the smoother's direction at every
+    block end. The step recursions then fill all blocks at once: the filter
+    forward from the starts, the smoother back from the ends, each end
+    scaled by ``alpha_hat . beta_hat = 1``. If a block product falls below
+    ``_SCAN_FLOOR``, a normalizer is zero or non-finite, or the smoother is
+    non-finite, the step loops rerun the grid and name the impossible step.
     """
     t, n = e.shape
-    size = max(1, isqrt(t - 1))
+    size = _SCAN_BLOCK
     nb = max(1, -(-(t - 1) // size))
     padded = nb * size
     steps = np.concatenate([chains, np.eye(n)[None]])
     K = np.full(padded, len(chains))
     K[: t - 1] = kidx[: t - 1]
-    K = K.reshape(nb, size)
+    K = K.reshape(nb, size).T.copy()
     e_pad = np.ones((padded + 1, n))
     e_pad[:t] = e
-    E = e_pad[1:].reshape(nb, size, n)
-    alpha = np.empty((padded + 1, n))
-    beta = np.empty((padded + 1, n))
     c = np.ones(padded + 1)
-    cblk = c[1:].reshape(nb, size)
+    # Lane-major views: [j, b] is grid point b*L + j + 1 (E, C, and A below)
+    # or b*L + j (D below).
+    E = e_pad[1:].reshape(nb, size, n).swapaxes(0, 1)
+    C = c[1:].reshape(nb, size).T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        prods = steps[K[:, 0]] * E[:, 0, None, :]
-        logs = np.zeros(nb)
-        for j in range(size):
-            if j:
-                prods = (prods @ steps[K[:, j]]) * E[:, j, None, :]
-            mass = prods.sum(axis=(1, 2))
-            prods /= mass[:, None, None]
-            logs += np.log(mass)
+        # Three (nb, N, N) buffers: the product, the next one and the
+        # gathered step, its columns scaled by the emission in place
+        # ("wrap" lets take write into its buffer directly; K is in range).
+        prods = np.take(steps, K[0], axis=0)
+        prods *= E[0, :, None, :]
+        out, step = np.empty_like(prods), np.empty_like(prods)
+        for j in range(1, size):
+            np.take(steps, K[j], axis=0, out=step, mode="wrap")
+            step *= E[j, :, None, :]
+            np.matmul(prods, step, out=out)
+            prods, out = out, prods
+        del out, step
+        mass = prods.sum(axis=(1, 2))
+        prods /= mass[:, None, None]
         a = e[0] / n
         c[0] = a.sum()
-        starts = np.empty((nb, n))
-        starts[0] = a / c[0]
-        for b in range(nb - 1):
-            v = starts[b] @ prods[b]
-            starts[b + 1] = v / v.sum()
-        fill = alpha[1:].reshape(nb, size, n)
+        starts, ends = _carry(prods, a / c[0])
+        del prods
+        # The outputs are made once the block products are gone.
+        alpha = np.empty((padded + 1, n))
+        beta = np.empty((padded + 1, n))
+        A = alpha[1:].reshape(nb, size, n).swapaxes(0, 1)
+        D = beta[:-1].reshape(nb, size, n).swapaxes(0, 1)
         a = starts
         for j in range(size):
-            v = (a[:, None, :] @ steps[K[:, j]])[:, 0, :] * E[:, j]
-            cblk[:, j] = v.sum(axis=1)
-            a = v / cblk[:, j, None]
-            fill[:, j] = a
+            v = np.einsum("bi,bij->bj", a, np.take(steps, K[j], axis=0))
+            v *= E[j]
+            C[j] = s = _row_sums(v)
+            v /= s[:, None]
+            A[j] = a = v
         alpha[:-1:size] = starts
         c[t:] = 1.0  # the padded steps' normalizers, not the filter's rounding of one
-        gain = np.exp(logs - np.log(cblk).sum(axis=1))
-        ends = np.ones((nb, n))
-        for b in range(nb - 1, 0, -1):
-            ends[b - 1] = (prods[b] @ ends[b]) * gain[b]
-        fill = beta[:-1].reshape(nb, size, n)
+        ends[:-1] /= (starts[1:] * ends[:-1]).sum(axis=1, keepdims=True)
         v = ends
         for j in range(size - 1, -1, -1):
-            v = (steps[K[:, j]] @ (E[:, j] * v)[:, :, None])[:, :, 0] / cblk[:, j, None]
-            fill[:, j] = v
+            v = np.einsum("bij,bj->bi", np.take(steps, K[j], axis=0), E[j] * v)
+            v /= C[j, :, None]
+            D[j] = v
         beta[size::size] = ends
     alpha, c, beta = alpha[:t], c[:t], beta[:t]
-    if not (np.isfinite(c).all() and (c > 0).all() and np.isfinite(beta).all()):
+    if not (mass.min() >= _SCAN_FLOOR and np.isfinite(c).all() and (c > 0).all() and np.isfinite(beta).all()):
         alpha, c = _filter_steps(chains, e, kidx)
         beta = _smooth_steps(chains, e, kidx, c)
     return alpha, c, beta
@@ -487,16 +547,16 @@ def _at_event(exc: ZeroProbabilityObservation, seq: EventSequence) -> ZeroProbab
 
 def forward_backward(model: SwitchingSMJP, seq: EventSequence) -> ForwardBackwardResult:
     """One full smoothing pass over a sequence's events via the scaled
-    recursions, stepping from event i to i+1 by its own interval law ``P_i
-    = B_k expm(A_k dt_i)``. It is exact: its likelihood is
+    recursions, stepping from event i to i+1 by its interval law ``P_i =
+    B_k expm(A_k dt_i)``, one law per distinct (action, dt). It is exact: its likelihood is
     :func:`held_out_loglik`'s and ``gamma`` the posterior over states at
     the events."""
     if not isinstance(seq, EventSequence):
         raise InconsistentShapes(f"forward_backward takes an EventSequence, got {type(seq).__name__}")
     _check_alphabets(model, [seq])
-    (laws,) = _event_laws(model, [seq])
+    ((laws, index),) = _event_laws(model, [seq])
     try:
-        scaled = _filter_smooth(laws, _emission_table(model.emission, seq), np.arange(len(seq) - 1))
+        scaled = _filter_smooth(laws, _emission_table(model.emission, seq), index)
     except ZeroProbabilityObservation as exc:
         raise _at_event(exc, seq) from None
     return ForwardBackwardResult.from_scaled(*scaled)
@@ -519,11 +579,14 @@ def _powers(mats: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _groups(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(key, positions) for each distinct non-negative key, in key order."""
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, uniq, bounds) of the non-negative keys: ``order`` lists
+    their positions stably by key, and those of key ``uniq[i]`` are
+    ``order[bounds[i] : bounds[i + 1]]``."""
     order = np.argsort(keys, kind="stable")
+    order = order[keys[order] >= 0]
     uniq, first = np.unique(keys[order], return_index=True)
-    return [(int(u), idx) for u, idx in zip(uniq, np.split(order, first[1:])) if u >= 0]
+    return order, uniq, np.append(first, order.size)
 
 
 class _Runs:
@@ -542,7 +605,7 @@ class _Runs:
         self.n_actions = n_actions
         self.at: list[np.ndarray] = []
         self.ends: list[TimeGrid] = []
-        self.emits: list[list[tuple[int, np.ndarray]]] = []
+        self.emits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         keys = [np.empty(0, dtype=np.int64)]
         for grid in grids:
             acts, obs = grid.actions, grid.observations
@@ -586,14 +649,19 @@ class _Runs:
                 step = int(self.at[g][exc.step])
                 raise ZeroProbabilityObservation(f"observation at grid step {step} has zero likelihood", step) from None
             ll += float(np.log(c).sum())
-            w = e[1:] * beta[1:] / c[1:, None]
-            for j, runs in self.runs[g]:
-                block[j, :n, n:] += alpha[runs].T @ w[runs]
-            gamma = alpha * beta
-            for key, seen in self.emits[g]:
+            # One gather per grid puts each law's runs next to each other.
+            order, uniq, bounds = self.runs[g]
+            w = (e[1:] * beta[1:] / c[1:, None])[order]
+            starts = alpha[order]
+            for j, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
+                block[j, :n, n:] += starts[lo:hi].T @ w[lo:hi]
+            del starts, w
+            order, uniq, bounds = self.emits[g]
+            sums = np.add.reduceat((alpha * beta)[order], bounds[:-1], axis=0) if uniq.size else ()
+            for key, row in zip(uniq.tolist(), sums):
                 o, a = divmod(key, self.n_actions)
                 counts = stats.emit[a, :, o] if emission.ndim == 3 else stats.emit[:, o]
-                counts += gamma[seen].sum(axis=0)
+                counts += row
         block[:, :n, :n] = block[:, n:, n:] = chains[self.law_k].transpose(0, 2, 1)
         s = _powers(block, self.law_r)[:, :n, n:]
         np.add.at(stats.trans, self.law_k, chains[self.law_k] * s)
@@ -744,33 +812,60 @@ def _poisson_weights(lam: np.ndarray, terms: int) -> np.ndarray:
     return np.exp(w, out=w)
 
 
-def _interval_laws(chains: np.ndarray, table: np.ndarray, lam: np.ndarray, acts: np.ndarray) -> np.ndarray:
-    """(len(lam), N, N) stack of ``P_i = B_k expm(A_k dt_i)`` for action
-    ``k = acts[i]`` and ``lam[i] = omega dt_i``, as Jensen's uniformization
-    series ``sum_m Pois(m; lam_i) B_k^(m+1)`` truncated to the table.
+def _interval_laws(
+    chains: np.ndarray, table: np.ndarray, lam: np.ndarray, acts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(laws, index): one ``P = B_k expm(A_k dt)`` per distinct (action,
+    mean) among the intervals, and the law ``laws[index[i]]`` of interval
+    i, whose action is ``k = acts[i]`` and mean ``lam[i] = omega dt_i``.
+    Each law is Jensen's uniformization series ``sum_m Pois(m; lam)
+    B_k^(m+1)`` truncated to the table. The laws follow their intervals'
+    first appearance, so on distinct intervals ``index`` is ``arange``.
 
     An interval whose mean exceeds ``_SERIES_CAP`` is evaluated at
     ``dt / 2^s`` instead, and its ``expm`` factor squared back s times
     before B_k is applied. Every term is non-negative, so nothing cancels.
-    The intervals are summed in chunks of increasing mean, each cut where
-    the Poisson tail of its largest mean falls below ``_SERIES_TAIL``.
+    The laws are summed in chunks of increasing mean within each (action,
+    squared) group, each cut where the Poisson tail of its largest mean
+    falls below ``_SERIES_TAIL``; that order puts equal intervals next to
+    each other.
     """
     n = chains.shape[1]
     terms = table.shape[1] - 1
     shrink = np.ceil(np.log2(np.maximum(lam / _SERIES_CAP, 1.0))).astype(np.int64)
-    lam = np.ldexp(lam, -shrink)
     squared = shrink > 0
     rows = max(1, _REDUCE_BLOCK_ENTRIES // terms)
+    # Intervals by (action, squared) group, then by increasing mean.
+    group = (2 * acts + squared).astype(np.int16)
+    halved = np.ldexp(lam, -shrink)
     order = np.argsort(lam, kind="stable")
-    chunks = []
-    for k in range(len(chains)):
-        for sq, powers in ((False, table[k, 1:]), (True, table[k, :-1])):
-            idx = order[(acts[order] == k) & (squared[order] == sq)]
-            chunks += [(idx[lo : lo + rows], powers) for lo in range(0, idx.size, rows)]
-    tails = np.cumsum(_poisson_weights(lam[[part[-1] for part, _ in chunks]], terms)[:, ::-1], axis=1)
-    laws = np.empty((lam.size, n * n))
+    order = order[np.argsort(group[order], kind="stable")]
+    by_group, by_mean = group[order], lam[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (by_group[1:] != by_group[:-1]) | (by_mean[1:] != by_mean[:-1])
+    reps = order[new]
+    bounds = np.searchsorted(by_group[new], np.arange(2 * len(chains) + 1))
+    index = np.arange(lam.size)
+    if reps.size < lam.size:
+        # Laws are numbered by their first interval; first[i] is the
+        # interval whose law interval i takes.
+        first = np.empty_like(index)
+        first[order] = reps[np.cumsum(new) - 1]
+        own = np.flatnonzero(first == index)
+        index[own] = np.arange(own.size)
+        reps, index = index[reps], index[first]
+        halved, shrink, squared, acts = halved[own], shrink[own], squared[own], acts[own]
+    series = (table[:, 1:], table[:, :-1])  # the powers of an unsquared and a squared law
+    cuts = [(lo, min(lo + rows, hi), g) for g, (start, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+            for lo in range(start, hi, rows)]
+    chunks = [(reps[lo:hi], series[g % 2][g // 2]) for lo, hi, g in cuts]
+    # A squared group's halved means need not increase, so each chunk is
+    # cut at the tail of its largest.
+    tops = np.maximum.reduceat(halved[reps], [lo for lo, _, _ in cuts]) if cuts else np.empty(0)
+    tails = np.cumsum(_poisson_weights(tops, terms)[:, ::-1], axis=1)
+    laws = np.empty((halved.size, n * n))
     for (part, powers), m in zip(chunks, np.count_nonzero(tails >= _SERIES_TAIL, axis=1)):
-        laws[part] = _poisson_weights(lam[part], m) @ powers[:m]
+        laws[part] = _poisson_weights(halved[part], m) @ powers[:m]
     laws = laws.reshape(-1, n, n)
     idx = np.flatnonzero(squared)
     if idx.size:
@@ -779,12 +874,13 @@ def _interval_laws(chains: np.ndarray, table: np.ndarray, lam: np.ndarray, acts:
             more = shrink[idx] > j
             f[more] = f[more] @ f[more]
         laws[idx] = chains[acts[idx]] @ f
-    return laws
+    return laws, index
 
 
-def _event_laws(model: SwitchingSMJP, sequences: Sequence[EventSequence]) -> Iterator[np.ndarray]:
-    """The ``P_i`` stack of each sequence, built as it is iterated over one
-    table of chain powers shared by all; every sequence is checked first."""
+def _event_laws(model: SwitchingSMJP, sequences: Sequence[EventSequence]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ``(laws, index)`` of each sequence's intervals (see
+    :func:`_interval_laws`), built as it is iterated over one table of
+    chain powers shared by all; every sequence is checked first."""
     lams = []
     for seq in sequences:
         if len(seq) == 0:
@@ -803,9 +899,9 @@ def held_out_loglik(
 
     Between events i and i+1 the law is ``P_i = B_k expm(A_k dt_i)`` with
     k the action at event i: the mean of a uniformization grid's steps
-    there. Each ``P_i`` is built from Jensen's series over one table of
-    chain powers shared by every sequence, and the stack is scored by the
-    grid filter's pairwise reduction. No grid is drawn, so the score reads
+    there. Each distinct ``P_i`` is built once from Jensen's series over
+    one table of chain powers shared by every sequence, and the intervals'
+    laws are scored by the grid filter's pairwise reduction. No grid is drawn, so the score reads
     neither ``config.seed`` nor ``config.eval_grids`` (``config`` is
     accepted for callers that pass one), and duplicating a sequence exactly
     doubles it.
@@ -814,9 +910,9 @@ def held_out_loglik(
         raise SmjpError("need at least one sequence to evaluate")
     _check_alphabets(model, sequences)
     total = 0.0
-    for seq, laws in zip(sequences, _event_laws(model, sequences)):
+    for seq, (laws, index) in zip(sequences, _event_laws(model, sequences)):
         try:
-            total += _grid_loglik(laws, _emission_table(model.emission, seq), np.arange(len(laws)))
+            total += _grid_loglik(laws, _emission_table(model.emission, seq), index)
         except ZeroProbabilityObservation as exc:
             raise _at_event(exc, seq) from None
     return total

@@ -2,13 +2,14 @@
 exhaustive path enumeration, the filter-smoother's posterior over every
 grid point, a forward filter computed entirely in the log domain, the pair
 posteriors of the scaled recursions, the per-point E-step, the grid-free
-likelihood of an event sequence, the toy chain's path drawn by numpy
-searches, Newman modularity, the log-domain helpers these oracles are
-built from, the belief planner built one state at a time, its dense
-Bellman backup and value iteration, the agent run one checked belief update at a time, the
-co-clustering (one restart and one size pair after another, its sweep
-scoring one candidate at a time) and the modularity merge scored one
-candidate at a time. The last section holds what only tests use: a
+likelihood of an event sequence and the law of each of its intervals, the
+toy chain's path drawn by numpy searches, Newman modularity, the
+log-domain helpers these oracles are built from, the belief planner
+built one state at a time, its dense Bellman backup and value iteration,
+the agent run one checked belief update at a time, the co-clustering
+(one restart and one size pair after another, its sweep scoring one
+candidate at a time) and the modularity merge scored one candidate at a
+time. The last section holds what only tests use: a
 Taylor matrix exponential, Gillespie paths, a uniformization rate rule,
 Poisson times in one interval and the information lost by a given
 co-clustering."""
@@ -77,8 +78,11 @@ from smjp.switching import (
     SufficientStats,
     ZeroProbabilityObservation,
     _emission_table,
+    _SERIES_CAP,
     _event_laws,
     _filter_smooth,
+    _poisson_weights,
+    _power_table,
     update_generator,
 )
 
@@ -217,13 +221,12 @@ def scaled_xi(model, data):
     filter/smoother: ``alpha_hat[t, i] * P_t[i, j] * e[t+1, j] *
     beta_hat[t+1, j] / c[t+1]``. On a grid ``P_t`` is the chain of step
     t's action; on an event sequence it is the interval law of
-    ``_event_laws``, the stack ``forward_backward`` steps by."""
+    ``_event_laws``, whose laws and index ``forward_backward`` steps by."""
     if isinstance(data, TimeGrid):
         _check_grid(model, data)
         laws, kidx = model.chain_stack, data.actions
     else:
-        (laws,) = _event_laws(model, [data])
-        kidx = np.arange(len(data) - 1)
+        ((laws, kidx),) = _event_laws(model, [data])
     e = _emission_table(model.emission, data)
     alpha, c, beta = _filter_smooth(laws, e, kidx)
     w = (e[1:] * beta[1:]) / c[1:, None]
@@ -279,6 +282,31 @@ def exact_loglik(model, seq) -> float:
         step = model.chain_stack[a] @ matrix_exponential(model.generators[a], seq.times[i + 1] - seq.times[i]).probs
         v = (v / mass) @ step * emit(i + 1)
     return float(ll + np.log(v.sum()))
+
+
+def interval_law_stack(model, seq) -> np.ndarray:
+    """(E-1, N, N) stack of every interval's own law ``P_i = B_k expm(A_k
+    dt_i)``, one per interval however often it repeats: the oracle for
+    the distinct laws and the index of ``_event_laws``. Each interval sums
+    Jensen's series ``sum_m Pois(m; omega dt) B_k^m`` over one full table
+    of chain powers, an interval whose mean passes ``_SERIES_CAP`` at
+    ``dt / 2^s`` and squared back s times, then applies B_k."""
+    lam = model.omega * np.diff(seq.times)
+    shrink = np.ceil(np.log2(np.maximum(lam / _SERIES_CAP, 1.0))).astype(np.int64)
+    half = np.ldexp(lam, -shrink)
+    terms = int(_SERIES_CAP + 10.0 * np.sqrt(_SERIES_CAP)) + 41
+    chains, n = model.chain_stack, model.n_states
+    table = _power_table(chains, terms)
+    acts = seq.actions[:-1]
+    factors = np.empty((lam.size, n * n))
+    for k in range(model.n_actions):
+        sel = np.flatnonzero(acts == k)
+        factors[sel] = _poisson_weights(half[sel], terms) @ table[k, :terms]
+    factors = factors.reshape(-1, n, n)
+    for i in np.flatnonzero(shrink):
+        for _ in range(shrink[i]):
+            factors[i] = factors[i] @ factors[i]
+    return chains[acts] @ factors
 
 
 def toy_path_searchsorted(cum_chain, cum_emit, s, a, draws):

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -235,6 +236,26 @@ class TestSelectCoclusterSizes:
         sel = select_cocluster_sizes(joint, range(1, 6), range(1, 7), seed=2, restarts=30)
         assert np.all(np.diff(sel.loss_surface, axis=0) <= 1e-9)
         assert np.all(np.diff(sel.loss_surface, axis=1) <= 1e-9)
+
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [
+            (range(1, 10**9), range(2, 11), "row cluster counts 1..999999999 out of range for shape (6, 40)"),
+            (range(2, 4), range(0, 10**9), "column cluster counts 0..999999999 out of range for shape (6, 40)"),
+            (range(7, 0, -1), [2], "row cluster counts 1..7 out of range for shape (6, 40)"),
+            (range(2, 4), [2, 41, 3], "column cluster counts 2..41 out of range for shape (6, 40)"),
+        ],
+    )
+    def test_wide_range_refused_before_any_list_is_built(self, rows, cols, message):
+        joint = derive_rng(9).dirichlet(np.ones(240)).reshape(6, 40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SmjpError, match=f"^{re.escape(message)}$"):
+                select_cocluster_sizes(joint, rows, cols, seed=0, restarts=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestJointOperator:

@@ -13,6 +13,7 @@ from helpers import (
     exact_loglik,
     forward_logspace,
     grid_forward_backward,
+    interval_law_stack,
     logsumexp,
     matrix_exponential,
     model_from_chains,
@@ -23,18 +24,21 @@ from helpers import (
 from smjp.core import derive_rng, index_alphabet
 from smjp.ctmc import MAX_EXPECTED_VIRTUAL, NO_OBSERVATION, VirtualTimeOverflow, build_time_grid, uniformize
 from smjp.events import EventSequence, split_chronological
-from smjp.foraging import ToyConfig, generate_toy
+from smjp.foraging import ToyConfig, WorldConfig, build_belief_mdp, generate_toy, simulate_agent, value_iteration
 from smjp import analysis, switching
 from smjp.analysis import event_state_posterior
 from smjp.core import SmjpError
 from smjp.switching import (
     EmptyStatistics,
     FitConfig,
+    ForwardBackwardResult,
     InconsistentShapes,
     StructureViolation,
     SufficientStats,
     ZeroProbabilityObservation,
     _emission_table,
+    _SCAN_BLOCK,
+    _event_laws,
     _filter_smooth,
     _filter_steps,
     _grid_loglik,
@@ -244,16 +248,33 @@ def assert_blocked_matches_steps(chains, e, kidx, alpha_atol=0.0):
 
 class TestBlockedScan:
     """The blocked filter-smoother against the one-step-at-a-time loops
-    it falls back to: blocks of isqrt(T-1) steps, the last padded."""
+    it falls back to: blocks of L = _SCAN_BLOCK = 8 steps, the last padded
+    with identity steps, and a log-depth carry over the block products
+    whose up-sweep passes an odd last block up alone."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("k", range(1, 5))
     def test_matches_step_loops(self, n, k):
         rng = derive_rng(40, n, k)
-        # T-1 = 49 fills 7 blocks of 7; 50 and 61 leave a padded block;
-        # 997 is prime.
+        # T-1 = 1..3 steps fit in one padded block; 49 and 50 steps fill 7
+        # blocks, the last padded; 61 steps 8 blocks; 996 steps 125 blocks.
         for length in (2, 3, 4, 50, 51, 62, 997):
             assert_blocked_matches_steps(*per_action_case(rng, n, k, 3, length))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_step_loops_at_block_edges(self, n, k):
+        assert _SCAN_BLOCK == 8
+        rng = derive_rng(45, n, k)
+        # T-1 = 1..2L+1 steps: one, two and three blocks, padded or full.
+        steps = list(range(1, 2 * _SCAN_BLOCK + 2))
+        # Exact multiples of L, no padding: 3, 4, 8 and 64 blocks.
+        steps += [3 * _SCAN_BLOCK, 4 * _SCAN_BLOCK, 8 * _SCAN_BLOCK, 64 * _SCAN_BLOCK]
+        # Block counts 2^j and 2^j + 1 with a padded last block (4, 5, 16,
+        # 17, 128, 129), so the up-sweep meets odd node counts.
+        steps += [nb * _SCAN_BLOCK - 3 for nb in (4, 5, 16, 17, 128, 129)]
+        for length in steps:
+            assert_blocked_matches_steps(*per_action_case(rng, n, k, 3, length + 1))
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_matches_step_loops_long_grid(self, n):
@@ -720,8 +741,8 @@ class TestExactHeldOut:
         lam = model.omega * np.diff(seq.times)
         lam[3:6] = 40.0, 100.0, 400.0
         table = switching._power_table(model.chain_stack, 200)
-        laws = switching._interval_laws(model.chain_stack, table, lam, np.zeros(lam.size, dtype=np.int64))
-        for law, x in zip(laws, lam):
+        laws, index = switching._interval_laws(model.chain_stack, table, lam, np.zeros(lam.size, dtype=np.int64))
+        for law, x in zip(laws[index], lam):
             ref = model.chain_stack[0] @ matrix_exponential(model.generators[0], x / model.omega).probs
             np.testing.assert_allclose(law, ref, rtol=0, atol=1e-10)
         assert held_out_loglik(model, [seq]) == pytest.approx(exact_loglik(model, seq), rel=1e-9)
@@ -732,10 +753,10 @@ class TestExactHeldOut:
         seq = random_sequence(rng, model, 200)
         lam = model.omega * np.diff(seq.times)
         table = switching._power_table(model.chain_stack, 80)
-        laws = switching._interval_laws(model.chain_stack, table, lam, seq.actions[:-1])
+        laws, index = switching._interval_laws(model.chain_stack, table, lam, seq.actions[:-1])
         e = _emission_table(model.emission, seq)
-        _, c = _filter_steps(laws, e, np.arange(lam.size))
-        assert _grid_loglik(laws, e, np.arange(lam.size)) == pytest.approx(np.log(c).sum(), abs=1e-9)
+        _, c = _filter_steps(laws, e, index)
+        assert _grid_loglik(laws, e, index) == pytest.approx(np.log(c).sum(), abs=1e-9)
 
     @pytest.mark.parametrize("entries", [63, 1000, 5000])
     def test_chunking_leaves_the_score(self, monkeypatch, entries):
@@ -784,6 +805,68 @@ def step_loglik(model, grid):
     """The step filter's log-likelihood: the reference for _grid_loglik."""
     _, c = _filter_steps(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
     return float(np.log(c).sum())
+
+
+@pytest.fixture(scope="module")
+def forager_stream():
+    """Criterion 07's optimal agent: 6000 s, seed 42."""
+    mdp = build_belief_mdp(WorldConfig(), 10, 0.05)
+    vi = value_iteration(mdp, tol=1e-8)
+    seq, _ = simulate_agent(replace(mdp, values=vi.values, policy=vi.policy), 6000.0, seed=42)
+    return seq
+
+
+class TestDistinctLaws:
+    """One law per distinct (action, dt), against tests/helpers'
+    interval_law_stack, which builds one per interval."""
+
+    def test_forager_scores_and_smooths_as_the_per_interval_stack(self, forager_stream):
+        seq = forager_stream
+        model = init_random_model(6, seq.observation_alphabet, seq.action_alphabet, FitConfig(), (3, 6, 0),
+                                  seq.event_rate)
+        ((laws, index),) = _event_laws(model, [seq])
+        assert len(laws) == 4 and index.shape == (len(seq) - 1,)
+        stack = interval_law_stack(model, seq)
+        np.testing.assert_allclose(laws[index], stack, rtol=0, atol=1e-14)
+        e = _emission_table(model.emission, seq)
+        steps = np.arange(len(seq) - 1)
+        ll = _grid_loglik(stack, e, steps)
+        assert held_out_loglik(model, [seq]) == pytest.approx(ll, rel=1e-12)
+        want = ForwardBackwardResult.from_scaled(*_filter_smooth(stack, e, steps))
+        got = forward_backward(model, seq)
+        assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-12)
+        np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-12, atol=1e-15)
+
+    def test_distinct_intervals_keep_their_order_and_bits(self):
+        toy = generate_toy(ToyConfig(expected_length=400), seed=4)
+        ((laws, index),) = _event_laws(toy.model, [toy.sequence])
+        assert np.array_equal(index, np.arange(len(toy.sequence) - 1))
+        np.testing.assert_allclose(laws, interval_law_stack(toy.model, toy.sequence), rtol=0, atol=1e-14)
+        # The score of the per-interval code this replaced, to the last bit.
+        assert held_out_loglik(toy.model, [toy.sequence]) == -231.72927624350905
+
+    def test_repeats_share_a_law(self):
+        rng = derive_rng(66)
+        model = random_model(rng, 3, 2, 3, omega=2.0)
+        # Gaps of 0.5 and 0.25 s under two actions, and 40 s and 80 s
+        # gaps, whose halved means are equal, under the squaring path.
+        gaps = np.array([0.5, 0.25, 0.5, 40.0, 0.25, 80.0, 0.5, 40.0, 0.5])
+        acts = np.array([0, 0, 1, 0, 0, 0, 1, 0, 0, 0])
+        seq = EventSequence("r", np.concatenate([[0.0], np.cumsum(gaps)]), rng.integers(0, 3, 10), acts,
+                            model.observations, model.actions)
+        ((laws, index),) = _event_laws(model, [seq])
+        assert index.tolist() == [0, 1, 2, 3, 1, 4, 2, 3, 0]
+        np.testing.assert_allclose(laws[index], interval_law_stack(model, seq), rtol=0, atol=1e-14)
+        assert held_out_loglik(model, [seq]) == pytest.approx(exact_loglik(model, seq), rel=1e-9)
+
+    def test_one_event_has_no_law(self):
+        toy = generate_toy(ToyConfig(expected_length=50), seed=5)
+        one = replace(toy.sequence, times=toy.sequence.times[:1], observations=toy.sequence.observations[:1],
+                      actions=toy.sequence.actions[:1])
+        ((laws, index),) = _event_laws(toy.model, [one])
+        n = toy.model.n_states
+        assert laws.shape == (0, n, n) and index.size == 0
+        assert forward_backward(toy.model, one).gamma.shape == (1, n)
 
 
 class TestGridLoglik:
