@@ -19,9 +19,9 @@ counts, run discrete-chain EM to convergence on those fixed grids, then map
 the re-estimated chains back to generators via A = (B - I) * omega. Omega
 is fixed through a fit, since a grid's mean law between events, B expm(A
 dt), depends on it. The loop stops when the held-out log-likelihood
-stabilizes; that score is exact and grid-free, the event-level filter over
-the laws B expm(A dt) between events. It needs no smoother and keeps a
-pairwise reduction of the step matrices, faster there than block products.
+stabilizes; that score is exact and grid-free, the event-level likelihood
+over the laws B expm(A dt) between events, read off the same scan's block
+products and up-sweep with no smoother.
 
 Random streams are derived from the config seed with fixed branch codes:
 (1, outer_iteration, sequence, grid) for training grids and (3, n_states,
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -60,9 +60,8 @@ STRUCTURAL_TOL = 1e-6
 
 MODEL_HEADER = "smjp-model v1"
 
-# Matrix entries per block of the likelihood reduction and of the
-# held-out series weights (512 KiB of float64), which bounds their memory
-# on long sequences.
+# Matrix entries per chunk of the held-out series weights (512 KiB of
+# float64), which bounds their memory on long sequences.
 _REDUCE_BLOCK_ENTRIES = 1 << 16
 
 # Grid steps per block of the filter-smoother's scan.
@@ -189,25 +188,37 @@ class SwitchingSMJP:
 
 @dataclass(frozen=True)
 class ForwardBackwardResult:
-    """Posterior quantities at the events of one sequence: log filters, log
-    smoothers, state marginals and per-step normalizers. Transition-pair
-    marginals are not formed; the E-step sums them in closed form."""
+    """Posterior quantities at the events of one sequence, stored as one
+    ``_filter_smooth`` pass's (alpha_hat, c, beta_hat); the log filters,
+    log smoothers (``log_beta[T-1]`` is zero), state marginals and
+    log-likelihood are derived when first read. Transition-pair marginals
+    are not formed; the E-step sums them in closed form."""
 
-    log_alpha: np.ndarray
-    log_beta: np.ndarray
-    gamma: np.ndarray
-    log_likelihood: float
+    alpha_hat: np.ndarray
     per_step_scaling: np.ndarray
+    beta_hat: np.ndarray
 
-    @classmethod
-    def from_scaled(cls, alpha: np.ndarray, c: np.ndarray, beta: np.ndarray) -> ForwardBackwardResult:
-        """The result of one ``_filter_smooth`` pass, its normalizers folded
-        back into the logs; ``log_beta[T-1]`` is the zero vector."""
-        logc = np.cumsum(np.log(c))
+    @cached_property
+    def _log_c(self) -> np.ndarray:
+        return np.cumsum(np.log(self.per_step_scaling))
+
+    @cached_property
+    def log_alpha(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            log_alpha = np.log(alpha) + logc[:, None]
-            log_beta = np.log(beta) + (logc[-1] - logc)[:, None]
-        return cls(log_alpha, log_beta, alpha * beta, float(logc[-1]), c)
+            return np.log(self.alpha_hat) + self._log_c[:, None]
+
+    @cached_property
+    def log_beta(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.beta_hat) + (self._log_c[-1] - self._log_c)[:, None]
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return self.alpha_hat * self.beta_hat
+
+    @cached_property
+    def log_likelihood(self) -> float:
+        return float(self._log_c[-1])
 
 
 @dataclass(frozen=True)
@@ -385,23 +396,67 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _carry(prods: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Directions into and out of every block of a chain of block products,
-    by one up-sweep and two down-sweeps (Blelloch 1990; Sarkka and
-    Garcia-Fernandez, IEEE TAC 2021): ``starts[b]`` is ``first @ prods[0]
-    @ .. @ prods[b-1]`` and ``ends[b]`` is ``prods[b+1] @ .. @ prods[-1] @
-    1``, each scaled to unit sum (``ends[-1]`` stays the ones vector).
+def _block_products(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(steps, K, E, prods, mass): the T-1 grid steps in blocks of
+    ``_SCAN_BLOCK``, the last padded with identity steps (emission ones),
+    ``steps`` being ``chains`` and that identity. Lane-major, ``K[j, b]``
+    and ``E[j, b]`` are the chain and next emission of step ``b*L + j``, so
+    each in-block step is one batched operation over every block.
+    ``prods[b]`` is block b's product of ``B_{k_i} diag(e_{i+1})`` over its
+    ``mass``."""
+    t, n = e.shape
+    size = _SCAN_BLOCK
+    nb = max(1, -(-(t - 1) // size))
+    padded = nb * size
+    steps = np.concatenate([chains, np.eye(n)[None]])
+    K = np.full(padded, len(chains))
+    K[: t - 1] = kidx[: t - 1]
+    K = K.reshape(nb, size).T.copy()
+    e_pad = np.ones((padded, n))
+    e_pad[: t - 1] = e[1:]
+    E = e_pad.reshape(nb, size, n).swapaxes(0, 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Three (nb, N, N) buffers: the product, the next one and the
+        # gathered step, its columns scaled by the emission in place
+        # ("wrap" lets take write into its buffer directly; K is in range).
+        prods = np.take(steps, K[0], axis=0)
+        prods *= E[0, :, None, :]
+        out, step = np.empty_like(prods), np.empty_like(prods)
+        for j in range(1, size):
+            np.take(steps, K[j], axis=0, out=step, mode="wrap")
+            step *= E[j, :, None, :]
+            np.matmul(prods, step, out=out)
+            prods, out = out, prods
+        del out, step
+        mass = prods.sum(axis=(1, 2))
+        prods /= mass[:, None, None]
+    return steps, K, E, prods, mass
 
-    The up-sweep multiplies neighbours level by level, an odd last node
-    passing up alone, and scales each product to unit sum. Going back down,
-    a left child inherits its parent's prefix and a right child its
-    parent's suffix; the other child's is the parent's times its sibling."""
+
+def _up_sweep(prods: np.ndarray) -> tuple[list[np.ndarray], float]:
+    """(levels, summed log scales) of the product tree over a chain of block
+    products: each level multiplies neighbours, an odd last node passing up
+    alone, and scales each product to unit sum; the last is the whole."""
     levels = [prods]
+    log_scale = 0.0
     while len(levels[-1]) > 1:
         p = levels[-1]
         up = p[0 : len(p) - 1 : 2] @ p[1::2]
-        up /= up.sum(axis=(1, 2))[:, None, None]
+        scale = up.sum(axis=(1, 2))
+        up /= scale[:, None, None]
+        log_scale += np.log(scale).sum()
         levels.append(np.concatenate([up, p[-1:]]) if len(p) % 2 else up)
+    return levels, log_scale
+
+
+def _carry(levels: list[np.ndarray], first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directions into and out of every block of a chain of block products
+    by two down-sweeps over its :func:`_up_sweep` levels (Blelloch 1990;
+    Sarkka and Garcia-Fernandez, IEEE TAC 2021): ``starts[b]`` is ``first @
+    prods[0] @ .. @ prods[b-1]`` and ``ends[b]`` is ``prods[b+1] @ .. @
+    prods[-1] @ 1``, each scaled to unit sum (``ends[-1]`` stays ones). A
+    left child inherits its parent's prefix and a right child its parent's
+    suffix; the other child's is the parent's times its sibling."""
     starts, ends = first[None], np.ones((1, first.size))
     for p in reversed(levels[:-1]):
         h = len(p) // 2
@@ -421,58 +476,29 @@ def _filter_smooth(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple
     its per-step normalizers, and the backward pass scaled by them, so that
     alpha_hat * beta_hat is the state marginal directly.
 
-    A short-block scan with a log-depth carry. The T-1 grid steps are cut
-    into blocks of ``_SCAN_BLOCK`` steps, the last padded with identity
-    steps (emission ones, normalizer one; a one-point grid is one such
-    step). The work arrays are lane-major: ``K[j, b]`` and ``E[j, b]`` are
-    the chain and the next point's emission of step ``b*L + j``, so each
-    in-block step is one batched operation over every block. Each block's
-    step product ``B_{k_i} diag(e_{i+1})`` is formed by L-1 batched
-    products and scaled to unit sum once; :func:`_carry` turns those into
+    :func:`_block_products`, :func:`_up_sweep` and :func:`_carry` give
     alpha_hat at every block start and the smoother's direction at every
-    block end. The step recursions then fill all blocks at once: the filter
-    forward from the starts, the smoother back from the ends, each end
+    block end; the step recursions then fill all blocks at once, the filter
+    forward from the starts and the smoother back from the ends, each end
     scaled by ``alpha_hat . beta_hat = 1``. If a block product falls below
     ``_SCAN_FLOOR``, a normalizer is zero or non-finite, or the smoother is
     non-finite, the step loops rerun the grid and name the impossible step.
     """
     t, n = e.shape
-    size = _SCAN_BLOCK
-    nb = max(1, -(-(t - 1) // size))
-    padded = nb * size
-    steps = np.concatenate([chains, np.eye(n)[None]])
-    K = np.full(padded, len(chains))
-    K[: t - 1] = kidx[: t - 1]
-    K = K.reshape(nb, size).T.copy()
-    e_pad = np.ones((padded + 1, n))
-    e_pad[:t] = e
-    c = np.ones(padded + 1)
-    # Lane-major views: [j, b] is grid point b*L + j + 1 (E, C, and A below)
+    steps, K, E, prods, mass = _block_products(chains, e, kidx)
+    size, nb = K.shape
+    c = np.ones(K.size + 1)
+    # Lane-major views: [j, b] is grid point b*L + j + 1 (C and A below)
     # or b*L + j (D below).
-    E = e_pad[1:].reshape(nb, size, n).swapaxes(0, 1)
     C = c[1:].reshape(nb, size).T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Three (nb, N, N) buffers: the product, the next one and the
-        # gathered step, its columns scaled by the emission in place
-        # ("wrap" lets take write into its buffer directly; K is in range).
-        prods = np.take(steps, K[0], axis=0)
-        prods *= E[0, :, None, :]
-        out, step = np.empty_like(prods), np.empty_like(prods)
-        for j in range(1, size):
-            np.take(steps, K[j], axis=0, out=step, mode="wrap")
-            step *= E[j, :, None, :]
-            np.matmul(prods, step, out=out)
-            prods, out = out, prods
-        del out, step
-        mass = prods.sum(axis=(1, 2))
-        prods /= mass[:, None, None]
         a = e[0] / n
         c[0] = a.sum()
-        starts, ends = _carry(prods, a / c[0])
+        starts, ends = _carry(_up_sweep(prods)[0], a / c[0])
         del prods
         # The outputs are made once the block products are gone.
-        alpha = np.empty((padded + 1, n))
-        beta = np.empty((padded + 1, n))
+        alpha = np.empty((K.size + 1, n))
+        beta = np.empty_like(alpha)
         A = alpha[1:].reshape(nb, size, n).swapaxes(0, 1)
         D = beta[:-1].reshape(nb, size, n).swapaxes(0, 1)
         a = starts
@@ -498,68 +524,48 @@ def _filter_smooth(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple
     return alpha, c, beta
 
 
-def _grid_loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
-    """Log-likelihood of one grid by pairwise reduction of the step
-    matrices ``M_t = B_{k_t} diag(e_{t+1})`` (log-depth in the grid
-    length instead of one Python step per grid point).
-
-    Leaves and product nodes are scaled to unit sum with the log scales
-    carried separately; an odd node count folds the leading node into the
-    running start vector. If any mass is zero or non-finite, the step
-    filter reruns the grid: it raises the usual error for an impossible
-    observation and otherwise returns the likelihood.
-    """
-    t, n = e.shape
-    block = max(1, _REDUCE_BLOCK_ENTRIES // (n * n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = e[0] / n
-        mass = v.sum()
-        v /= mass
-        ll = np.log(mass)
-        for lo in range(0, t - 1, block):
-            hi = min(t - 1, lo + block)
-            nodes = chains[kidx[lo:hi]]
-            nodes *= e[lo + 1 : hi + 1, None, :]
-            while nodes.shape[0]:
-                mass = nodes.sum(axis=(1, 2))
-                nodes /= mass[:, None, None]
-                ll += np.log(mass).sum()
-                if nodes.shape[0] % 2:
-                    v = v @ nodes[0]
-                    mass = v.sum()
-                    v /= mass
-                    ll += np.log(mass)
-                    nodes = nodes[1:]
-                nodes = nodes[0::2] @ nodes[1::2]
-    if np.isfinite(ll):
+def _loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
+    """Log-likelihood of one grid from the scan's block products and
+    up-sweep alone: the logs of the first normalizer, the block masses, the
+    up-sweep's scales and the first direction through the whole product.
+    Past the same checks as :func:`_filter_smooth`, the step filter reruns
+    the grid and names an impossible observation."""
+    n = e.shape[1]
+    _, _, _, prods, mass = _block_products(chains, e, kidx)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        levels, log_scale = _up_sweep(prods)
+        a = e[0] / n
+        c0 = a.sum()
+        ll = np.log(c0) + np.log(mass).sum() + log_scale + np.log((a / c0) @ levels[-1][0].sum(axis=1))
+    if mass.min() >= _SCAN_FLOOR and np.isfinite(ll):
         return float(ll)
     _, c = _filter_steps(chains, e, kidx)
     return float(np.log(c).sum())
 
 
-def _at_event(exc: ZeroProbabilityObservation, seq: EventSequence) -> ZeroProbabilityObservation:
-    """``exc`` from a sequence's event-level filter, naming the event and
-    the sequence."""
-    return ZeroProbabilityObservation(
-        f"observation at event {exc.step} of sequence {seq.id!r} has zero likelihood", exc.step
-    )
+def _on_events(model: SwitchingSMJP, sequences: Sequence[EventSequence], core: Callable) -> Iterator:
+    """``core(laws, e, index)`` of each sequence's interval laws and
+    emission table in turn, an impossible observation named by its event
+    and its sequence."""
+    _check_alphabets(model, sequences)
+    for seq, (laws, index) in zip(sequences, _event_laws(model, sequences)):
+        try:
+            yield core(laws, _emission_table(model.emission, seq), index)
+        except ZeroProbabilityObservation as exc:
+            message = f"observation at event {exc.step} of sequence {seq.id!r} has zero likelihood"
+            raise ZeroProbabilityObservation(message, exc.step) from None
 
 
 def forward_backward(model: SwitchingSMJP, seq: EventSequence) -> ForwardBackwardResult:
     """One full smoothing pass over a sequence's events via the scaled
     recursions, stepping from event i to i+1 by its interval law ``P_i =
-    B_k expm(A_k dt_i)``, one law per distinct (action, dt). It is exact: its likelihood is
-    :func:`held_out_loglik`'s and ``gamma`` the posterior over states at
-    the events."""
+    B_k expm(A_k dt_i)``, one law per distinct (action, dt). It is exact:
+    its likelihood is :func:`held_out_loglik`'s and ``gamma`` the posterior
+    over states at the events."""
     if not isinstance(seq, EventSequence):
         raise InconsistentShapes(f"forward_backward takes an EventSequence, got {type(seq).__name__}")
-    _check_alphabets(model, [seq])
-    ((laws, index),) = _event_laws(model, [seq])
-    try:
-        scaled = _filter_smooth(laws, _emission_table(model.emission, seq), index)
-    except ZeroProbabilityObservation as exc:
-        raise _at_event(exc, seq) from None
-    return ForwardBackwardResult.from_scaled(*scaled)
+    (scaled,) = _on_events(model, [seq], _filter_smooth)
+    return ForwardBackwardResult(*scaled)
 
 
 def _powers(mats: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -901,21 +907,14 @@ def held_out_loglik(
     k the action at event i: the mean of a uniformization grid's steps
     there. Each distinct ``P_i`` is built once from Jensen's series over
     one table of chain powers shared by every sequence, and the intervals'
-    laws are scored by the grid filter's pairwise reduction. No grid is drawn, so the score reads
-    neither ``config.seed`` nor ``config.eval_grids`` (``config`` is
-    accepted for callers that pass one), and duplicating a sequence exactly
-    doubles it.
+    laws are scored by :func:`_loglik` on the filter-smoother's scan. No
+    grid is drawn, so the score reads neither ``config.seed`` nor
+    ``config.eval_grids`` (``config`` is accepted for callers that pass
+    one), and duplicating a sequence exactly doubles it.
     """
     if not sequences:
         raise SmjpError("need at least one sequence to evaluate")
-    _check_alphabets(model, sequences)
-    total = 0.0
-    for seq, (laws, index) in zip(sequences, _event_laws(model, sequences)):
-        try:
-            total += _grid_loglik(laws, _emission_table(model.emission, seq), index)
-        except ZeroProbabilityObservation as exc:
-            raise _at_event(exc, seq) from None
-    return total
+    return sum(_on_events(model, sequences, _loglik), 0.0)
 
 
 def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConfig) -> FitReport:

@@ -191,7 +191,7 @@ def grid_forward_backward(model, grid):
     ``ZeroProbabilityObservation`` naming its grid step."""
     _check_grid(model, grid)
     e = _emission_table(model.emission, grid)
-    return ForwardBackwardResult.from_scaled(*_filter_smooth(model.chain_stack, e, grid.actions))
+    return ForwardBackwardResult(*_filter_smooth(model.chain_stack, e, grid.actions))
 
 
 def forward_logspace(model, grid):

@@ -41,7 +41,7 @@ from smjp.switching import (
     _event_laws,
     _filter_smooth,
     _filter_steps,
-    _grid_loglik,
+    _loglik,
     _smooth_steps,
     fit,
     fit_best,
@@ -756,7 +756,7 @@ class TestExactHeldOut:
         laws, index = switching._interval_laws(model.chain_stack, table, lam, seq.actions[:-1])
         e = _emission_table(model.emission, seq)
         _, c = _filter_steps(laws, e, index)
-        assert _grid_loglik(laws, e, index) == pytest.approx(np.log(c).sum(), abs=1e-9)
+        assert _loglik(laws, e, index) == pytest.approx(np.log(c).sum(), abs=1e-9)
 
     @pytest.mark.parametrize("entries", [63, 1000, 5000])
     def test_chunking_leaves_the_score(self, monkeypatch, entries):
@@ -802,7 +802,7 @@ def random_sequence(rng, model, length):
 
 
 def step_loglik(model, grid):
-    """The step filter's log-likelihood: the reference for _grid_loglik."""
+    """The step filter's log-likelihood: the reference for _loglik."""
     _, c = _filter_steps(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
     return float(np.log(c).sum())
 
@@ -830,9 +830,9 @@ class TestDistinctLaws:
         np.testing.assert_allclose(laws[index], stack, rtol=0, atol=1e-14)
         e = _emission_table(model.emission, seq)
         steps = np.arange(len(seq) - 1)
-        ll = _grid_loglik(stack, e, steps)
+        ll = _loglik(stack, e, steps)
         assert held_out_loglik(model, [seq]) == pytest.approx(ll, rel=1e-12)
-        want = ForwardBackwardResult.from_scaled(*_filter_smooth(stack, e, steps))
+        want = ForwardBackwardResult(*_filter_smooth(stack, e, steps))
         got = forward_backward(model, seq)
         assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-12)
         np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-12, atol=1e-15)
@@ -842,8 +842,8 @@ class TestDistinctLaws:
         ((laws, index),) = _event_laws(toy.model, [toy.sequence])
         assert np.array_equal(index, np.arange(len(toy.sequence) - 1))
         np.testing.assert_allclose(laws, interval_law_stack(toy.model, toy.sequence), rtol=0, atol=1e-14)
-        # The score of the per-interval code this replaced, to the last bit.
-        assert held_out_loglik(toy.model, [toy.sequence]) == -231.72927624350905
+        # The scan's score, to the last bit.
+        assert held_out_loglik(toy.model, [toy.sequence]) == -231.729276243509
 
     def test_repeats_share_a_law(self):
         rng = derive_rng(66)
@@ -869,25 +869,30 @@ class TestDistinctLaws:
         assert forward_backward(toy.model, one).gamma.shape == (1, n)
 
 
-class TestGridLoglik:
+class TestLoglik:
+    """The likelihood read off the scan's block products and up-sweep,
+    against the log-domain and step filters."""
+
     def test_long_grid_per_action_emission(self):
         rng = derive_rng(23)
         model = random_model(rng, 6, 2, 3)
         model = replace(model, emission=np.stack([rng.dirichlet(np.ones(3), size=6) for _ in range(2)]))
         grid = random_grid(rng, 20_000, 2, 3)
-        got = _grid_loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
+        got = _loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
         _, ref = forward_logspace(model, grid)
         # The log-domain oracle itself drifts ~1e-13 relative over 20k steps.
         assert got == pytest.approx(ref, rel=1e-12)
         assert got == pytest.approx(step_loglik(model, grid), abs=1e-9)
 
-    def test_blocks_and_odd_lengths(self, monkeypatch):
+    @pytest.mark.parametrize("size", [1, 2, 3, 8])
+    def test_blocks_and_odd_lengths(self, monkeypatch, size):
+        # Lengths that pad the last block and leave odd up-sweep levels.
         rng = derive_rng(24)
         model = random_model(rng, 3, 2, 4)
-        monkeypatch.setattr(switching, "_REDUCE_BLOCK_ENTRIES", 9 * 7)
+        monkeypatch.setattr(switching, "_SCAN_BLOCK", size)
         for length in (1, 2, 3, 7, 8, 9, 50, 333):
             grid = random_grid(rng, length, 2, 4)
-            got = _grid_loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
+            got = _loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
             assert got == pytest.approx(step_loglik(model, grid), abs=1e-10)
 
     def test_tiny_emission_stays_finite(self):
@@ -900,13 +905,32 @@ class TestGridLoglik:
         assert np.isfinite(got)
         assert got == pytest.approx(exact_loglik(model, toy.sequence), rel=1e-9)
 
-    def test_subnormal_emission_matches_step_filter(self):
+    def test_subnormal_emission_matches_step_filter(self, monkeypatch):
         emission = np.array([[1.0 - 1e-320, 1e-320], [1.0 - 1e-320, 1e-320]])
         model = model_from_chains(np.full((1, 2, 2), 0.5), emission)
         grid = event_grid([1, 0, 1, 0], [0, 0, 0, 0])
-        got = _grid_loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
+        want = step_loglik(model, grid)
+        reruns = []
+        monkeypatch.setattr(switching, "_filter_steps", lambda *args: reruns.append(1) or _filter_steps(*args))
+        got = _loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
+        # The block product's mass is subnormal, below _SCAN_FLOOR.
+        assert reruns == [1]
         assert np.isfinite(got)
-        assert got == pytest.approx(step_loglik(model, grid), abs=1e-9)
+        assert got == pytest.approx(want, abs=1e-9)
+
+    def test_impossibility_only_the_up_sweep_sees(self):
+        # Eight steps of symbol 0 fill the first block and five of symbol 1
+        # the second; under B = I each block product has positive mass,
+        # but their product is zero.
+        model = model_from_chains(np.eye(2)[None], np.eye(2))
+        obs = [0] * 9 + [1] * 5
+        seq = EventSequence("x", np.arange(14.0), np.array(obs), np.zeros(14, dtype=np.int64), model.observations,
+                            model.actions)
+        message = "^observation at event 9 of sequence 'x' has zero likelihood$"
+        for score in (lambda: held_out_loglik(model, [seq]), lambda: forward_backward(model, seq)):
+            with pytest.raises(ZeroProbabilityObservation, match=message) as info:
+                score()
+            assert info.value.step == 9
 
 
 class TestSelectNumStates:
