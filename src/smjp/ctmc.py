@@ -1,9 +1,9 @@
 """Sampling for continuous-time Markov jump processes.
 
 Covers the uniformized discrete chain B = I + A/omega, the checked
-expected virtual-point count of each inter-event interval, and the mixed
-event/virtual time grid that the inference engine runs on, built from one
-vector of Poisson counts.
+expected virtual-point count of each inter-event interval, and the time
+grid that the inference engine runs on: a sequence's events plus one
+Poisson count of virtual points per interval between them.
 """
 
 from __future__ import annotations
@@ -13,16 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GeneratorMatrix, SmjpError, StochasticMatrix, as_rng
+from .events import EventSequence
 
 # A single interval asking for more virtual points than this signals a
 # misconfigured rate; refuse rather than allocate.
 MAX_EXPECTED_VIRTUAL = 1e7
-
-# Observation index attached to virtual grid points (no emission there).
-NO_OBSERVATION = -1
-
-TAG_EVENT = 0
-TAG_VIRTUAL = 1
 
 
 class OmegaTooSmall(SmjpError):
@@ -39,42 +34,35 @@ class VirtualTimeOverflow(SmjpError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Ordered union of event times and sampled virtual times.
+    """A sequence's events plus ``counts[i]`` virtual points in the
+    interval from event i to event i+1.
 
-    ``observations[t]`` is ``NO_OBSERVATION`` at virtual points.
-    ``actions[t]`` is the action in force over the step from grid point t
-    to t+1; virtual points inherit the action of the event opening their
-    enclosing interval.
+    The points carry no observation and inherit the interval's opening
+    action, so interval i is ``counts[i] + 1`` steps of that action's
+    discrete chain. Inference reads only the counts: where the points sit
+    inside their interval carries no information, so none is placed.
     """
 
-    times: np.ndarray
-    tags: np.ndarray
-    observations: np.ndarray
-    actions: np.ndarray
+    sequence: EventSequence
+    counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
-        object.__setattr__(self, "tags", np.asarray(self.tags, dtype=np.int8))
-        object.__setattr__(self, "observations", np.asarray(self.observations, dtype=np.int64))
-        object.__setattr__(self, "actions", np.asarray(self.actions, dtype=np.int64))
-        n = self.times.shape[0]
-        if not (self.tags.shape[0] == self.observations.shape[0] == self.actions.shape[0] == n):
-            raise SmjpError("grid arrays must have equal length")
-        if n and not np.all(np.diff(self.times) > 0):
-            raise NonMonotoneTimestamps("grid times must be strictly increasing")
-        if np.any(self.observations[self.tags == TAG_VIRTUAL] != NO_OBSERVATION):
-            raise SmjpError("virtual grid points cannot carry observations")
+        counts = np.asarray(self.counts)
+        intervals = max(len(self.sequence) - 1, 0)
+        if counts.shape != (intervals,):
+            raise SmjpError(f"need one virtual-point count per interval ({intervals}), got shape {counts.shape}")
+        if counts.size and counts.dtype.kind not in "iu":
+            raise SmjpError(f"virtual-point counts must be integers, got {counts.dtype}")
+        if counts.size and counts.min() < 0:
+            raise SmjpError(f"virtual-point counts must be non-negative, got {int(counts.min())}")
+        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
-        return int(self.times.shape[0])
+        return self.n_events + int(self.counts.sum())
 
     @property
     def n_events(self) -> int:
-        return int(np.sum(self.tags == TAG_EVENT))
-
-    @property
-    def event_indices(self) -> np.ndarray:
-        return np.nonzero(self.tags == TAG_EVENT)[0]
+        return len(self.sequence)
 
 
 def uniformize(gen: GeneratorMatrix, omega: float) -> StochasticMatrix:
@@ -118,48 +106,8 @@ def expected_virtual(times: np.ndarray, omega: float) -> np.ndarray:
     return expected
 
 
-def build_time_grid(seq, omega: float, seed: int | np.random.Generator) -> TimeGrid:
-    """Interleave a sequence's events with virtual points.
-
-    Every event timestamp passes through bit-identically. One Poisson draw
-    over the inter-event intervals gives each its count k ~ Poisson(omega
-    * dt) of virtual points, which carry no observation and inherit the
-    interval's opening action. Inference reads only the counts, so the k
-    points sit evenly at ``lo + (hi - lo) * j/(k+1)``, j = 1..k.
-    """
-    times = np.asarray(seq.times, dtype=np.float64)
-    obs = np.asarray(seq.observations, dtype=np.int64)
-    acts = np.asarray(seq.actions, dtype=np.int64)
-    expected = expected_virtual(times, omega)
-    lo, hi = times[:-1], times[1:]
-    counts = as_rng(seed).poisson(expected)
-    iv = np.repeat(np.arange(lo.size), counts)
-    j = np.arange(1, iv.size + 1) - (np.cumsum(counts) - counts)[iv]
-    vt = lo[iv] + (hi - lo)[iv] * (j / (counts[iv] + 1))
-    # Floats can put a point on an endpoint of a short interval, or on its
-    # neighbour; keep points strictly inside their interval, so none ties
-    # an event, and drop repeats.
-    inside = (vt > lo[iv]) & (vt < hi[iv])
-    vt, iv = vt[inside], iv[inside]
-    fresh = np.ones(vt.size, dtype=bool)
-    fresh[1:] = vt[1:] != vt[:-1]
-    vt, iv = vt[fresh], iv[fresh]
-
-    # Event i follows the i events and the virtual points of intervals
-    # before it; a virtual point follows the events 0..interval.
-    n = times.size
-    ev_pos = np.arange(n)
-    ev_pos[1:] += np.cumsum(np.bincount(iv, minlength=max(n - 1, 0)))
-    v_pos = np.arange(vt.size) + iv + 1
-    size = n + vt.size
-    grid_t = np.empty(size)
-    grid_t[ev_pos] = times
-    grid_t[v_pos] = vt
-    grid_tag = np.full(size, TAG_VIRTUAL, dtype=np.int8)
-    grid_tag[ev_pos] = TAG_EVENT
-    grid_obs = np.full(size, NO_OBSERVATION, dtype=np.int64)
-    grid_obs[ev_pos] = obs
-    grid_act = np.empty(size, dtype=np.int64)
-    grid_act[ev_pos] = acts
-    grid_act[v_pos] = acts[iv]
-    return TimeGrid(grid_t, grid_tag, grid_obs, grid_act)
+def build_time_grid(seq: EventSequence, omega: float, seed: int | np.random.Generator) -> TimeGrid:
+    """A grid of a sequence: one Poisson draw over its inter-event
+    intervals gives each its count k ~ Poisson(omega * dt) of virtual
+    points."""
+    return TimeGrid(seq, as_rng(seed).poisson(expected_virtual(seq.times, omega)))

@@ -1,27 +1,25 @@
 """Action-switched latent jump-process model and its EM fitting loop.
 
-The model holds one generator per action. A time grid interleaves event
-and virtual points: the discrete chain for the action in force at grid
-step t drives the transition t -> t+1, virtual points contribute a unit
-emission likelihood, and the latent prior at the first grid point is
-uniform (the initial distribution is not a learned parameter). The one
-posterior entry point, ``forward_backward``, takes an event sequence and
-steps from event to event by the exact law between them, B expm(A dt),
-built once per distinct (action, dt), so the state posterior at the
-events is exact. The EM E-step reads a grid as runs of virtual steps under
-one action, each one step of its law B_k^r. Both run one scaled
-filter-smoother, ``_filter_smooth``: a scan over blocks of eight steps
-with a log-depth carry between blocks, whose single fallback, the
-step-by-step loops, names the step of an impossible observation.
+The model holds one generator per action; the latent prior at the first
+event is uniform (the initial distribution is not a learned parameter).
+Every path steps from event to event. The one posterior entry point,
+``forward_backward``, steps by the exact law between events, B expm(A
+dt), built once per distinct (action, dt), so the state posterior at the
+events is exact. The EM E-step steps by a grid's law instead: interval i
+of a grid holds r_i - 1 virtual points, which carry no observation, so it
+is r_i steps of its opening action's chain, one step of B_k^(r_i). Both
+run one scaled filter-smoother, ``_filter_smooth``: a scan over blocks of
+eight steps with a log-depth carry between blocks, whose single fallback,
+the step-by-step loops, names the event of an impossible observation.
 
 Fitting alternates three phases: draw fresh grids of Poisson virtual-point
 counts, run discrete-chain EM to convergence on those fixed grids, then map
 the re-estimated chains back to generators via A = (B - I) * omega. Omega
 is fixed through a fit, since a grid's mean law between events, B expm(A
-dt), depends on it. The loop stops when the held-out log-likelihood
-stabilizes; that score is exact and grid-free, the event-level likelihood
-over the laws B expm(A dt) between events, read off the same scan's block
-products and up-sweep with no smoother.
+dt), depends on it. The loop stops when the exact log-likelihood of the
+held-out parts (of the training parts when there are none) stabilizes:
+the event-level likelihood over the laws B expm(A dt) between events,
+read off the same scan's block products and up-sweep with no smoother.
 
 Random streams are derived from the config seed with fixed branch codes:
 (1, outer_iteration, sequence, grid) for training grids and (3, n_states,
@@ -31,6 +29,7 @@ posteriors draw nothing.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterator, Sequence, TextIO
@@ -51,7 +50,7 @@ from .core import (
     validate_generator,
     write_text,
 )
-from .ctmc import NO_OBSERVATION, TimeGrid, build_time_grid, expected_virtual, uniformize
+from .ctmc import TimeGrid, build_time_grid, expected_virtual, uniformize
 from .events import EventSequence, split_chronological
 
 # Probability mass on a structurally forbidden transition above this is an
@@ -82,7 +81,8 @@ _SERIES_TAIL = 1e-30
 
 class ZeroProbabilityObservation(SmjpError):
     """An observation has probability zero under every reachable state;
-    ``step`` is the index of its grid point when known."""
+    ``step`` is the index of its step when known, which every public path
+    names as its event."""
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
@@ -337,16 +337,11 @@ def _check_alphabets(model: SwitchingSMJP, sequences: Sequence[EventSequence]) -
             raise InconsistentShapes(f"sequence {seq.id!r} action alphabet differs from the model's")
 
 
-def _emission_table(emission: np.ndarray, grid: TimeGrid | EventSequence) -> np.ndarray:
-    """(T, N) likelihood of each grid point's observation per state from an
-    (N, O) or per-action (K, N, O) emission array; virtual points
-    contribute ones. An event sequence reads as a grid without them. One
-    gather from the emission's columns behind a column of ones, the
-    column ``NO_OBSERVATION`` reads."""
+def _emission_table(emission: np.ndarray, seq: EventSequence) -> np.ndarray:
+    """(T, N) likelihood of each event's observation per state from an
+    (N, O) or per-action (K, N, O) emission array."""
     cols = np.swapaxes(emission, -1, -2)
-    rows = np.concatenate([np.ones_like(cols[..., :1, :]), cols], axis=-2)
-    at = grid.observations - NO_OBSERVATION
-    return rows[grid.actions, at] if emission.ndim == 3 else rows[at]
+    return cols[seq.actions, seq.observations] if emission.ndim == 3 else cols[seq.observations]
 
 
 def _filter_steps(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -543,17 +538,25 @@ def _loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
     return float(np.log(c).sum())
 
 
+@contextmanager
+def _named(seq: EventSequence) -> Iterator[None]:
+    """Names an impossible observation met while stepping from event to
+    event by its event and its sequence."""
+    try:
+        yield
+    except ZeroProbabilityObservation as exc:
+        message = f"observation at event {exc.step} of sequence {seq.id!r} has zero likelihood"
+        raise ZeroProbabilityObservation(message, exc.step) from None
+
+
 def _on_events(model: SwitchingSMJP, sequences: Sequence[EventSequence], core: Callable) -> Iterator:
     """``core(laws, e, index)`` of each sequence's interval laws and
     emission table in turn, an impossible observation named by its event
     and its sequence."""
     _check_alphabets(model, sequences)
     for seq, (laws, index) in zip(sequences, _event_laws(model, sequences)):
-        try:
+        with _named(seq):
             yield core(laws, _emission_table(model.emission, seq), index)
-        except ZeroProbabilityObservation as exc:
-            message = f"observation at event {exc.step} of sequence {seq.id!r} has zero likelihood"
-            raise ZeroProbabilityObservation(message, exc.step) from None
 
 
 def forward_backward(model: SwitchingSMJP, seq: EventSequence) -> ForwardBackwardResult:
@@ -586,11 +589,10 @@ def _powers(mats: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, uniq, bounds) of the non-negative keys: ``order`` lists
-    their positions stably by key, and those of key ``uniq[i]`` are
-    ``order[bounds[i] : bounds[i + 1]]``."""
+    """(order, uniq, bounds) of the keys: ``order`` lists their positions
+    stably by key, and those of key ``uniq[i]`` are ``order[bounds[i] :
+    bounds[i + 1]]``."""
     order = np.argsort(keys, kind="stable")
-    order = order[keys[order] >= 0]
     uniq, first = np.unique(keys[order], return_index=True)
     return order, uniq, np.append(first, order.size)
 
@@ -598,32 +600,20 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Runs:
     """Fixed grids read as runs, for the E-step.
 
-    A run is a maximal stretch of grid steps under one action whose
-    interior points are all virtual: it ends at every event, at every
-    change of the step action and at the grid's last point. A run of r
-    steps under action k has the law ``B_k^r``, so the filter and the
-    smoother visit only the run ends. ``ends[g]`` is grid g's sub-grid of
-    its first point and run ends; ``law[g]`` indexes each of its runs in
-    the (action ``law_k``, length ``law_r``) pairs shared by all grids.
+    A run is a grid's interval from event i to event i+1: its ``r_i =
+    counts_i + 1`` steps under the action of event i have the law
+    ``B_k^r``, so the filter and the smoother visit only the events.
+    ``law[g]`` indexes each of grid g's runs in the (action ``law_k``,
+    length ``law_r``) pairs shared by all grids.
     """
 
     def __init__(self, grids: Sequence[TimeGrid], n_actions: int):
         self.n_actions = n_actions
-        self.at: list[np.ndarray] = []
-        self.ends: list[TimeGrid] = []
-        self.emits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.sequences = [grid.sequence for grid in grids]
+        # Events by (symbol, action).
+        self.emits = [_groups(seq.observations * n_actions + seq.actions) for seq in self.sequences]
         keys = [np.empty(0, dtype=np.int64)]
-        for grid in grids:
-            acts, obs = grid.actions, grid.observations
-            cut = obs != NO_OBSERVATION
-            cut[1:-1] |= acts[1:-1] != acts[:-2]
-            cut[[0, -1]] = True
-            at = np.flatnonzero(cut)
-            self.at.append(at)
-            self.ends.append(TimeGrid(grid.times[at], grid.tags[at], obs[at], acts[at]))
-            keys.append(np.diff(at) * n_actions + acts[at[:-1]])
-            # Observed run ends by (symbol, action); virtual ones are left out.
-            self.emits.append(_groups(np.where(obs[at] != NO_OBSERVATION, obs[at] * n_actions + acts[at], -1)))
+        keys += [(grid.counts + 1) * n_actions + grid.sequence.actions[:-1] for grid in grids]
         pairs, law = np.unique(np.concatenate(keys), return_inverse=True)
         self.law_k, self.law_r = pairs % n_actions, pairs // n_actions
         self.law = np.split(law, np.cumsum([k.size for k in keys])[1:-1])
@@ -635,7 +625,7 @@ class _Runs:
         """Expected counts over all grids under the working parameter
         arrays, and the summed grid log-likelihood.
 
-        The pair posteriors of a run of r steps from end a to end b sum to
+        The pair posteriors of a run of r steps from event a to event b sum to
         ``B_k * S`` with ``S = sum_i (B_k^T)^i G (B_k^T)^(r-1-i)`` and
         ``G = alpha_hat_a^T @ w_b``, ``w = e * beta_hat / c``. S is linear
         in G, so the G of every run of one (k, r) pair are summed first and
@@ -647,13 +637,10 @@ class _Runs:
         stats = SufficientStats.zeros(n, k, emission.shape[-1], emission.ndim == 3)
         block = np.zeros((self.law_r.size, 2 * n, 2 * n))
         ll = 0.0
-        for g, ends in enumerate(self.ends):
-            e = _emission_table(emission, ends)
-            try:
+        for g, seq in enumerate(self.sequences):
+            e = _emission_table(emission, seq)
+            with _named(seq):
                 alpha, c, beta = _filter_smooth(laws, e, self.law[g])
-            except ZeroProbabilityObservation as exc:
-                step = int(self.at[g][exc.step])
-                raise ZeroProbabilityObservation(f"observation at grid step {step} has zero likelihood", step) from None
             ll += float(np.log(c).sum())
             # One gather per grid puts each law's runs next to each other.
             order, uniq, bounds = self.runs[g]
@@ -672,7 +659,7 @@ class _Runs:
         s = _powers(block, self.law_r)[:, :n, n:]
         np.add.at(stats.trans, self.law_k, chains[self.law_k] * s)
         stats.action_steps += self.action_steps
-        stats.n_grids = len(self.ends)
+        stats.n_grids = len(self.sequences)
         return stats, ll
 
 
@@ -922,10 +909,12 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
 
     Each sequence is split chronologically; the trailing
     ``config.holdout_fraction`` is only ever used for the stopping rule
-    and the reported held-out log-likelihood. With
-    ``inner_iterations == 0`` (or ``outer_cap == 0``) the model is
-    returned unchanged; without a held-out part its one training score
-    is then its exact log-likelihood on the training parts.
+    and the reported held-out log-likelihood. ``heldout_trace`` scores
+    each model the loop builds by its exact log-likelihood on the
+    held-out parts, or on the training parts when there are none; its
+    last entry is the score restarts and state counts are compared by.
+    With ``inner_iterations == 0`` (or ``outer_cap == 0``) the model is
+    returned unchanged with its one score.
     """
     _check_alphabets(init, sequences)
     splits = _training_splits(sequences, config)
@@ -933,10 +922,8 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
     holdout = [t for _, t in splits if len(t) > 0]
 
     if config.inner_iterations == 0 or config.outer_cap == 0:
-        if holdout:
-            return FitReport(init, (), (), (), held_out_loglik(init, holdout), 0, False)
-        # The score restarts and state counts are compared by.
-        return FitReport(init, (held_out_loglik(init, train),), (), (), float("nan"), 0, False)
+        score = held_out_loglik(init, holdout or train)
+        return FitReport(init, (), (), (score,), score if holdout else float("nan"), 0, False)
 
     model = init
     train_trace: list[float] = []
@@ -955,7 +942,7 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
         chains, emission, trace, untouched = inner_em(model, grids, config)
         no_data.update(untouched)
         model = rebuild_model(model, chains, emission)
-        hll = held_out_loglik(model, holdout) if holdout else trace[-1]
+        hll = held_out_loglik(model, holdout or train)
         if not np.isfinite(hll):
             raise NonFiniteLikelihood(f"non-finite held-out log-likelihood at outer iteration {outer}")
         train_trace.append(trace[-1])
@@ -1027,13 +1014,9 @@ def fit_best(sequences: Sequence[EventSequence], n_states: int, config: FitConfi
             rate,
         )
         report = fit(init, sequences, config)
-        if best is None or _report_score(report) > _report_score(best):
+        if best is None or report.heldout_trace[-1] > best.heldout_trace[-1]:
             best = report
     return best
-
-
-def _report_score(report: FitReport) -> float:
-    return report.heldout_ll if np.isfinite(report.heldout_ll) else report.train_ll_trace[-1]
 
 
 @dataclass(frozen=True)
@@ -1074,7 +1057,7 @@ def select_num_states(
             lls.append(float("nan"))
             continue
         reports[n] = rep
-        lls.append(_report_score(rep))
+        lls.append(rep.heldout_trace[-1])
     finite = [(n, ll) for n, ll in zip(n_values, lls) if np.isfinite(ll)]
     if not finite:
         raise NonFiniteLikelihood("every candidate state count failed")

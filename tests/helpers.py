@@ -1,9 +1,10 @@
-"""Shared fixtures and oracles: small random models, random grids,
-exhaustive path enumeration, the filter-smoother's posterior over every
-grid point, a forward filter computed entirely in the log domain, the pair
-posteriors of the scaled recursions, the per-point E-step, the grid-free
-likelihood of an event sequence and the law of each of its intervals, the
-toy chain's path drawn by numpy searches, Newman modularity, the
+"""Shared fixtures and oracles: small random models, random sequences,
+the per-point grid the oracles run on (random, or expanded from a count
+grid), exhaustive path enumeration, the filter-smoother's posterior over
+every grid point, a forward filter computed entirely in the log domain,
+the pair posteriors of the scaled recursions, the per-point E-step, the
+grid-free likelihood of an event sequence and the law of each of its
+intervals, the toy chain's path drawn by numpy searches, Newman modularity, the
 log-domain helpers these oracles are built from, the belief planner
 built one state at a time, its dense Bellman backup and value iteration,
 the agent run one checked belief update at a time, the co-clustering
@@ -44,9 +45,6 @@ from smjp.core import (
 )
 from smjp.ctmc import (
     MAX_EXPECTED_VIRTUAL,
-    NO_OBSERVATION,
-    TAG_EVENT,
-    TAG_VIRTUAL,
     NonMonotoneTimestamps,
     OmegaTooSmall,
     TimeGrid,
@@ -77,7 +75,6 @@ from smjp.switching import (
     SwitchingSMJP,
     SufficientStats,
     ZeroProbabilityObservation,
-    _emission_table,
     _SERIES_CAP,
     _event_laws,
     _filter_smooth,
@@ -125,22 +122,71 @@ def model_from_chains(chains, emission, omega=1.0, masks=None):
     )
 
 
+def random_sequence(rng, model, length):
+    """``length`` events at unit-rate exponential gaps, with uniform
+    symbols and actions in the model's alphabets."""
+    return EventSequence(
+        "r", np.cumsum(rng.exponential(1.0, size=length)), rng.integers(0, model.n_observations, size=length),
+        rng.integers(0, model.n_actions, size=length), model.observations, model.actions,
+    )
+
+
+# Observation index of a virtual point of a PointGrid (no emission there).
+NO_OBSERVATION = -1
+
+
+@dataclass(frozen=True)
+class PointGrid:
+    """A grid point by point, the type the oracles step through:
+    ``observations[t]`` is ``NO_OBSERVATION`` at a virtual point and
+    ``actions[t]`` is the action of the step from point t to t+1. Unlike a
+    count grid, its virtual points may switch action."""
+
+    observations: np.ndarray
+    actions: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.observations)
+
+    @property
+    def n_events(self) -> int:
+        return int(np.count_nonzero(self.observations != NO_OBSERVATION))
+
+
+def points(grid: TimeGrid) -> PointGrid:
+    """A count grid point by point: each event, then the ``counts[i]``
+    virtual points of its interval under its action."""
+    seq = grid.sequence
+    steps = np.ones(len(seq), dtype=np.int64)
+    steps[:-1] += grid.counts
+    obs = np.full(len(grid), NO_OBSERVATION)
+    obs[np.cumsum(steps) - steps] = seq.observations
+    return PointGrid(obs, np.repeat(seq.actions, steps))
+
+
 def random_grid(rng, length, n_actions, n_observations, virtual_frac=0.3):
-    times = np.cumsum(rng.exponential(1.0, size=length))
-    tags = np.where(rng.random(length) < virtual_frac, TAG_VIRTUAL, TAG_EVENT).astype(np.int8)
-    tags[0] = TAG_EVENT
+    """A random point grid: its first point an event, each later one
+    virtual with probability ``virtual_frac``, every step's action drawn."""
     obs = rng.integers(0, n_observations, size=length)
-    obs[tags == TAG_VIRTUAL] = NO_OBSERVATION
-    actions = rng.integers(0, n_actions, size=length)
-    return TimeGrid(times, tags, obs, actions)
+    virtual = rng.random(length) < virtual_frac
+    virtual[:1] = False
+    obs[virtual] = NO_OBSERVATION
+    return PointGrid(obs, rng.integers(0, n_actions, size=length))
 
 
 def event_grid(obs_indices, action_indices):
-    obs = np.asarray(obs_indices, dtype=np.int64)
-    act = np.asarray(action_indices, dtype=np.int64)
-    times = np.arange(1.0, obs.size + 1.0)
-    tags = np.where(obs == NO_OBSERVATION, TAG_VIRTUAL, TAG_EVENT).astype(np.int8)
-    return TimeGrid(times, tags, obs, act)
+    return PointGrid(np.asarray(obs_indices, dtype=np.int64), np.asarray(action_indices, dtype=np.int64))
+
+
+def point_emission(emission, grid):
+    """(T, N) likelihood of each point's observation per state from an (N,
+    O) or per-action (K, N, O) emission array, ones at virtual points: one
+    gather from the emission's columns behind a column of ones, the column
+    ``NO_OBSERVATION`` reads."""
+    cols = np.swapaxes(emission, -1, -2)
+    rows = np.concatenate([np.ones_like(cols[..., :1, :]), cols], axis=-2)
+    at = grid.observations - NO_OBSERVATION
+    return rows[grid.actions, at] if emission.ndim == 3 else rows[at]
 
 
 def emission_table(model, grid):
@@ -190,7 +236,7 @@ def grid_forward_backward(model, grid):
     point by the chain of its action. An impossible observation raises
     ``ZeroProbabilityObservation`` naming its grid step."""
     _check_grid(model, grid)
-    e = _emission_table(model.emission, grid)
+    e = point_emission(model.emission, grid)
     return ForwardBackwardResult(*_filter_smooth(model.chain_stack, e, grid.actions))
 
 
@@ -201,7 +247,7 @@ def forward_logspace(model, grid):
     cross-checking it on long sequences.
     """
     _check_grid(model, grid)
-    e = _emission_table(model.emission, grid)
+    e = point_emission(model.emission, grid)
     chains = model.chain_stack
     t, n = e.shape
     log_alpha = np.empty((t, n))
@@ -222,28 +268,28 @@ def scaled_xi(model, data):
     beta_hat[t+1, j] / c[t+1]``. On a grid ``P_t`` is the chain of step
     t's action; on an event sequence it is the interval law of
     ``_event_laws``, whose laws and index ``forward_backward`` steps by."""
-    if isinstance(data, TimeGrid):
+    if isinstance(data, PointGrid):
         _check_grid(model, data)
         laws, kidx = model.chain_stack, data.actions
     else:
         ((laws, kidx),) = _event_laws(model, [data])
-    e = _emission_table(model.emission, data)
+    e = point_emission(model.emission, data)
     alpha, c, beta = _filter_smooth(laws, e, kidx)
     w = (e[1:] * beta[1:]) / c[1:, None]
     return alpha[:-1, :, None] * laws[kidx[: len(e) - 1]] * w[:, None, :]
 
 
-def accumulate_stats(chains, emission, grid, stats: SufficientStats) -> float:
+def accumulate_stats(chains, emission, grid: PointGrid, stats: SufficientStats) -> float:
     """Per-point E-step on one grid, the reference for the run-collapsed
-    one: adds expected counts into ``stats`` and returns the grid
-    log-likelihood.
+    one (which reads a count grid as its :func:`points`): adds expected
+    counts into ``stats`` and returns the grid log-likelihood.
 
     The transition counts of action a are ``B_a * (alpha_hat^T @ w)`` over
     the steps taken under a, with ``w = e[1:] * beta_hat[1:] / c[1:]``:
     the sum of the pair posteriors without forming them step by step.
     """
     kidx, obs = grid.actions, grid.observations
-    e = _emission_table(emission, grid)
+    e = point_emission(emission, grid)
     alpha, c, beta = _filter_smooth(chains, e, kidx)
     steps = kidx[:-1]
     w = (e[1:] * beta[1:]) / c[1:, None]

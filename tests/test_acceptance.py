@@ -19,6 +19,7 @@ from helpers import (
     matrix_exponential,
     random_grid,
     random_model,
+    random_sequence,
     scaled_xi,
 )
 from test_analysis import block_joint, brute_force_loss, planted_operator
@@ -33,7 +34,7 @@ from smjp.analysis import (
 )
 from smjp.cli import main as cli_main
 from smjp.core import derive_rng, validate_generator
-from smjp.ctmc import uniformize
+from smjp.ctmc import build_time_grid, uniformize
 from smjp.events import split_chronological
 from smjp.foraging import (
     ToyConfig,
@@ -136,7 +137,8 @@ def test_criterion_04_em_monotonicity():
         k = int(rng.integers(1, 3))
         o = int(rng.integers(2, 4))
         model = random_model(rng, n, k, o)
-        grids = [random_grid(rng, 150, k, o)]
+        # 75 events a unit mean gap apart at omega = 1: about 150 points.
+        grids = [build_time_grid(random_sequence(rng, model, 75), 1.0, rng)]
         _, _, trace, _ = inner_em(model, grids, cfg)
         drop = -min(np.diff(np.asarray(trace)).min(), 0.0)
         worst_drop = max(worst_drop, drop)

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from helpers import AbsorbingStateLoop, EmptyInterval, default_omega, gillespie_sample, matrix_exponential, sample_virtual_times
+from helpers import (
+    AbsorbingStateLoop,
+    EmptyInterval,
+    default_omega,
+    gillespie_sample,
+    matrix_exponential,
+    points,
+    sample_virtual_times,
+)
 from smjp.core import Alphabet, SmjpError, derive_rng, validate_generator
 from smjp.ctmc import (
-    NO_OBSERVATION,
-    TAG_EVENT,
-    TAG_VIRTUAL,
     NonMonotoneTimestamps,
     OmegaTooSmall,
+    TimeGrid,
     VirtualTimeOverflow,
     build_time_grid,
     uniformize,
@@ -192,31 +198,22 @@ class TestBuildTimeGrid:
     def test_tiny_omega_grid_equals_events(self):
         seq = make_sequence([1.0, 2.0, 3.5])
         grid = build_time_grid(seq, 1e-9, seed=0)
-        assert np.array_equal(grid.times, seq.times)
-        assert np.all(grid.tags == TAG_EVENT)
-
-    def test_event_times_bit_identical(self):
-        rng = derive_rng(8)
-        times = np.cumsum(rng.exponential(1.0, size=200))
-        seq = make_sequence(times)
-        grid = build_time_grid(seq, 3.0, seed=1)
-        ev = grid.tags == TAG_EVENT
-        assert np.array_equal(grid.times[ev], times)
-        assert np.all(grid.observations[~ev] == NO_OBSERVATION)
+        assert grid.sequence is seq
+        assert grid.counts.tolist() == [0, 0] and len(grid) == grid.n_events == 3
 
     def test_expected_virtual_count(self):
         seq = make_sequence([1.0, 2.0])
-        counts = [np.sum(build_time_grid(seq, 5.0, seed=s).tags == TAG_VIRTUAL) for s in range(600)]
+        counts = [len(build_time_grid(seq, 5.0, seed=s)) - 2 for s in range(600)]
         mean = float(np.mean(counts))
         assert abs(mean - 5.0) < 3 * np.sqrt(5.0 / 600)
 
     def test_virtual_points_inherit_interval_action(self):
-        seq = make_sequence([0.0, 1.0, 2.0], act=[1, 0, 1])
+        seq = make_sequence([0.0, 1.0, 2.0], obs=[1, 0, 1], act=[1, 0, 1])
         grid = build_time_grid(seq, 20.0, seed=3)
-        for i in range(len(grid)):
-            if grid.tags[i] == TAG_VIRTUAL:
-                t = grid.times[i]
-                assert grid.actions[i] == (1 if t < 1.0 else 0)
+        k0, k1 = grid.counts
+        pts = points(grid)
+        assert pts.actions.tolist() == [1] * (k0 + 1) + [0] * (k1 + 1) + [1]
+        assert pts.observations.tolist() == [1] + [-1] * k0 + [0] + [-1] * k1 + [1]
 
     def test_non_monotone_rejected(self):
         seq = make_sequence([1.0, 2.0])
@@ -228,125 +225,88 @@ class TestBuildTimeGrid:
         seq = make_sequence(np.linspace(0, 30, 40))
         g1 = build_time_grid(seq, 2.0, seed=1)
         g2 = build_time_grid(seq, 2.0, seed=2)
-        assert not np.array_equal(g1.times, g2.times)
-        assert np.array_equal(g1.times[g1.tags == TAG_EVENT], g2.times[g2.tags == TAG_EVENT])
+        assert not np.array_equal(g1.counts, g2.counts)
+        assert g1.sequence is g2.sequence is seq
 
 
-def reference_grid(seq, omega, rng):
-    """Loop reference for build_time_grid: one Poisson draw of every
-    interval's count on the shared stream ``rng``, then, interval by
-    interval, its k points at lo + (hi - lo) * j/(k+1), j = 1..k, skipping
-    a point that rounding puts on an endpoint or on the point before."""
-    n = len(seq.times)
-    counts = rng.poisson(omega * np.diff(seq.times))
-    times, tags, obs, acts = [], [], [], []
-    for i in range(n):
-        times.append(seq.times[i])
-        tags.append(TAG_EVENT)
-        obs.append(seq.observations[i])
-        acts.append(seq.actions[i])
-        if i + 1 < n:
-            lo, hi, k = seq.times[i], seq.times[i + 1], int(counts[i])
-            last = lo
-            for j in range(1, k + 1):
-                t = lo + (hi - lo) * (j / (k + 1))
-                if last < t < hi:
-                    times.append(t)
-                    tags.append(TAG_VIRTUAL)
-                    obs.append(NO_OBSERVATION)
-                    acts.append(seq.actions[i])
-                    last = t
-    return (
-        np.asarray(times, dtype=np.float64),
-        np.asarray(tags, dtype=np.int8),
-        np.asarray(obs, dtype=np.int64),
-        np.asarray(acts, dtype=np.int64),
-    )
+class TestTimeGrid:
+    @pytest.mark.parametrize("counts", [[], [1], [0, 1, 2], [[0, 1]]])
+    def test_one_count_per_interval(self, counts):
+        with pytest.raises(SmjpError, match=r"^need one virtual-point count per interval \(2\)"):
+            TimeGrid(make_sequence([0.0, 1.0, 2.0]), counts)
 
+    @pytest.mark.parametrize("counts, message", [
+        ([0, -1], "non-negative, got -1"),
+        ([0.0, 1.0], "integers, got float64"),
+        ([0, np.nan], "integers, got float64"),
+        ([True, False], "integers, got bool"),
+    ])
+    def test_counts_are_non_negative_integers(self, counts, message):
+        with pytest.raises(SmjpError, match=f"^virtual-point counts must be {message}$"):
+            TimeGrid(make_sequence([0.0, 1.0, 2.0]), counts)
 
-def assert_same_stream_and_grid(seqs_and_omegas, seed):
-    """build_time_grid on one Generator matches the loop reference on a
-    twin Generator bit for bit, and both streams stay in lockstep."""
-    ref_rng, rng = derive_rng(seed, 2), derive_rng(seed, 2)
-    for seq, omega in seqs_and_omegas:
-        want = reference_grid(seq, omega, ref_rng)
-        grid = build_time_grid(seq, omega, rng)
-        for field, expected in zip(("times", "tags", "observations", "actions"), want):
-            got = getattr(grid, field)
-            assert got.dtype == expected.dtype, field
-            assert np.array_equal(got, expected), field
-        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+    def test_no_interval_takes_no_count(self):
+        for times in ([], [1.0]):
+            grid = TimeGrid(make_sequence(times), [])
+            assert len(grid) == grid.n_events == len(times)
+            assert grid.counts.dtype == np.int64
+
+    def test_sizes_are_the_point_expansion(self):
+        rng = derive_rng(33)
+        for n in (1, 2, 7, 40):
+            seq = make_sequence(np.cumsum(rng.exponential(1.0, size=n)), rng.integers(0, 2, n), rng.integers(0, 2, n))
+            grid = TimeGrid(seq, rng.poisson(2.0, size=n - 1).astype(np.int32))
+            assert grid.counts.dtype == np.int64
+            pts = points(grid)
+            assert len(grid) == len(pts) == n + grid.counts.sum()
+            assert grid.n_events == pts.n_events == n
 
 
 class TestGridStream:
-    def test_random_sequences_match_reference(self):
+    """A grid's counts are one Poisson draw over its intervals, taken from
+    the generator it is given and nothing else."""
+
+    def assert_one_draw_each(self, seqs_and_omegas, seed):
+        ref_rng, rng = derive_rng(seed, 2), derive_rng(seed, 2)
+        for seq, omega in seqs_and_omegas:
+            want = ref_rng.poisson(omega * np.diff(seq.times))
+            grid = build_time_grid(seq, omega, rng)
+            assert grid.counts.dtype == np.int64
+            assert np.array_equal(grid.counts, want)
+            np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+    def test_random_sequences(self):
         rng = derive_rng(31)
         cases = []
         for scale, omega in ((0.05, 3.0), (1.0, 0.7), (1.0, 2.0), (4.0, 5.0)):
             n = int(rng.integers(50, 200))
             times = 0.5 + np.cumsum(rng.exponential(scale, size=n))
             cases.append((make_sequence(times, rng.integers(0, 2, n), rng.integers(0, 2, n)), omega))
-        assert_same_stream_and_grid(cases, seed=1)
+        self.assert_one_draw_each(cases, seed=1)
 
     def test_zero_draw_intervals(self):
         seq = make_sequence(np.linspace(1.0, 20.0, 30), act=np.arange(30) % 2)
-        assert_same_stream_and_grid([(seq, 1e-9), (seq, 0.05)], seed=2)
+        self.assert_one_draw_each([(seq, 1e-9), (seq, 0.05)], seed=2)
 
     def test_large_expected_count_branch(self):
         # omega * dt >= 10 takes numpy's other Poisson sampler.
         seq = make_sequence([0.0, 1.0, 3.0, 3.5, 10.0], act=[0, 1, 0, 1, 1])
-        assert_same_stream_and_grid([(seq, 12.0), (seq, 40.0)], seed=3)
+        self.assert_one_draw_each([(seq, 12.0), (seq, 40.0)], seed=3)
 
     def test_single_event_and_empty_sequence(self):
         one = make_sequence([2.5], obs=[1], act=[1])
         empty = make_sequence([])
-        assert_same_stream_and_grid([(one, 3.0), (empty, 3.0), (one, 3.0)], seed=4)
-        grid = build_time_grid(one, 3.0, seed=0)
-        assert np.array_equal(grid.times, [2.5]) and grid.observations[0] == 1
+        self.assert_one_draw_each([(one, 3.0), (empty, 3.0), (one, 3.0)], seed=4)
+        assert len(build_time_grid(one, 3.0, seed=0)) == 1
         assert len(build_time_grid(empty, 3.0, seed=0)) == 0
 
-    def test_counts_are_one_poisson_draw_and_points_evenly_placed(self):
-        rng = derive_rng(32)
-        times = 0.5 + np.cumsum(rng.exponential(1.0, size=300))
-        seq = make_sequence(times, act=rng.integers(0, 2, 300))
-        omega = 3.0
-        counts = derive_rng(7).poisson(omega * np.diff(times))
-        grid = build_time_grid(seq, omega, derive_rng(7))
-        ev = grid.event_indices
-        assert np.array_equal(np.diff(ev) - 1, counts)
-        for i, (a, b) in enumerate(zip(ev[:-1], ev[1:])):
-            pts = grid.times[a + 1 : b]
-            k = pts.size
-            assert np.all((pts > times[i]) & (pts < times[i + 1]))
-            assert np.array_equal(pts, times[i] + (times[i + 1] - times[i]) * (np.arange(1, k + 1) / (k + 1)))
-
-    def test_points_on_endpoints_are_dropped(self):
-        # A one-ulp interval: every evenly placed point rounds onto an
-        # endpoint, so the strict-interior rule alone keeps virtual points
-        # off events.
+    def test_one_ulp_interval_keeps_its_count(self):
+        # No point is placed, so none can round onto an event and be lost.
         a, b = 1.0, np.nextafter(1.0, 2.0)
         seq = make_sequence([a, b], obs=[0, 1], act=[1, 0])
         omega = 5.0 / (b - a)
-        drew = 0
-        for s in range(20):
-            grid = build_time_grid(seq, omega, derive_rng(s))
-            assert np.array_equal(grid.times, [a, b])
-            assert np.array_equal(grid.tags, [TAG_EVENT, TAG_EVENT])
-            assert np.array_equal(grid.observations, [0, 1])
-            drew += derive_rng(s).poisson(omega * (b - a)) > 0
-        assert drew >= 15
-        assert_same_stream_and_grid([(seq, omega)] * 5, seed=5)
-
-    def test_points_that_round_together_are_dropped(self):
-        # Four ulps hold three interior floats; fifty points round onto
-        # them (and the endpoints) many times over.
-        a = 1.0
-        b = a + 4 * (np.nextafter(a, 2.0) - a)
-        seq = make_sequence([a, b])
-        grid = build_time_grid(seq, 50.0 / (b - a), derive_rng(0))
-        assert np.array_equal(grid.times[1:-1], [np.nextafter(a, 2.0) + i * (np.nextafter(a, 2.0) - a)
-                                                 for i in range(3)])
-        assert_same_stream_and_grid([(seq, 50.0 / (b - a))] * 5, seed=6)
+        self.assert_one_draw_each([(seq, omega)] * 5, seed=5)
+        assert sum(len(build_time_grid(seq, omega, derive_rng(s))) > 2 for s in range(20)) >= 15
 
     def test_validation_precedes_any_draw(self):
         rng = derive_rng(6)

@@ -9,13 +9,13 @@ from scipy import stats as sp_stats
 from helpers import (
     bellman_backup,
     belief_mdp_per_state,
+    event_grid,
     grid_forward_backward,
     simulate_agent_per_step,
     toy_path_searchsorted,
     value_iteration_dense,
 )
 from smjp import foraging
-from smjp.ctmc import TAG_EVENT, TimeGrid
 from smjp.foraging import (
     A_MOVE,
     A_PRESS_1,
@@ -428,13 +428,7 @@ class TestGenerateToy:
         # context conditional entropy estimated by counting.
         toy = generate_toy(ToyConfig(expected_length=50_000), seed=5)
         seq = toy.sequence
-        grid = TimeGrid(
-            seq.times,
-            np.full(len(seq), TAG_EVENT, dtype=np.int8),
-            seq.observations,
-            seq.actions,
-        )
-        ll = grid_forward_backward(toy.model, grid).log_likelihood
+        ll = grid_forward_backward(toy.model, event_grid(seq.observations, seq.actions)).log_likelihood
         per_symbol = -ll / len(seq)
         k = 5
         obs = seq.observations

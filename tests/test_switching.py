@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    NO_OBSERVATION,
     accumulate_stats,
     default_omega,
     enumerate_paths,
@@ -17,12 +18,15 @@ from helpers import (
     logsumexp,
     matrix_exponential,
     model_from_chains,
+    point_emission,
+    points,
     random_grid,
     random_model,
+    random_sequence,
     scaled_xi,
 )
 from smjp.core import derive_rng, index_alphabet
-from smjp.ctmc import MAX_EXPECTED_VIRTUAL, NO_OBSERVATION, VirtualTimeOverflow, build_time_grid, uniformize
+from smjp.ctmc import MAX_EXPECTED_VIRTUAL, TimeGrid, VirtualTimeOverflow, build_time_grid, uniformize
 from smjp.events import EventSequence, split_chronological
 from smjp.foraging import ToyConfig, WorldConfig, build_belief_mdp, generate_toy, simulate_agent, value_iteration
 from smjp import analysis, switching
@@ -187,7 +191,7 @@ class TestForwardBackwardResult:
         rng = derive_rng(9)
         model = random_model(rng, 2, 1, 2)
         with pytest.raises(InconsistentShapes, match="^forward_backward takes an EventSequence, got TimeGrid$"):
-            forward_backward(model, random_grid(rng, 5, 1, 2))
+            forward_backward(model, build_time_grid(random_sequence(rng, model, 5), 1.0, rng))
 
 
 class TestScaledCore:
@@ -231,7 +235,7 @@ def per_action_case(rng, n, k, o, length):
     model = random_model(rng, n, k, o)
     model = replace(model, emission=np.stack([rng.dirichlet(np.ones(o), size=n) for _ in range(k)]))
     grid = random_grid(rng, length, k, o)
-    return model.chain_stack, _emission_table(model.emission, grid), grid.actions
+    return model.chain_stack, point_emission(model.emission, grid), grid.actions
 
 
 def assert_blocked_matches_steps(chains, e, kidx, alpha_atol=0.0):
@@ -312,7 +316,7 @@ class TestBlockedScan:
         grid = random_grid(rng, 5000, 2, 3)
         # Subnormal alpha_hat entries (down to ~1e-321) keep only a few
         # significant bits, so they are compared absolutely.
-        e = _emission_table(model.emission, grid)
+        e = point_emission(model.emission, grid)
         assert_blocked_matches_steps(model.chain_stack, e, grid.actions, alpha_atol=1e-300)
 
 
@@ -403,7 +407,7 @@ class TestInnerEm:
         for _ in range(8):
             n = int(rng.integers(2, 5))
             model = random_model(rng, n, 2, 3)
-            grids = [random_grid(rng, 120, 2, 3) for _ in range(2)]
+            grids = [build_time_grid(random_sequence(rng, model, 60), 1.0, rng) for _ in range(2)]
             _, _, trace, _ = inner_em(model, grids, cfg)
             diffs = np.diff(np.asarray(trace))
             assert diffs.min() > -1e-9
@@ -411,7 +415,7 @@ class TestInnerEm:
     def test_em_single_pass_improves_likelihood(self):
         rng = derive_rng(13)
         model = random_model(rng, 3, 2, 2)
-        grid = random_grid(rng, 200, 2, 2)
+        grid = build_time_grid(random_sequence(rng, model, 100), 1.0, rng)
         cfg = FitConfig(inner_iterations=2, inner_tol=0.0)
         _, _, trace, _ = inner_em(model, [grid], cfg)
         assert trace[1] >= trace[0] - 1e-9
@@ -430,6 +434,27 @@ class TestFit:
         assert report.iterations == 0
         assert not report.converged
         assert report.final_model is toy.model
+
+    def test_holdout_free_fits_are_scored_by_the_models_they_return(self):
+        # Without a held-out part every score is the exact training
+        # log-likelihood of the model it scores, with or without EM passes,
+        # not a grid likelihood of the parameters before the last M-step.
+        seq = toy_sequences(length=200, seed=43).sequence
+        cfg = FitConfig(seed=2, inner_iterations=2, outer_cap=3, holdout_fraction=0.0, restarts=3)
+        starts = [init_random_model(3, seq.observation_alphabet, seq.action_alphabet, cfg, (3, 3, r), seq.event_rate)
+                  for r in range(cfg.restarts)]
+        reports = [fit(start, [seq], cfg) for start in starts]
+        for rep in reports:
+            assert np.isnan(rep.heldout_ll) and len(rep.heldout_trace) == rep.iterations == 3
+            assert rep.heldout_trace[-1] == held_out_loglik(rep.final_model, [seq])
+            assert rep.heldout_trace[-1] != rep.train_ll_trace[-1]
+        scores = [rep.heldout_trace[-1] for rep in reports]
+        best = fit_best([seq], 3, cfg)
+        assert model_text(best.final_model) == model_text(reports[int(np.argmax(scores))].final_model)
+        selection = select_num_states([seq], [2, 3], cfg)
+        assert selection.heldout_lls == tuple(held_out_loglik(selection.reports[n].final_model, [seq]) for n in (2, 3))
+        still = fit(starts[0], [seq], replace(cfg, inner_iterations=0))
+        assert still.heldout_trace == (held_out_loglik(starts[0], [seq]),) and still.train_ll_trace == ()
 
     def test_self_consistency_from_truth(self):
         # One resample-EM-update cycle started at the generating model must
@@ -572,7 +597,7 @@ def grid_mean_loglik(model, seq, grids=2000):
     """Log of the mean likelihood over ``grids`` fixed-seed grids, and the
     delta-method standard error of that log."""
     draws = (build_time_grid(seq, model.omega, derive_rng(61, g)) for g in range(grids))
-    lls = np.array([grid_forward_backward(model, grid).log_likelihood for grid in draws])
+    lls = np.array([grid_forward_backward(model, points(grid)).log_likelihood for grid in draws])
     w = np.exp(lls - lls.max())
     return float(lls.max() + np.log(w.mean())), float(w.std() / (w.mean() * np.sqrt(grids)))
 
@@ -789,21 +814,9 @@ class TestExactHeldOut:
             held_out_loglik(toy.model, [seq])
 
 
-def random_sequence(rng, model, length):
-    """Events at unit-rate exponential gaps with uniform symbols and actions."""
-    return EventSequence(
-        "r",
-        np.cumsum(rng.exponential(1.0, size=length)),
-        rng.integers(0, model.n_observations, size=length),
-        rng.integers(0, model.n_actions, size=length),
-        model.observations,
-        model.actions,
-    )
-
-
 def step_loglik(model, grid):
     """The step filter's log-likelihood: the reference for _loglik."""
-    _, c = _filter_steps(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
+    _, c = _filter_steps(model.chain_stack, point_emission(model.emission, grid), grid.actions)
     return float(np.log(c).sum())
 
 
@@ -878,7 +891,7 @@ class TestLoglik:
         model = random_model(rng, 6, 2, 3)
         model = replace(model, emission=np.stack([rng.dirichlet(np.ones(3), size=6) for _ in range(2)]))
         grid = random_grid(rng, 20_000, 2, 3)
-        got = _loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
+        got = _loglik(model.chain_stack, point_emission(model.emission, grid), grid.actions)
         _, ref = forward_logspace(model, grid)
         # The log-domain oracle itself drifts ~1e-13 relative over 20k steps.
         assert got == pytest.approx(ref, rel=1e-12)
@@ -892,7 +905,7 @@ class TestLoglik:
         monkeypatch.setattr(switching, "_SCAN_BLOCK", size)
         for length in (1, 2, 3, 7, 8, 9, 50, 333):
             grid = random_grid(rng, length, 2, 4)
-            got = _loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
+            got = _loglik(model.chain_stack, point_emission(model.emission, grid), grid.actions)
             assert got == pytest.approx(step_loglik(model, grid), abs=1e-10)
 
     def test_tiny_emission_stays_finite(self):
@@ -912,7 +925,7 @@ class TestLoglik:
         want = step_loglik(model, grid)
         reruns = []
         monkeypatch.setattr(switching, "_filter_steps", lambda *args: reruns.append(1) or _filter_steps(*args))
-        got = _loglik(model.chain_stack, _emission_table(model.emission, grid), grid.actions)
+        got = _loglik(model.chain_stack, point_emission(model.emission, grid), grid.actions)
         # The block product's mass is subnormal, below _SCAN_FLOOR.
         assert reruns == [1]
         assert np.isfinite(got)
@@ -1069,9 +1082,7 @@ class TestPerActionEmission:
             np.array([[0.1, 0.9], [0.2, 0.8], [0.3, 0.7]]),
         ])
         model = model_from_chains(chains, emission)
-        obs = rng.integers(0, 2, size=400)
-        acts = rng.integers(0, 2, size=400)
-        grid = event_grid(obs, acts)
+        grid = TimeGrid(random_sequence(rng, model, 400), np.zeros(399, dtype=np.int64))
         cfg = FitConfig(inner_iterations=3, inner_tol=0.0)
         _, new_emission, trace, _ = inner_em(model, [grid], cfg)
         assert new_emission.shape == (2, 3, 2)
