@@ -82,11 +82,12 @@ def uniformize(gen: GeneratorMatrix, omega: float) -> StochasticMatrix:
     return StochasticMatrix(b)
 
 
-def expected_virtual(times: np.ndarray, omega: float) -> np.ndarray:
+def expected_virtual(times: np.ndarray, omega: float, name: str | None = None) -> np.ndarray:
     """Expected virtual-point count ``omega * dt`` of each inter-event
     interval, once the intervals are checked: times strictly increasing
     from a non-negative start, a positive omega, and no interval expecting
-    more than ``MAX_EXPECTED_VIRTUAL`` points."""
+    more than ``MAX_EXPECTED_VIRTUAL`` points (the refusal names the
+    sequence ``name`` when given)."""
     if times.size and not np.all(np.diff(times) > 0):
         raise NonMonotoneTimestamps("event timestamps must be strictly increasing")
     lo, hi = times[:-1], times[1:]
@@ -99,8 +100,9 @@ def expected_virtual(times: np.ndarray, omega: float) -> np.ndarray:
         over = np.flatnonzero(expected > MAX_EXPECTED_VIRTUAL)
         if over.size:
             i = int(over[0])
+            where = f"interval {i} " if name is None else f"interval {i} of sequence {name!r} "
             raise VirtualTimeOverflow(
-                f"{expected[i]:.3g} expected virtual points in interval {i} "
+                f"{expected[i]:.3g} expected virtual points in {where}"
                 f"({float(lo[i])!r}, {float(hi[i])!r}); omega or the interval length is misconfigured"
             )
     return expected

@@ -20,6 +20,8 @@ dt), depends on it. The loop stops when the exact log-likelihood of the
 held-out parts (of the training parts when there are none) stabilizes:
 the event-level likelihood over the laws B expm(A dt) between events,
 read off the same scan's block products and up-sweep with no smoother.
+Consecutive sequences are scored in joined runs, one law build and one
+scan each, a rank-one reset law stepping from one sequence to the next.
 
 Random streams are derived from the config seed with fixed branch codes:
 (1, outer_iteration, sequence, grid) for training grids and (3, n_states,
@@ -59,8 +61,9 @@ STRUCTURAL_TOL = 1e-6
 
 MODEL_HEADER = "smjp-model v1"
 
-# Matrix entries per chunk of the held-out series weights (512 KiB of
-# float64), which bounds their memory on long sequences.
+# Matrix entries (512 KiB of float64) per chunk of the held-out series
+# weights, and per run of joined sequences as N^2 entries an event, which
+# bounds their memory on long sequences and on many.
 _REDUCE_BLOCK_ENTRIES = 1 << 16
 
 # Grid steps per block of the filter-smoother's scan.
@@ -539,24 +542,18 @@ def _loglik(chains: np.ndarray, e: np.ndarray, kidx: np.ndarray) -> float:
 
 
 @contextmanager
-def _named(seq: EventSequence) -> Iterator[None]:
+def _named(run: Sequence[EventSequence]) -> Iterator[None]:
     """Names an impossible observation met while stepping from event to
-    event by its event and its sequence."""
+    event through a run of joined sequences by its sequence and its event
+    there."""
     try:
         yield
     except ZeroProbabilityObservation as exc:
-        message = f"observation at event {exc.step} of sequence {seq.id!r} has zero likelihood"
-        raise ZeroProbabilityObservation(message, exc.step) from None
-
-
-def _on_events(model: SwitchingSMJP, sequences: Sequence[EventSequence], core: Callable) -> Iterator:
-    """``core(laws, e, index)`` of each sequence's interval laws and
-    emission table in turn, an impossible observation named by its event
-    and its sequence."""
-    _check_alphabets(model, sequences)
-    for seq, (laws, index) in zip(sequences, _event_laws(model, sequences)):
-        with _named(seq):
-            yield core(laws, _emission_table(model.emission, seq), index)
+        starts = np.cumsum([0] + [len(seq) for seq in run[:-1]])
+        s = int(np.searchsorted(starts, exc.step, side="right")) - 1
+        step = exc.step - int(starts[s])
+        message = f"observation at event {step} of sequence {run[s].id!r} has zero likelihood"
+        raise ZeroProbabilityObservation(message, step) from None
 
 
 def forward_backward(model: SwitchingSMJP, seq: EventSequence) -> ForwardBackwardResult:
@@ -639,7 +636,7 @@ class _Runs:
         ll = 0.0
         for g, seq in enumerate(self.sequences):
             e = _emission_table(emission, seq)
-            with _named(seq):
+            with _named([seq]):
                 alpha, c, beta = _filter_smooth(laws, e, self.law[g])
             ll += float(np.log(c).sum())
             # One gather per grid puts each law's runs next to each other.
@@ -870,19 +867,52 @@ def _interval_laws(
     return laws, index
 
 
-def _event_laws(model: SwitchingSMJP, sequences: Sequence[EventSequence]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The ``(laws, index)`` of each sequence's intervals (see
-    :func:`_interval_laws`), built as it is iterated over one table of
-    chain powers shared by all; every sequence is checked first."""
+def _on_events(model: SwitchingSMJP, sequences: Sequence[EventSequence], core: Callable) -> Iterator:
+    """``core(laws, e, index)`` of each run of the sequences in turn: its
+    interval laws (see :func:`_interval_laws`, one table of chain powers
+    shared by all runs), emission table and law index, every sequence
+    checked first. An impossible observation is named by its event and
+    its sequence.
+
+    A run joins consecutive sequences of at most ``_REDUCE_BLOCK_ENTRIES //
+    N^2`` events in all, a longer sequence making a run alone, and steps
+    from the last event of one to the first of the next by the reset law
+    ``1 (1/N)^T``: the filter sums to one, so the next sequence starts
+    uniform, and the run scores the sum of its sequences' scores.
+    """
+    _check_alphabets(model, sequences)
     lams = []
     for seq in sequences:
         if len(seq) == 0:
             raise InconsistentShapes(f"sequence {seq.id!r} has no events")
-        lams.append(expected_virtual(seq.times, model.omega))
+        lams.append(expected_virtual(seq.times, model.omega, seq.id))
+    chains, n = model.chain_stack, model.n_states
     peak = min(max((float(lam.max()) for lam in lams if lam.size), default=0.0), _SERIES_CAP)
     # The Poisson tail beyond peak + 10 sd + 40 is below _SERIES_TAIL.
-    table = _power_table(model.chain_stack, int(peak + 10.0 * np.sqrt(peak)) + 41)
-    return (_interval_laws(model.chain_stack, table, lam, seq.actions[:-1]) for seq, lam in zip(sequences, lams))
+    table = _power_table(chains, int(peak + 10.0 * np.sqrt(peak)) + 41)
+    cap = _REDUCE_BLOCK_ENTRIES // (n * n)
+    cuts = [0]
+    events = 0
+    for i, seq in enumerate(sequences):
+        if events and events + len(seq) > cap:
+            cuts.append(i)
+            events = 0
+        events += len(seq)
+    cuts.append(len(sequences))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        run = sequences[lo:hi]
+        laws, index = _interval_laws(chains, table, np.concatenate(lams[lo:hi]),
+                                     np.concatenate([seq.actions[:-1] for seq in run]))
+        if len(run) > 1:
+            # The reset steps go between each sequence's last interval
+            # and the next sequence's first.
+            ends = np.cumsum([len(seq) - 1 for seq in run[:-1]])
+            index = np.insert(index, ends, len(laws))
+            laws = np.concatenate([laws, np.full((1, n, n), 1.0 / n)])
+        e = np.concatenate([_emission_table(model.emission, seq) for seq in run])
+        with _named(run):
+            result = core(laws, e, index)
+        yield result
 
 
 def held_out_loglik(
@@ -892,12 +922,15 @@ def held_out_loglik(
 
     Between events i and i+1 the law is ``P_i = B_k expm(A_k dt_i)`` with
     k the action at event i: the mean of a uniformization grid's steps
-    there. Each distinct ``P_i`` is built once from Jensen's series over
-    one table of chain powers shared by every sequence, and the intervals'
-    laws are scored by :func:`_loglik` on the filter-smoother's scan. No
-    grid is drawn, so the score reads neither ``config.seed`` nor
-    ``config.eval_grids`` (``config`` is accepted for callers that pass
-    one), and duplicating a sequence exactly doubles it.
+    there. Consecutive sequences are joined into runs of at most
+    ``_REDUCE_BLOCK_ENTRIES // N^2`` events (a longer sequence runs
+    alone); each distinct ``P_i`` of a run is built once from Jensen's
+    series over one table of chain powers shared by every run, and the
+    run is scored by :func:`_loglik` on the filter-smoother's scan, the
+    sum of its sequences' scores to rounding. No grid is drawn, so the
+    score reads neither ``config.seed`` nor ``config.eval_grids``
+    (``config`` is accepted for callers that pass one), and duplicating a
+    sequence doubles it to rounding.
     """
     if not sequences:
         raise SmjpError("need at least one sequence to evaluate")
@@ -925,6 +958,10 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
         score = held_out_loglik(init, holdout or train)
         return FitReport(init, (), (), (score,), score if holdout else float("nan"), 0, False)
 
+    # Omega is fixed through the fit, so each training part's grid draws
+    # are checked once here, an overflowing interval named by its sequence.
+    for seq in train:
+        expected_virtual(seq.times, init.omega, seq.id)
     model = init
     train_trace: list[float] = []
     inner_traces: list[tuple[float, ...]] = []

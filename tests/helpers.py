@@ -76,8 +76,8 @@ from smjp.switching import (
     SufficientStats,
     ZeroProbabilityObservation,
     _SERIES_CAP,
-    _event_laws,
     _filter_smooth,
+    _on_events,
     _poisson_weights,
     _power_table,
     update_generator,
@@ -262,17 +262,24 @@ def forward_logspace(model, grid):
     return log_alpha, float(ll)
 
 
+def event_laws(model, seq) -> tuple[np.ndarray, np.ndarray]:
+    """The (laws, index) of a sequence's intervals that
+    ``forward_backward`` steps by: those ``_on_events`` hands its core."""
+    ((laws, index),) = _on_events(model, [seq], lambda laws, e, index: (laws, index))
+    return laws, index
+
+
 def scaled_xi(model, data):
     """(T-1, N, N) transition-pair posteriors straight from the scaled
     filter/smoother: ``alpha_hat[t, i] * P_t[i, j] * e[t+1, j] *
     beta_hat[t+1, j] / c[t+1]``. On a grid ``P_t`` is the chain of step
     t's action; on an event sequence it is the interval law of
-    ``_event_laws``, whose laws and index ``forward_backward`` steps by."""
+    :func:`event_laws`."""
     if isinstance(data, PointGrid):
         _check_grid(model, data)
         laws, kidx = model.chain_stack, data.actions
     else:
-        ((laws, kidx),) = _event_laws(model, [data])
+        laws, kidx = event_laws(model, data)
     e = point_emission(model.emission, data)
     alpha, c, beta = _filter_smooth(laws, e, kidx)
     w = (e[1:] * beta[1:]) / c[1:, None]
@@ -333,10 +340,10 @@ def exact_loglik(model, seq) -> float:
 def interval_law_stack(model, seq) -> np.ndarray:
     """(E-1, N, N) stack of every interval's own law ``P_i = B_k expm(A_k
     dt_i)``, one per interval however often it repeats: the oracle for
-    the distinct laws and the index of ``_event_laws``. Each interval sums
-    Jensen's series ``sum_m Pois(m; omega dt) B_k^m`` over one full table
-    of chain powers, an interval whose mean passes ``_SERIES_CAP`` at
-    ``dt / 2^s`` and squared back s times, then applies B_k."""
+    the distinct laws and the index of :func:`event_laws`. Each interval
+    sums Jensen's series ``sum_m Pois(m; omega dt) B_k^m`` over one full
+    table of chain powers, an interval whose mean passes ``_SERIES_CAP``
+    at ``dt / 2^s`` and squared back s times, then applies B_k."""
     lam = model.omega * np.diff(seq.times)
     shrink = np.ceil(np.log2(np.maximum(lam / _SERIES_CAP, 1.0))).astype(np.int64)
     half = np.ldexp(lam, -shrink)

@@ -11,6 +11,7 @@ from helpers import (
     default_omega,
     enumerate_paths,
     event_grid,
+    event_laws,
     exact_loglik,
     forward_logspace,
     grid_forward_backward,
@@ -42,7 +43,6 @@ from smjp.switching import (
     ZeroProbabilityObservation,
     _emission_table,
     _SCAN_BLOCK,
-    _event_laws,
     _filter_smooth,
     _filter_steps,
     _loglik,
@@ -813,6 +813,145 @@ class TestExactHeldOut:
         with pytest.raises(VirtualTimeOverflow, match=f"interval {len(times) - 2} "):
             held_out_loglik(toy.model, [seq])
 
+    def test_overflow_names_its_sequence(self):
+        ok = toy_sequences(length=40, seed=5).sequence
+        bad = replace(toy_sequences(length=40, seed=6).sequence, id="bad")
+        times = bad.times.copy()
+        times[13:] += 2 * MAX_EXPECTED_VIRTUAL / ok.event_rate
+        bad = replace(bad, times=times)
+        model = init_random_model(3, ok.observation_alphabet, ok.action_alphabet, FitConfig(), (3, 3, 0),
+                                  ok.event_rate)
+        message = "^.* expected virtual points in interval 12 of sequence 'bad' \\(.*misconfigured$"
+        cfg = FitConfig(seed=1, inner_iterations=1, outer_cap=1, restarts=1)
+        for call in (lambda: held_out_loglik(model, [ok, bad]), lambda: forward_backward(model, bad),
+                     lambda: fit(model, [ok, bad], cfg)):
+            with pytest.raises(VirtualTimeOverflow, match=message):
+                call()
+
+
+def joined_case(lengths, seed=65, **kw):
+    """A random model and sequences of the given lengths, named s0, s1, ..."""
+    rng = derive_rng(seed)
+    model = random_model(rng, 3, 2, 3, **kw)
+    return model, [replace(random_sequence(rng, model, n), id=f"s{i}") for i, n in enumerate(lengths)]
+
+
+def spy_runs(monkeypatch) -> tuple[list[int], list[int]]:
+    """Lists filled with the interval count of each law build and the
+    event count of each scored run."""
+    intervals, events = [], []
+    laws_of = switching._interval_laws
+    monkeypatch.setattr(switching, "_interval_laws", lambda *args: intervals.append(args[2].size) or laws_of(*args))
+    monkeypatch.setattr(switching, "_loglik", lambda laws, e, index: events.append(len(e)) or _loglik(laws, e, index))
+    return intervals, events
+
+
+class TestJoinedRuns:
+    """held_out_loglik joins consecutive sequences into runs of at most
+    ``_REDUCE_BLOCK_ENTRIES // N^2`` events, one law build and one scan
+    each, with a reset law between sequences."""
+
+    @pytest.mark.parametrize("entries", [25, 1000, None])
+    def test_a_run_scores_the_sum_of_its_sequences(self, monkeypatch, entries):
+        model, seqs = joined_case([1, 2, 1, 150, 1, 400])
+        singles = sum(held_out_loglik(model, [seq]) for seq in seqs)
+        if entries is not None:
+            monkeypatch.setattr(switching, "_REDUCE_BLOCK_ENTRIES", entries)
+        assert held_out_loglik(model, seqs) == pytest.approx(singles, rel=1e-12)
+
+    def test_run_of_single_events(self):
+        model, seqs = joined_case([1] * 7)
+        want = sum(held_out_loglik(model, [seq]) for seq in seqs)
+        assert held_out_loglik(model, seqs) == pytest.approx(want, rel=1e-12)
+
+    def test_run_with_a_squared_interval(self):
+        model, seqs = joined_case([30, 20, 40], seed=66)
+        times = seqs[1].times.copy()
+        times[9:] += 40 * switching._SERIES_CAP / model.omega
+        seqs[1] = replace(seqs[1], times=times)
+        want = [held_out_loglik(model, [seq]) for seq in seqs]
+        assert held_out_loglik(model, seqs) == pytest.approx(sum(want), rel=1e-12)
+        assert want[1] == pytest.approx(exact_loglik(model, seqs[1]), rel=1e-9)
+
+    def test_joined_smoother_is_each_sequences(self):
+        # The reset law hands each sequence the uniform start and a constant
+        # smoother at the previous one's last event.
+        model, seqs = joined_case([1, 2, 5, 1, 30], seed=67)
+        (joined,) = switching._on_events(model, seqs, _filter_smooth)
+        gamma = ForwardBackwardResult(*joined).gamma
+        want = np.concatenate([forward_backward(model, seq).gamma for seq in seqs])
+        np.testing.assert_allclose(gamma, want, rtol=0, atol=1e-13)
+
+    def test_runs_stay_under_the_cap(self, monkeypatch):
+        model, seqs = joined_case([int(n) for n in derive_rng(68).integers(1, 300, size=30)])
+        whole = held_out_loglik(model, seqs)
+        entries = 1000
+        monkeypatch.setattr(switching, "_REDUCE_BLOCK_ENTRIES", entries)
+        intervals, events = spy_runs(monkeypatch)
+        assert held_out_loglik(model, seqs) == pytest.approx(whole, rel=1e-12)
+        assert len(intervals) == len(events) > 1
+        assert max(events) <= max(entries // model.n_states**2, max(len(seq) for seq in seqs))
+        assert sum(events) == sum(len(seq) for seq in seqs)
+        assert sum(intervals) == sum(len(seq) - 1 for seq in seqs)
+
+    def test_many_short_sequences_take_one_law_build(self, monkeypatch):
+        rng = derive_rng(69)
+        model = random_model(rng, 5, 2, 3)
+        seqs = [random_sequence(rng, model, 50) for _ in range(40)]
+        intervals, events = spy_runs(monkeypatch)
+        held_out_loglik(model, seqs)
+        assert intervals == [40 * 49] and events == [40 * 50]
+
+    def test_impossible_first_event_of_a_later_sequence(self):
+        # Symbol 2 is never emitted; the third sequence opens with it, on
+        # the reset step from the second.
+        emission = np.array([[0.7, 0.3, 0.0], [0.2, 0.8, 0.0]])
+        model = model_from_chains(np.full((1, 2, 2), 0.5), emission)
+        rng = derive_rng(70)
+        seqs = [EventSequence(f"s{i}", np.cumsum(rng.exponential(1.0, size=n)), rng.integers(0, 2, n),
+                              np.zeros(n, dtype=np.int64), model.observations, model.actions)
+                for i, n in enumerate([4, 6, 5, 3])]
+        obs = seqs[2].observations.copy()
+        obs[0] = 2
+        seqs[2] = replace(seqs[2], observations=obs)
+        with pytest.raises(ZeroProbabilityObservation, match="^observation at event 0 of sequence 's2' has zero "
+                                                             "likelihood$") as info:
+            held_out_loglik(model, seqs)
+        assert info.value.step == 0
+
+    def test_impossibility_only_the_up_sweep_sees_inside_a_run(self):
+        # TestLoglik's case, as the second of three sequences of one run:
+        # after eight events of the first, x's step to its event 9 again
+        # opens a block.
+        model = model_from_chains(np.eye(2)[None], np.eye(2))
+
+        def sequence(name, obs):
+            return EventSequence(name, np.arange(float(len(obs))), np.array(obs), np.zeros(len(obs), dtype=np.int64),
+                                 model.observations, model.actions)
+
+        seqs = [sequence("w", [1] * 8), sequence("x", [0] * 9 + [1] * 5), sequence("y", [0] * 3)]
+        message = "^observation at event 9 of sequence 'x' has zero likelihood$"
+        with pytest.raises(ZeroProbabilityObservation, match=message) as info:
+            held_out_loglik(model, seqs)
+        assert info.value.step == 9
+
+    def test_fallback_reruns_only_its_run(self, monkeypatch):
+        # Symbol 1's subnormal emission puts a block product of the run
+        # holding sequence s2 below _SCAN_FLOOR.
+        emission = np.array([[1.0 - 1e-320, 1e-320], [1.0 - 1e-320, 1e-320]])
+        model = model_from_chains(np.full((1, 2, 2), 0.5), emission)
+        obs = [np.zeros(30), np.zeros(10), np.array([1, 0, 1, 0]), np.zeros(20)]
+        seqs = [EventSequence(f"s{i}", np.arange(1.0, len(o) + 1), o.astype(np.int64), np.zeros(len(o), dtype=np.int64),
+                              model.observations, model.actions) for i, o in enumerate(obs)]
+        want = sum(held_out_loglik(model, [seq]) for seq in seqs)
+        # Runs of at most 40 events: s0 and s1, then s2 and s3.
+        monkeypatch.setattr(switching, "_REDUCE_BLOCK_ENTRIES", 40 * 4)
+        reruns = []
+        monkeypatch.setattr(switching, "_filter_steps", lambda c, e, k: reruns.append(len(e)) or _filter_steps(c, e, k))
+        got = held_out_loglik(model, seqs)
+        assert reruns == [24]
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 def step_loglik(model, grid):
     """The step filter's log-likelihood: the reference for _loglik."""
@@ -837,7 +976,7 @@ class TestDistinctLaws:
         seq = forager_stream
         model = init_random_model(6, seq.observation_alphabet, seq.action_alphabet, FitConfig(), (3, 6, 0),
                                   seq.event_rate)
-        ((laws, index),) = _event_laws(model, [seq])
+        laws, index = event_laws(model, seq)
         assert len(laws) == 4 and index.shape == (len(seq) - 1,)
         stack = interval_law_stack(model, seq)
         np.testing.assert_allclose(laws[index], stack, rtol=0, atol=1e-14)
@@ -852,7 +991,7 @@ class TestDistinctLaws:
 
     def test_distinct_intervals_keep_their_order_and_bits(self):
         toy = generate_toy(ToyConfig(expected_length=400), seed=4)
-        ((laws, index),) = _event_laws(toy.model, [toy.sequence])
+        laws, index = event_laws(toy.model, toy.sequence)
         assert np.array_equal(index, np.arange(len(toy.sequence) - 1))
         np.testing.assert_allclose(laws, interval_law_stack(toy.model, toy.sequence), rtol=0, atol=1e-14)
         # The scan's score, to the last bit.
@@ -867,7 +1006,7 @@ class TestDistinctLaws:
         acts = np.array([0, 0, 1, 0, 0, 0, 1, 0, 0, 0])
         seq = EventSequence("r", np.concatenate([[0.0], np.cumsum(gaps)]), rng.integers(0, 3, 10), acts,
                             model.observations, model.actions)
-        ((laws, index),) = _event_laws(model, [seq])
+        laws, index = event_laws(model, seq)
         assert index.tolist() == [0, 1, 2, 3, 1, 4, 2, 3, 0]
         np.testing.assert_allclose(laws[index], interval_law_stack(model, seq), rtol=0, atol=1e-14)
         assert held_out_loglik(model, [seq]) == pytest.approx(exact_loglik(model, seq), rel=1e-9)
@@ -876,7 +1015,7 @@ class TestDistinctLaws:
         toy = generate_toy(ToyConfig(expected_length=50), seed=5)
         one = replace(toy.sequence, times=toy.sequence.times[:1], observations=toy.sequence.observations[:1],
                       actions=toy.sequence.actions[:1])
-        ((laws, index),) = _event_laws(toy.model, [one])
+        laws, index = event_laws(toy.model, one)
         n = toy.model.n_states
         assert laws.shape == (0, n, n) and index.size == 0
         assert forward_backward(toy.model, one).gamma.shape == (1, n)
