@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subparser(sub, "fit", cmd_fit, "fit a model to an event file", "events")
     _add_override(p, "n_states", "inner_iterations", "outer_cap", "tol", "restarts",
-                  "grids_per_iteration", "eval_grids", "holdout_fraction", "emission_floor")
+                  "eval_grids", "holdout_fraction", "emission_floor")
 
     p = _subparser(sub, "select-states", cmd_select_states, "held-out likelihood curve over state counts",
                    "events")
@@ -534,11 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subparser(sub, "evaluate", cmd_evaluate, "score an event file under a saved model", "model", "events")
     p.add_argument("--use-holdout", action="store_true",
                    help="evaluate only the chronological holdout tail (as fit does)")
-    _add_override(p, "eval_grids", "holdout_fraction")
+    _add_override(p, "holdout_fraction")
 
-    p = _subparser(sub, "correspond", cmd_correspond, "joint distribution of model states and agent truth",
-                   "model", "events", "truth")
-    _add_override(p, "eval_grids")
+    _subparser(sub, "correspond", cmd_correspond, "joint distribution of model states and agent truth",
+               "model", "events", "truth")
 
     p = _subparser(sub, "cocluster", cmd_cocluster, "information-theoretic co-clustering of a joint matrix",
                    "joint")

@@ -106,9 +106,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
     @property
     def _index(self) -> dict[str, int]:
         # Built lazily; frozen dataclasses still allow caching via __dict__.

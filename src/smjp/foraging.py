@@ -149,9 +149,6 @@ class BeliefMDP:
     def n_actions(self) -> int:
         return len(ACTION_LABELS)
 
-    def state_index(self, location: int, bin0: int, bin1: int) -> int:
-        return (location * self.m_bins + bin0) * self.m_bins + bin1
-
     def state_parts(self, index: int) -> tuple[int, int, int]:
         bin1 = index % self.m_bins
         rest = index // self.m_bins

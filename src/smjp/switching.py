@@ -12,21 +12,23 @@ run one scaled filter-smoother, ``_filter_smooth``: a scan over blocks of
 eight steps with a log-depth carry between blocks, whose single fallback,
 the step-by-step loops, names the event of an impossible observation.
 
-Fitting alternates three phases: draw fresh grids of Poisson virtual-point
-counts, run discrete-chain EM to convergence on those fixed grids, then map
-the re-estimated chains back to generators via A = (B - I) * omega. Omega
-is fixed through a fit, since a grid's mean law between events, B expm(A
-dt), depends on it. The loop stops when the exact log-likelihood of the
-held-out parts (of the training parts when there are none) stabilizes:
-the event-level likelihood over the laws B expm(A dt) between events,
-read off the same scan's block products and up-sweep with no smoother.
+Fitting alternates three phases: draw one fresh grid of Poisson
+virtual-point counts per training part, run a fixed number of
+discrete-chain EM passes on those grids, then map the re-estimated chains
+back to generators via A = (B - I) * omega. Omega is fixed through a fit,
+since a grid's mean law between events, B expm(A dt), depends on it. The
+loop stops when the exact log-likelihood of the held-out parts (of the
+training parts when there are none) stabilizes: the event-level
+likelihood over the laws B expm(A dt) between events, read off the same
+scan's block products and up-sweep with no smoother.
 Consecutive sequences are scored in joined runs, one law build and one
 scan each, a rank-one reset law stepping from one sequence to the next.
 
 Random streams are derived from the config seed with fixed branch codes:
-(1, outer_iteration, sequence, grid) for training grids and (3, n_states,
-restart) for random initializations. Held-out scoring and the event
-posteriors draw nothing.
+(1, outer_iteration, sequence, 0) for training grids (the trailing 0 once
+numbered several grids per outer iteration and stays, so fixed-seed grids
+keep their draws) and (3, n_states, restart) for random initializations.
+Held-out scoring and the event posteriors draw nothing.
 """
 
 from __future__ import annotations
@@ -227,17 +229,17 @@ class ForwardBackwardResult:
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for the fitting loop; defaults follow the shipped pipeline.
-    Construction checks each knob's range. Omega is not a knob: a random
-    start takes the event rate, and the fit holds it. Held-out scores and
-    event posteriors are exact and draw no grid, so ``eval_grids`` is
-    accepted and range-checked, and read by nothing."""
+    Construction checks each knob's range. Each outer iteration draws one
+    grid per training part and runs ``inner_iterations`` EM passes on
+    them. Omega is not a knob: a random start takes the event rate, and
+    the fit holds it. Held-out scores and event posteriors are exact and
+    draw no grid, so ``eval_grids`` is accepted and range-checked, and
+    read by nothing."""
 
     seed: int = 0
     inner_iterations: int = 10
     outer_cap: int = 200
     tol: float = 1e-4
-    inner_tol: float = 1e-7
-    grids_per_iteration: int = 1
     eval_grids: int = 5
     restarts: int = 5
     holdout_fraction: float = 0.2
@@ -247,10 +249,10 @@ class FitConfig:
 
     def __post_init__(self):
         for name, low in (("seed", 0), ("inner_iterations", 0), ("outer_cap", 0),
-                          ("grids_per_iteration", 1), ("eval_grids", 1), ("restarts", 1)):
+                          ("eval_grids", 1), ("restarts", 1)):
             if not getattr(self, name) >= low:
                 raise SmjpError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        for name in ("tol", "inner_tol", "plateau_eps", "emission_floor"):
+        for name in ("tol", "plateau_eps", "emission_floor"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise SmjpError(f"{name} must be finite and non-negative, got {float(getattr(self, name))!r}")
         if not 0.0 <= self.holdout_fraction < 1.0:
@@ -282,7 +284,6 @@ class SufficientStats:
     trans: np.ndarray
     emit: np.ndarray
     action_steps: np.ndarray
-    n_grids: int = 0
 
     @classmethod
     def zeros(cls, n_states: int, n_actions: int, n_observations: int, per_action_emission: bool = False) -> "SufficientStats":
@@ -656,7 +657,6 @@ class _Runs:
         s = _powers(block, self.law_r)[:, :n, n:]
         np.add.at(stats.trans, self.law_k, chains[self.law_k] * s)
         stats.action_steps += self.action_steps
-        stats.n_grids = len(self.sequences)
         return stats, ll
 
 
@@ -677,7 +677,7 @@ def m_step(
     EmptyStatistics
         If no grid contributed any transition step.
     """
-    if stats.n_grids == 0 or stats.action_steps.sum() == 0:
+    if stats.action_steps.sum() == 0:
         raise EmptyStatistics("no expected counts accumulated")
     k, n, _ = chains_old.shape
     new_chains = chains_old.copy()
@@ -745,7 +745,8 @@ def inner_em(
     grids: Sequence[TimeGrid],
     config: FitConfig,
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, ...], tuple[int, ...]]:
-    """Discrete-chain EM on fixed grids.
+    """``config.inner_iterations`` passes of discrete-chain EM on fixed
+    grids.
 
     Returns the working (chains, emission) arrays, the log-likelihood of
     the parameters entering each pass (non-decreasing), and the actions
@@ -760,10 +761,6 @@ def inner_em(
         stats, ll = runs.estep(chains, emission)
         chains, emission, untouched = m_step(stats, chains, emission, config.emission_floor)
         trace.append(ll)
-        if len(trace) >= 2:
-            rel = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
-            if rel < config.inner_tol:
-                break
     return chains, emission, tuple(trace), untouched
 
 
@@ -859,11 +856,7 @@ def _interval_laws(
     laws = laws.reshape(-1, n, n)
     idx = np.flatnonzero(squared)
     if idx.size:
-        f = laws[idx]
-        for j in range(int(shrink.max())):
-            more = shrink[idx] > j
-            f[more] = f[more] @ f[more]
-        laws[idx] = chains[acts[idx]] @ f
+        laws[idx] = chains[acts[idx]] @ _powers(laws[idx], 1 << shrink[idx])
     return laws, index
 
 
@@ -881,13 +874,15 @@ def _on_events(model: SwitchingSMJP, sequences: Sequence[EventSequence], core: C
     uniform, and the run scores the sum of its sequences' scores.
     """
     _check_alphabets(model, sequences)
-    lams = []
+    # Only the largest mean is kept; each run's means are made again when
+    # it is scored, so memory is bounded by the run cap.
+    peak = 0.0
     for seq in sequences:
         if len(seq) == 0:
             raise InconsistentShapes(f"sequence {seq.id!r} has no events")
-        lams.append(expected_virtual(seq.times, model.omega, seq.id))
-    chains, n = model.chain_stack, model.n_states
-    peak = min(max((float(lam.max()) for lam in lams if lam.size), default=0.0), _SERIES_CAP)
+        peak = max(peak, float(expected_virtual(seq.times, model.omega, seq.id).max(initial=0.0)))
+    chains, n, omega = model.chain_stack, model.n_states, model.omega
+    peak = min(peak, _SERIES_CAP)
     # The Poisson tail beyond peak + 10 sd + 40 is below _SERIES_TAIL.
     table = _power_table(chains, int(peak + 10.0 * np.sqrt(peak)) + 41)
     cap = _REDUCE_BLOCK_ENTRIES // (n * n)
@@ -901,8 +896,8 @@ def _on_events(model: SwitchingSMJP, sequences: Sequence[EventSequence], core: C
     cuts.append(len(sequences))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         run = sequences[lo:hi]
-        laws, index = _interval_laws(chains, table, np.concatenate(lams[lo:hi]),
-                                     np.concatenate([seq.actions[:-1] for seq in run]))
+        lam = np.concatenate([omega * (seq.times[1:] - seq.times[:-1]) for seq in run])
+        laws, index = _interval_laws(chains, table, lam, np.concatenate([seq.actions[:-1] for seq in run]))
         if len(run) > 1:
             # The reset steps go between each sequence's last interval
             # and the next sequence's first.
@@ -971,11 +966,8 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
     streak = 0
     iterations = 0
     for outer in range(config.outer_cap):
-        grids = [
-            build_time_grid(seq, model.omega, derive_rng(config.seed, 1, outer, si, g))
-            for si, seq in enumerate(train)
-            for g in range(config.grids_per_iteration)
-        ]
+        grids = [build_time_grid(seq, model.omega, derive_rng(config.seed, 1, outer, si, 0))
+                 for si, seq in enumerate(train)]
         chains, emission, trace, untouched = inner_em(model, grids, config)
         no_data.update(untouched)
         model = rebuild_model(model, chains, emission)

@@ -310,7 +310,6 @@ def accumulate_stats(chains, emission, grid: PointGrid, stats: SufficientStats) 
         np.add.at(stats.emit, (kidx[seen], slice(None), obs[seen]), gamma)
     else:
         np.add.at(stats.emit.T, obs[seen], gamma)
-    stats.n_grids += 1
     return float(np.log(c).sum())
 
 

@@ -130,7 +130,7 @@ def test_criterion_03_gillespie_holding_times():
 
 def test_criterion_04_em_monotonicity():
     rng = derive_rng(1004)
-    cfg = FitConfig(inner_iterations=6, inner_tol=0.0)
+    cfg = FitConfig(inner_iterations=6)
     worst_drop = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 5))
@@ -307,7 +307,7 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
     ea, eb = tmp_path / "ea", tmp_path / "eb"
     eval_flags = [
         "--model", str(fa / "model.smjp"), "--events", str(a / "events.csv"),
-        "--seed", "9", "--use-holdout", "--eval-grids", "2",
+        "--seed", "9", "--use-holdout",
     ]
     assert cli_main(["evaluate", "--out", str(ea)] + eval_flags) == 0
     assert cli_main(["evaluate", "--out", str(eb)] + eval_flags) == 0
@@ -344,7 +344,7 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
     for name, args in {
         "correspond": ["correspond", "--model", str(fitf / "model.smjp"),
                        "--events", str(sim / "events.csv"), "--truth", str(sim / "truth_z.csv"),
-                       "--seed", "1", "--eval-grids", "2"],
+                       "--seed", "1"],
     }.items():
         d1, d2 = tmp_path / (name + "-1"), tmp_path / (name + "-2")
         assert cli_main(args + ["--out", str(d1)]) == 0

@@ -77,7 +77,6 @@ class TestFitEvaluateChain:
         assert run([
             "evaluate", "--out", ev_out, "--model", fit_out / "model.smjp",
             "--events", data / "events.csv", "--seed", 11, "--use-holdout",
-            "--eval-grids", 2,
         ]) == 0
         evaluation = (ev_out / "evaluation.txt").read_text().splitlines()
         got = next(l.split(":", 1)[1].strip() for l in evaluation if l.startswith("loglik:"))
@@ -194,7 +193,7 @@ class TestPipelineCommands:
         assert run([
             "correspond", "--out", corr_out, "--model", fit_out / "model.smjp",
             "--events", sim / "events.csv", "--truth", sim / "truth_z.csv",
-            "--seed", 4, "--eval-grids", 2,
+            "--seed", 4,
         ]) == 0
         joint_file = corr_out / "correspondence.csv"
         assert joint_file.exists()
@@ -691,8 +690,8 @@ class TestDefaults:
 # has one (integer fields take integers; per_action_emission has none).
 INVALID_FIT_VALUES = [
     ("seed", -1), ("inner_iterations", -1), ("outer_cap", -1),
-    *[(name, v) for name in ("grids_per_iteration", "eval_grids", "restarts") for v in (-1, 0)],
-    *[(name, v) for name in ("tol", "inner_tol", "plateau_eps", "emission_floor", "holdout_fraction")
+    *[(name, v) for name in ("eval_grids", "restarts") for v in (-1, 0)],
+    *[(name, v) for name in ("tol", "plateau_eps", "emission_floor", "holdout_fraction")
       for v in (float("nan"), float("inf"), -1.0)],
 ]
 
@@ -708,13 +707,26 @@ class TestFitConfigRanges:
         with pytest.raises(SmjpError, match=f"^{name} must be "):
             config(**{name: value})
 
-    @pytest.mark.parametrize("key", ["omega_factor", "omega_prior_scale"])
+    @pytest.mark.parametrize("key", ["omega_factor", "omega_prior_scale", "inner_tol", "grids_per_iteration"])
     def test_removed_omega_key_is_unknown(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"seed = 1\n{key} = 2.0\n")
         rc = run(["simulate-toy", "--out", tmp_path / "x", "--config", cfg])
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:2: unknown config key {key!r}"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, flag", [("fit", "--grids-per-iteration"), ("evaluate", "--eval-grids"),
+                                               ("correspond", "--eval-grids")])
+    def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        inputs = {"fit": ["events"], "evaluate": ["model", "events"], "correspond": ["model", "events", "truth"]}
+        args = [command, "--out", tmp_path / "x", flag, 2]
+        for name in inputs[command]:
+            args += [f"--{name}", tmp_path / f"{name}.txt"]
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
 
@@ -732,8 +744,8 @@ SWEPT = {
                      "toy_concentration"],
     "simulate-foraging": ["box_mean_1", "box_mean_2", "press_cost", "switch_cost", "reward_value",
                           "travel_time", "decision_tick", "discount", "m_bins", "diffusion_eps", "horizon"],
-    "fit": ["seed", "n_states", "inner_iterations", "outer_cap", "tol", "inner_tol", "grids_per_iteration",
-            "eval_grids", "restarts", "holdout_fraction", "emission_floor", "per_action_emission"],
+    "fit": ["seed", "n_states", "inner_iterations", "outer_cap", "tol", "eval_grids", "restarts",
+            "holdout_fraction", "emission_floor", "per_action_emission"],
     "select-states": ["plateau_eps"],
     "evaluate": ["eval_grids", "holdout_fraction"],
     "correspond": ["eval_grids"],
@@ -745,7 +757,7 @@ SWEPT = {
 SWEEP = [(command, name, value) for command, names in SWEPT.items() for name in names
          for value in ("nan", "inf", "-1", "0")]
 # The fields for which 0 is a valid value; no field takes nan, inf or -1.
-ZERO_OK = {"seed", "inner_iterations", "outer_cap", "tol", "inner_tol", "holdout_fraction", "plateau_eps",
+ZERO_OK = {"seed", "inner_iterations", "outer_cap", "tol", "holdout_fraction", "plateau_eps",
            "emission_floor", "per_action_emission", "press_cost", "switch_cost", "diffusion_eps",
            "operator_threshold", "persistence_frac", "bin_width"}
 
@@ -922,8 +934,7 @@ class TestEvaluateFuzz:
     def test_mutated_events_end_in_a_documented_exit(self, evaluate_inputs, data):
         model, header, rows = evaluate_inputs
         text = mutated_event_text(data.draw, header, rows)
-        flags = ["--eval-grids", data.draw(st.sampled_from([1, 3]))]
-        flags += ["--use-holdout"] if data.draw(st.booleans()) else []
+        flags = ["--use-holdout"] if data.draw(st.booleans()) else []
         with tempfile.TemporaryDirectory() as tmp:
             events, out = Path(tmp) / "events.csv", Path(tmp) / "out"
             events.write_text(text)
@@ -940,8 +951,9 @@ class TestEvaluateFuzz:
         events.write_text("\n".join(header + rows) + "\n")
         texts = set()
         for grids in (1, 4):
-            out = tmp_path / f"out{grids}"
-            assert run(["evaluate", "--out", out, "--model", model, "--events", events, "--eval-grids", grids]) == 0
+            out, config = tmp_path / f"out{grids}", tmp_path / f"grids{grids}.cfg"
+            config.write_text(f"eval_grids = {grids}\n")
+            assert run(["evaluate", "--out", out, "--model", model, "--events", events, "--config", config]) == 0
             texts.add((out / "evaluation.txt").read_text())
         assert texts == {f"smjp-evaluation v1\nevents: 12\nloglik: {capsys.readouterr().out.split()[0]}\n"}
 
@@ -1027,7 +1039,7 @@ class TestCorrespondFuzz:
             events.write_text(text)
             truth.write_text(truth_text)
             rc, _ = fuzz_run(["correspond", "--model", model, "--events", events, "--truth", truth,
-                              "--seed", 0, "--eval-grids", 1], out)
+                              "--seed", 0], out)
             if rc == 0:
                 joint = (out / "correspondence.csv").read_text().splitlines()
                 cells = [float(v) for line in joint if not line.startswith("#") for v in line.split()]

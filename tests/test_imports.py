@@ -1,8 +1,10 @@
 """What importing the package loads, and the names the benchmark's tracer
 hooks: every hook must resolve, and a function re-bound into ``smjp.cli``
 or ``smjp.analysis`` must be the very function its layer name points to,
-or a hook would time a copy its caller never calls."""
+or a hook would time a copy its caller never calls. Also that every fit
+knob is read by the package."""
 
+import ast
 import importlib
 import importlib.util
 import itertools
@@ -10,11 +12,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import smjp
+from smjp.switching import FitConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -60,3 +64,21 @@ def test_tracer_hook_resolves_to_what_its_caller_calls(module_name, attr, layer)
     home = "smjp." + layer.split(".")[0]
     if module_name in ("smjp.cli", "smjp.analysis") and home != module_name:
         assert hooked is resolve(home, attr)
+
+
+# eval_grids is read by nothing but stays accepted: perfbench/design.json
+# passes it to FitConfig(**spec), so it leaves with the next benchmark
+# change (ROADMAP item 2).
+UNREAD_FIT_FIELDS = {"eval_grids"}
+
+
+def test_every_fit_knob_is_read_outside_its_class():
+    read = set()
+    for path in (ROOT / "src" / "smjp").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        own = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "FitConfig" for node in ast.walk(cls)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in own}
+    names = {f.name for f in fields(FitConfig)}
+    assert sorted(names - read) == sorted(UNREAD_FIT_FIELDS)

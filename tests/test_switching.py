@@ -403,7 +403,7 @@ class TestUpdateGenerator:
 class TestInnerEm:
     def test_fixed_grid_monotone(self):
         rng = derive_rng(12)
-        cfg = FitConfig(inner_iterations=8, inner_tol=0.0)
+        cfg = FitConfig(inner_iterations=8)
         for _ in range(8):
             n = int(rng.integers(2, 5))
             model = random_model(rng, n, 2, 3)
@@ -416,9 +416,18 @@ class TestInnerEm:
         rng = derive_rng(13)
         model = random_model(rng, 3, 2, 2)
         grid = build_time_grid(random_sequence(rng, model, 100), 1.0, rng)
-        cfg = FitConfig(inner_iterations=2, inner_tol=0.0)
+        cfg = FitConfig(inner_iterations=2)
         _, _, trace, _ = inner_em(model, [grid], cfg)
         assert trace[1] >= trace[0] - 1e-9
+
+    def test_runs_every_pass_after_the_likelihood_settles(self):
+        # With one state the likelihood is flat from the second pass on,
+        # and every pass still runs.
+        toy = toy_sequences()
+        cfg = FitConfig(seed=1, inner_iterations=6, outer_cap=2, restarts=1)
+        report = fit_best([toy.sequence], 1, cfg)
+        assert [len(t) for t in report.inner_ll_traces] == [6, 6]
+        assert len(set(report.inner_ll_traces[1])) == 1
 
 
 def toy_sequences(length=600, seed=21):
@@ -1222,7 +1231,7 @@ class TestPerActionEmission:
         ])
         model = model_from_chains(chains, emission)
         grid = TimeGrid(random_sequence(rng, model, 400), np.zeros(399, dtype=np.int64))
-        cfg = FitConfig(inner_iterations=3, inner_tol=0.0)
+        cfg = FitConfig(inner_iterations=3)
         _, new_emission, trace, _ = inner_em(model, [grid], cfg)
         assert new_emission.shape == (2, 3, 2)
         assert np.diff(trace).min() > -1e-9
