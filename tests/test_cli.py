@@ -754,7 +754,11 @@ SWEPT = {
     "intervals": ["bin_width"],
     "quantize": ["k_locations"],
 }
-SWEEP = [(command, name, value) for command, names in SWEPT.items() for name in names
+# Keys that fit once read: a config file that still sets one exits 2
+# naming the key, whatever its value.
+REMOVED_FIT_KEYS = ["inner_tol", "grids_per_iteration"]
+SWEEP = [(command, name, value)
+         for command, names in [*SWEPT.items(), ("fit", REMOVED_FIT_KEYS)] for name in names
          for value in ("nan", "inf", "-1", "0")]
 # The fields for which 0 is a valid value; no field takes nan, inf or -1.
 ZERO_OK = {"seed", "inner_iterations", "outer_cap", "tol", "holdout_fraction", "plateau_eps",
@@ -819,6 +823,8 @@ class TestConfigSweep:
         if rc:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
+            if name in REMOVED_FIT_KEYS:
+                assert err[0].endswith(f"unknown config key {name!r}")
             if name in MODEL_FIELD:
                 assert MODEL_FIELD[name] in err[0] or name in err[0]
                 assert value in err[0]

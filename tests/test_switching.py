@@ -764,6 +764,20 @@ class TestExactHeldOut:
         assert model.omega * np.diff(seq.times).max() > 100 * switching._SERIES_CAP
         assert held_out_loglik(model, [seq]) == pytest.approx(exact_loglik(model, seq), rel=1e-9)
 
+    @pytest.mark.parametrize("most", [1, 2, 3, 6, 11])
+    def test_power_of_two_is_repeated_squaring(self, most):
+        # The squaring path raises each capped law to 2^s with _powers: s
+        # squarings and one exact product with the identity, bit for bit.
+        rng = derive_rng(66, most)
+        mats = np.stack([rng.dirichlet(np.ones(4), size=4) for _ in range(40)])
+        shrink = rng.integers(1, most + 1, size=len(mats))
+        shrink[0] = most
+        want = mats.copy()
+        for i, s in enumerate(shrink):
+            for _ in range(s):
+                want[i] = want[i] @ want[i]
+        np.testing.assert_array_equal(switching._powers(mats, 1 << shrink), want)
+
     def test_jordan_block_generator(self):
         # B = I + A/20 for A = [[-1, 1, 0], [0, -1, 1], [0, 0, 0]]: a
         # defective generator, eigenvalue -1 with one eigenvector.
