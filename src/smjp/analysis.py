@@ -101,7 +101,6 @@ class CoClustering:
     n_row_clusters: int
     n_col_clusters: int
     mutual_information_loss: float
-    loss_trace: tuple[float, ...]
 
 
 def _mutual_informations(stack: np.ndarray) -> list[float]:
@@ -255,13 +254,13 @@ def _coclusterings(
     pairs: Sequence[tuple[int, int]],
     seed: int,
     restarts: int,
-    max_sweeps: int,
 ) -> list[CoClustering]:
     """The best of ``restarts`` seeded starts for every size pair. Each
     (pair, restart) is one lane, and the lanes sweep rows then columns
     together; a lane stops after a sweep that moves nothing, or after
-    ``max_sweeps``. Lane r of every pair starts from ``derive_rng(seed, 4,
-    r)``, so each pair gets what a call for it alone would."""
+    ``_MAX_SWEEPS``. Each lane's loss is read once, where it stopped.
+    Lane r of every pair starts from ``derive_rng(seed, 4, r)``, so each
+    pair gets what a call for it alone would."""
     p = _checked_joint(joint)
     ns, nz = p.shape
     starts = []
@@ -272,8 +271,6 @@ def _coclusterings(
             # Checked where a call for the first pair alone checks them.
             if restarts < 1:
                 raise SmjpError(f"restarts must be at least 1, got {restarts}")
-            if max_sweeps < 1:
-                raise SmjpError(f"max_sweeps must be at least 1, got {max_sweeps}")
             total = p.sum()
             if total <= 0:
                 raise DegenerateJoint("joint distribution has zero mass")
@@ -284,40 +281,35 @@ def _coclusterings(
             rng = derive_rng(seed, 4, r)
             starts.append((_init_assignment(ns, kr, live_rows, rng), _init_assignment(nz, kc, live_cols, rng)))
 
-    pair_of = np.repeat(np.arange(len(pairs)), restarts)
-    k_rows = np.array([kr for kr, _ in pairs])[pair_of]
-    k_cols = np.array([kc for _, kc in pairs])[pair_of]
+    k_rows = np.repeat([kr for kr, _ in pairs], restarts)
+    k_cols = np.repeat([kc for _, kc in pairs], restarts)
     all_rows = np.array([s[0] for s in starts])
     all_cols = np.array([s[1] for s in starts])
     # Zero-mass rows and columns never move and add only zeros to any sum,
     # so the sweeps and the loss run on the live block alone.
     q = p[np.ix_(live_rows, live_cols)]
     rows, cols = all_rows[:, live_rows], all_cols[:, live_cols]
-    traces: list[list[float]] = [[] for _ in starts]
-    mi_joint = mutual_information(p)
     active = np.arange(len(starts))
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         r, c = rows[active], cols[active]
         moved = _sweep_lanes(q, r, c, k_rows[active], k_cols[active])
         moved |= _sweep_lanes(q.T, c, r, k_cols[active], k_rows[active])
         rows[active], cols[active] = r, c
-        for g in np.unique(pair_of[active]):
-            lanes = active[pair_of[active] == g]
-            mis = _mutual_informations(_clustered(q, rows[lanes], cols[lanes], *pairs[g]))
-            for l, mi in zip(lanes, mis):
-                traces[l].append(mi_joint - mi)
         active = active[moved]
         if not active.size:
             break
     all_rows[:, live_rows], all_cols[:, live_cols] = rows, cols
 
+    mi_joint = mutual_information(p)
     out = []
     for g, (kr, kc) in enumerate(pairs):
+        lo, hi = g * restarts, (g + 1) * restarts
+        mis = _mutual_informations(_clustered(q, rows[lo:hi], cols[lo:hi], kr, kc))
         best: CoClustering | None = None
-        for l in range(g * restarts, (g + 1) * restarts):
-            loss = traces[l][-1]
+        for l, mi in zip(range(lo, hi), mis):
+            loss = mi_joint - mi
             if best is None or loss < best.mutual_information_loss - 1e-15:
-                best = CoClustering(all_rows[l].copy(), all_cols[l].copy(), kr, kc, max(loss, 0.0), tuple(traces[l]))
+                best = CoClustering(all_rows[l].copy(), all_cols[l].copy(), kr, kc, max(loss, 0.0))
         out.append(best)
     return out
 
@@ -328,14 +320,15 @@ def cocluster(
     k_cols: int,
     seed: int,
     restarts: int = 20,
-    max_sweeps: int = _MAX_SWEEPS,
 ) -> CoClustering:
     """Alternating row/column reassignment minimizing mutual-information
     loss, restarted ``restarts`` times from seeded random starts; the best
-    local optimum wins. Zero-mass rows/columns are placed deterministically
-    (they fill otherwise-empty clusters, then pin to the last one).
+    local optimum wins. A restart stops after a sweep that moves nothing,
+    or after ``_MAX_SWEEPS`` sweeps. Zero-mass rows/columns are placed
+    deterministically (they fill otherwise-empty clusters, then pin to the
+    last one).
     """
-    return _coclusterings(joint, [(k_rows, k_cols)], seed, restarts, max_sweeps)[0]
+    return _coclusterings(joint, [(k_rows, k_cols)], seed, restarts)[0]
 
 
 @dataclass(frozen=True)
@@ -387,7 +380,7 @@ def select_cocluster_sizes(
     rows = list(row_range)
     cols = list(col_range)
     pairs = [(kr, kc) for kr in rows for kc in cols]
-    results = dict(zip(pairs, _coclusterings(joint, pairs, seed, restarts, _MAX_SWEEPS)))
+    results = dict(zip(pairs, _coclusterings(joint, pairs, seed, restarts)))
     surface = np.array([[results[kr, kc].mutual_information_loss for kc in cols] for kr in rows])
     chosen = (_elbow(rows, surface.min(axis=1)), _elbow(cols, surface.min(axis=0)))
     return SizeSelection(tuple(rows), tuple(cols), surface, chosen, results[chosen])
@@ -464,12 +457,15 @@ def extract_subgraphs(
     degrees and would wash out the between-state structure). A community
     is a persistent subspace when at least ``persistence_frac`` of its
     rows' probability mass stays inside it under the original operator.
+    A raw array must be square, finite and non-negative.
     """
     if not 0.0 <= threshold < 1.0:
         raise SmjpError(f"threshold must be in [0, 1), got {threshold!r}")
     if not 0.0 <= persistence_frac <= 1.0:
         raise SmjpError(f"persistence_frac must be in [0, 1], got {float(persistence_frac)!r}")
     w = op.matrix.probs if isinstance(op, JointOperator) else np.asarray(op, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or not np.isfinite(w).all() or np.any(w < 0):
+        raise SmjpError("operator must be a finite non-negative square matrix")
     sym = (w + w.T) / 2.0
     sym = np.where(sym < threshold, 0.0, sym)
     if sym.sum() <= 0:

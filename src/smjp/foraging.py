@@ -36,6 +36,10 @@ LOCAL_PRESS = (A_PRESS_1, A_PRESS_2)
 # float64s, 128 m^4 bytes, under 512 MiB up to m = 45.
 MAX_M_BINS = 45
 
+# Policy-iteration rounds the planner may take before it gives up; the
+# default world converges in 5.
+_ROUND_CAP = 100_000
+
 
 class InvalidConfig(SmjpError):
     """A world/planner configuration value is out of range."""
@@ -242,7 +246,7 @@ class ValueIterationResult:
     sweeps: int
 
 
-def value_iteration(mdp: BeliefMDP, tol: float = 1e-8, sweep_cap: int = 100_000) -> ValueIterationResult:
+def value_iteration(mdp: BeliefMDP, tol: float = 1e-8) -> ValueIterationResult:
     """Solve the planner by Howard's policy iteration to a sup-norm Bellman
     residual below ``tol``; greedy policy ties break toward the lowest
     action index (stay before presses before move).
@@ -253,14 +257,14 @@ def value_iteration(mdp: BeliefMDP, tol: float = 1e-8, sweep_cap: int = 100_000)
     their greedy policy; otherwise a state switches to its best action
     only where that beats its current one by more than ``tol``, so ties
     cannot cycle. ``residuals`` has one entry per round and ``sweeps``
-    counts the rounds; ``sweep_cap`` rounds without convergence raise
+    counts the rounds; ``_ROUND_CAP`` rounds without convergence raise
     ``NonConvergence``.
     """
     states = np.arange(mdp.n_states)
     reward, discounts = mdp.reward.T, mdp.step_discounts
     policy = np.full_like(states, A_STAY)
     residuals: list[float] = []
-    for rounds in range(1, sweep_cap + 1):
+    for rounds in range(1, _ROUND_CAP + 1):
         # I - diag(discount) P_policy, built in the gathered rows.
         system = mdp.transition[policy, states]
         system *= -discounts[policy, None]
@@ -273,14 +277,14 @@ def value_iteration(mdp: BeliefMDP, tol: float = 1e-8, sweep_cap: int = 100_000)
         if residuals[-1] < tol:
             return ValueIterationResult(values, q.argmax(axis=0), tuple(residuals), rounds)
         policy = np.where(gain > tol, q.argmax(axis=0), policy)
-    raise NonConvergence(f"no convergence after {sweep_cap} rounds")
+    raise NonConvergence(f"no convergence after {_ROUND_CAP} rounds")
 
 
-def solve_belief_mdp(world: WorldConfig, m_bins: int = 10, diffusion_eps: float = 0.05, tol: float = 1e-8) -> BeliefMDP:
+def solve_belief_mdp(world: WorldConfig, m_bins: int = 10, diffusion_eps: float = 0.05) -> BeliefMDP:
     """Build and solve in one step; returns the planner with values and
     greedy policy attached."""
     mdp = build_belief_mdp(world, m_bins, diffusion_eps)
-    result = value_iteration(mdp, tol)
+    result = value_iteration(mdp)
     return replace(mdp, values=result.values, policy=result.policy)
 
 
@@ -321,28 +325,24 @@ class AgentTrace:
 
 
 def simulate_agent(
-    mdp: BeliefMDP,
-    horizon: float,
-    seed: int | np.random.Generator,
-    policy: np.ndarray | None = None,
-    start_location: int = 0,
+    mdp: BeliefMDP, horizon: float, seed: int | np.random.Generator
 ) -> tuple[EventSequence, AgentTrace]:
-    """Run the world and a policy for ``horizon`` seconds.
+    """Run the world and the planner's policy for ``horizon`` seconds,
+    starting at location 0 with both beliefs at zero.
 
     Box rewards arm after exponential waits and stay armed until collected.
-    At each decision the policy is looked up at the binned belief state;
-    presses reveal the true box state, everything else emits the current
-    location symbol. Returns the observable event stream and the parallel
-    ground-truth trace.
+    At each decision ``mdp.policy`` is looked up at the binned belief
+    state (``replace(mdp, policy=p)`` runs another policy); presses reveal
+    the true box state, everything else emits the current location symbol.
+    Returns the observable event stream and the parallel ground-truth
+    trace.
     """
     check_horizon(horizon)
-    if start_location not in (0, 1):
-        raise InvalidConfig(f"start_location must be 0 or 1, got {start_location!r}")
-    if policy is None:
-        if mdp.policy is None:
-            raise SmjpError("planner has no policy; solve it or pass one explicitly")
-        policy = mdp.policy
-    policy = np.asarray(policy, dtype=np.int64)
+    if mdp.policy is None:
+        raise SmjpError("planner has no policy; solve it first")
+    policy = np.asarray(mdp.policy)
+    if policy.dtype.kind not in "iu":
+        raise InvalidConfig(f"policy actions must be integers, got {policy.dtype}")
     if policy.shape != (mdp.n_states,) or policy.min() < 0 or policy.max() >= mdp.n_actions:
         raise InvalidConfig("policy must map every planner state to a valid action")
     rng = as_rng(seed)
@@ -359,7 +359,7 @@ def simulate_agent(
     travel_0, travel_1 = (1.0 - math.exp(-travel / mean) for mean in means)
 
     t = 0.0
-    loc = int(start_location)
+    loc = 0
     p0 = p1 = 0.0  # the two boxes' beliefs
     next_food = [rng.exponential(means[0]), rng.exponential(means[1])]
     # One list per column: time, observation, action, location, rewarded,

@@ -17,6 +17,10 @@ class KTooLarge(SmjpError):
     """Requested more clusters than there are distinct points."""
 
 
+# Lloyd iterations before the assignment is kept as it stands.
+_MAX_ITERATIONS = 300
+
+
 @dataclass(frozen=True)
 class QuantizationResult:
     labels: np.ndarray
@@ -43,16 +47,11 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def quantize_locations(
-    points: np.ndarray,
-    k: int,
-    seed: int | np.random.Generator,
-    max_iterations: int = 300,
-) -> QuantizationResult:
+def quantize_locations(points: np.ndarray, k: int, seed: int | np.random.Generator) -> QuantizationResult:
     """Cluster points into k location symbols.
 
     Lloyd iterations run from a k-means++ start until the assignment stops
-    changing or ``max_iterations`` is hit; a cluster that empties is
+    changing or ``_MAX_ITERATIONS`` is hit; a cluster that empties is
     re-seeded at the point farthest from its assigned centroid.
 
     Raises
@@ -79,7 +78,7 @@ def quantize_locations(
     rng = as_rng(seed)
     centroids = _seed_centroids(pts, k, rng)
     labels = np.full(pts.shape[0], -1, dtype=np.int64)
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         if np.array_equal(new_labels, labels):

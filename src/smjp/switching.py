@@ -806,16 +806,15 @@ def _interval_laws(
     mean) among the intervals, and the law ``laws[index[i]]`` of interval
     i, whose action is ``k = acts[i]`` and mean ``lam[i] = omega dt_i``.
     Each law is Jensen's uniformization series ``sum_m Pois(m; lam)
-    B_k^(m+1)`` truncated to the table. The laws follow their intervals'
-    first appearance, so on distinct intervals ``index`` is ``arange``.
+    B_k^(m+1)`` truncated to the table.
 
     An interval whose mean exceeds ``_SERIES_CAP`` is evaluated at
     ``dt / 2^s`` instead, and its ``expm`` factor squared back s times
     before B_k is applied. Every term is non-negative, so nothing cancels.
-    The laws are summed in chunks of increasing mean within each (action,
-    squared) group, each cut where the Poisson tail of its largest mean
-    falls below ``_SERIES_TAIL``; that order puts equal intervals next to
-    each other.
+    The laws are numbered, and summed in chunks, in order of increasing
+    mean within each (action, squared) group; each chunk is cut where the
+    Poisson tail of its largest mean falls below ``_SERIES_TAIL``. That
+    order puts equal intervals next to each other.
     """
     n = chains.shape[1]
     terms = table.shape[1] - 1
@@ -830,31 +829,24 @@ def _interval_laws(
     by_group, by_mean = group[order], lam[order]
     new = np.ones(order.size, dtype=bool)
     new[1:] = (by_group[1:] != by_group[:-1]) | (by_mean[1:] != by_mean[:-1])
+    index = np.empty_like(order)
+    index[order] = np.cumsum(new) - 1
+    # One representative interval per law, in law order.
     reps = order[new]
+    halved, shrink, acts = halved[reps], shrink[reps], acts[reps]
     bounds = np.searchsorted(by_group[new], np.arange(2 * len(chains) + 1))
-    index = np.arange(lam.size)
-    if reps.size < lam.size:
-        # Laws are numbered by their first interval; first[i] is the
-        # interval whose law interval i takes.
-        first = np.empty_like(index)
-        first[order] = reps[np.cumsum(new) - 1]
-        own = np.flatnonzero(first == index)
-        index[own] = np.arange(own.size)
-        reps, index = index[reps], index[first]
-        halved, shrink, squared, acts = halved[own], shrink[own], squared[own], acts[own]
     series = (table[:, 1:], table[:, :-1])  # the powers of an unsquared and a squared law
     cuts = [(lo, min(lo + rows, hi), g) for g, (start, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
             for lo in range(start, hi, rows)]
-    chunks = [(reps[lo:hi], series[g % 2][g // 2]) for lo, hi, g in cuts]
     # A squared group's halved means need not increase, so each chunk is
     # cut at the tail of its largest.
-    tops = np.maximum.reduceat(halved[reps], [lo for lo, _, _ in cuts]) if cuts else np.empty(0)
+    tops = np.maximum.reduceat(halved, [lo for lo, _, _ in cuts]) if cuts else np.empty(0)
     tails = np.cumsum(_poisson_weights(tops, terms)[:, ::-1], axis=1)
-    laws = np.empty((halved.size, n * n))
-    for (part, powers), m in zip(chunks, np.count_nonzero(tails >= _SERIES_TAIL, axis=1)):
-        laws[part] = _poisson_weights(halved[part], m) @ powers[:m]
+    laws = np.empty((reps.size, n * n))
+    for (lo, hi, g), m in zip(cuts, np.count_nonzero(tails >= _SERIES_TAIL, axis=1)):
+        laws[lo:hi] = _poisson_weights(halved[lo:hi], m) @ series[g % 2][g // 2][:m]
     laws = laws.reshape(-1, n, n)
-    idx = np.flatnonzero(squared)
+    idx = np.flatnonzero(shrink)
     if idx.size:
         laws[idx] = chains[acts[idx]] @ _powers(laws[idx], 1 << shrink[idx])
     return laws, index

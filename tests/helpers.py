@@ -529,24 +529,21 @@ def value_iteration_dense(mdp: BeliefMDP, tol: float = 1e-8, sweep_cap: int = 10
     raise NonConvergence(f"no convergence after {sweep_cap} sweeps")
 
 
-def simulate_agent_per_step(mdp, horizon, seed, policy=None, start_location=0):
+def simulate_agent_per_step(mdp, horizon, seed):
     """Per-step reference for ``simulate_agent``: every decision bins the
     beliefs and advances them through the checked ``belief_update``, and
     the rows are collected as tuples."""
     check_horizon(horizon)
-    if policy is None:
-        policy = mdp.policy
-    policy = np.asarray(policy, dtype=np.int64)
     rng = as_rng(seed)
     world = mdp.world
     means = world.box_means
     obs_alpha = Alphabet("observation", OBSERVATION_LABELS)
     act_alpha = Alphabet("action", ACTION_LABELS)
     reward_obs, no_reward_obs = obs_alpha.index("reward"), obs_alpha.index("no-reward")
-    act_at = policy.reshape(2, mdp.m_bins, mdp.m_bins).tolist()
+    act_at = mdp.policy.reshape(2, mdp.m_bins, mdp.m_bins).tolist()
 
     t = 0.0
-    loc = int(start_location)
+    loc = 0
     beliefs = [0.0, 0.0]
     next_food = [rng.exponential(means[0]), rng.exponential(means[1])]
     rows: list[tuple] = []
@@ -683,8 +680,9 @@ def init_assignment_by_element(n: int, k: int, live: np.ndarray, rng: np.random.
 def cocluster_by_restart(joint, k_rows, k_cols, seed, restarts=20, max_sweeps=200) -> CoClustering:
     """Reference co-clustering: one restart after another, each starting
     from ``init_assignment_by_element``, sweeping rows then columns with
-    ``sweep_axis_by_candidate`` and tracing the loss through
-    ``mutual_information_masked`` of ``clustered_by_row``."""
+    ``sweep_axis_by_candidate`` for at most ``max_sweeps`` sweeps, and
+    scoring where it stops by ``mutual_information_masked`` of
+    ``clustered_by_row``."""
     p = joint.joint if isinstance(joint, CorrespondenceMatrix) else np.asarray(joint, dtype=np.float64)
     if p.ndim != 2 or not np.isfinite(p).all() or np.any(p < 0):
         raise SmjpError("joint must be a finite non-negative matrix")
@@ -693,8 +691,6 @@ def cocluster_by_restart(joint, k_rows, k_cols, seed, restarts=20, max_sweeps=20
         raise SmjpError(f"cluster counts ({k_rows}, {k_cols}) out of range for shape {p.shape}")
     if restarts < 1:
         raise SmjpError(f"restarts must be at least 1, got {restarts}")
-    if max_sweeps < 1:
-        raise SmjpError(f"max_sweeps must be at least 1, got {max_sweeps}")
     total = p.sum()
     if total <= 0:
         raise DegenerateJoint("joint distribution has zero mass")
@@ -707,17 +703,15 @@ def cocluster_by_restart(joint, k_rows, k_cols, seed, restarts=20, max_sweeps=20
         rng = derive_rng(seed, 4, r)
         rows = init_assignment_by_element(ns, k_rows, live_rows, rng)
         cols = init_assignment_by_element(nz, k_cols, live_cols, rng)
-        trace = []
         for _ in range(max_sweeps):
             moved_r = sweep_axis_by_candidate(p, rows, cols, k_rows, k_cols, live_rows, by_rows=True)
             moved_c = sweep_axis_by_candidate(p, cols, rows, k_cols, k_rows, live_cols, by_rows=False)
-            clustered = clustered_by_row(p, rows, cols, k_rows, k_cols)
-            trace.append(mutual_information_masked(p) - mutual_information_masked(clustered))
             if not (moved_r or moved_c):
                 break
-        loss = trace[-1]
+        clustered = clustered_by_row(p, rows, cols, k_rows, k_cols)
+        loss = mutual_information_masked(p) - mutual_information_masked(clustered)
         if best is None or loss < best.mutual_information_loss - 1e-15:
-            best = CoClustering(rows.copy(), cols.copy(), k_rows, k_cols, max(loss, 0.0), tuple(trace))
+            best = CoClustering(rows.copy(), cols.copy(), k_rows, k_cols, max(loss, 0.0))
     return best
 
 

@@ -132,15 +132,10 @@ class TestCocluster:
         with pytest.raises(SmjpError, match=message):
             select_cocluster_sizes(block_joint((2, 2), (2, 2)), [1, 2], [2], seed=0, restarts=restarts)
 
-    @pytest.mark.parametrize("max_sweeps", [0, -1])
-    def test_max_sweeps_below_one_rejected_before_any_restart(self, monkeypatch, max_sweeps):
-        monkeypatch.setattr(analysis, "derive_rng", lambda *a: pytest.fail("started a restart"))
-        with pytest.raises(SmjpError, match=f"^max_sweeps must be at least 1, got {max_sweeps}$"):
-            cocluster(block_joint((2, 2), (2, 2)), 2, 2, seed=0, max_sweeps=max_sweeps)
-
-    def test_one_sweep_traces_one_loss(self):
-        result = cocluster(block_joint((2, 2), (2, 2)), 2, 2, seed=0, restarts=3, max_sweeps=1)
-        assert len(result.loss_trace) == 1
+    def test_one_sweep_cap_matches_the_reference(self, monkeypatch):
+        joint = derive_rng(7).dirichlet(np.ones(48)).reshape(6, 8)
+        monkeypatch.setattr(analysis, "_MAX_SWEEPS", 1)
+        assert_same(cocluster(joint, 3, 3, seed=2, restarts=4), cocluster_by_restart(joint, 3, 3, 2, 4, max_sweeps=1))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, -1.0])
@@ -178,11 +173,15 @@ class TestCocluster:
         assert result.mutual_information_loss == pytest.approx(direct, abs=1e-10)
         assert result.mutual_information_loss >= 0
 
-    def test_loss_trace_non_increasing(self):
-        rng = derive_rng(7)
-        joint = rng.dirichlet(np.ones(48)).reshape(6, 8)
-        result = cocluster(joint, 3, 3, seed=2, restarts=4)
-        assert np.diff(np.asarray(result.loss_trace)).max(initial=-np.inf) <= 1e-12
+    def test_loss_non_increasing_in_the_sweep_cap(self, monkeypatch):
+        joint = derive_rng(7).dirichlet(np.ones(48)).reshape(6, 8)
+        losses = []
+        for cap in range(1, 9):
+            monkeypatch.setattr(analysis, "_MAX_SWEEPS", cap)
+            losses.append(cocluster(joint, 3, 3, seed=2, restarts=4).mutual_information_loss)
+        assert np.diff(losses).max() <= 1e-12
+        # The cap binds: the first sweep is not the last.
+        assert losses[-1] < losses[0]
 
     def test_zero_mass_rows_pinned_deterministically(self):
         joint = block_joint((2, 2), (2, 2))
@@ -359,6 +358,20 @@ class TestExtractSubgraphs:
     @pytest.mark.parametrize("frac", [0.0, 1.0])
     def test_persistence_frac_bounds_accepted(self, frac):
         assert len(extract_subgraphs(np.eye(3), persistence_frac=frac).persistent_subspaces) == 3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [
+        np.array([[0.5, np.nan], [0.5, 0.5]]),
+        np.array([[0.5, np.inf], [0.5, 0.5]]),
+        np.array([[1.1, -0.1], [0.5, 0.5]]),
+        np.full((3, 2), 0.5),
+        np.full((2, 3), 0.5),
+        np.full(4, 0.5),
+        np.full((2, 2, 2), 0.5),
+    ], ids=["nan", "inf", "negative", "3x2", "2x3", "vector", "stack"])
+    def test_malformed_array_refused(self, w):
+        with pytest.raises(SmjpError, match="^operator must be a finite non-negative square matrix$"):
+            extract_subgraphs(w)
 
 
 def interval_sequence(intervals, label="press"):

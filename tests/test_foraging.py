@@ -16,6 +16,7 @@ from helpers import (
     value_iteration_dense,
 )
 from smjp import foraging
+from smjp.core import SmjpError
 from smjp.foraging import (
     A_MOVE,
     A_PRESS_1,
@@ -215,14 +216,16 @@ class TestValueIteration:
             if local_bin > 0:
                 assert mdp.policy[s] == local_press
 
-    def test_round_cap_guard(self):
+    def test_round_cap_guard(self, monkeypatch):
         mdp = build_belief_mdp(WorldConfig(), m_bins=4)
         rounds = value_iteration(mdp).sweeps
         assert rounds > 1
+        monkeypatch.setattr(foraging, "_ROUND_CAP", rounds - 1)
         with pytest.raises(NonConvergence) as err:
-            value_iteration(mdp, sweep_cap=rounds - 1)
+            value_iteration(mdp)
         assert str(err.value) == f"no convergence after {rounds - 1} rounds"
-        assert value_iteration(mdp, sweep_cap=rounds).sweeps == rounds
+        monkeypatch.setattr(foraging, "_ROUND_CAP", rounds)
+        assert value_iteration(mdp).sweeps == rounds
 
     def test_default_policy_nontrivial(self):
         mdp = solve_belief_mdp(WorldConfig())
@@ -293,7 +296,7 @@ class TestSimulateAgent:
     def test_always_stay_policy(self):
         mdp = build_belief_mdp(WorldConfig(), m_bins=4)
         policy = np.full(mdp.n_states, A_STAY, dtype=np.int64)
-        seq, trace = simulate_agent(mdp, 100.0, seed=1, policy=policy)
+        seq, trace = simulate_agent(replace(mdp, policy=policy), 100.0, seed=1)
         assert np.all(seq.actions == A_STAY)
         labels = {seq.observation_alphabet.label(int(o)) for o in seq.observations}
         assert labels == {"box-1"}
@@ -306,7 +309,7 @@ class TestSimulateAgent:
         mdp = build_belief_mdp(world, m_bins=3)
         policy = np.full(mdp.n_states, A_PRESS_1, dtype=np.int64)
         horizon = 100_000.0
-        seq, trace = simulate_agent(mdp, horizon, seed=11, policy=policy, start_location=0)
+        seq, trace = simulate_agent(replace(mdp, policy=policy), horizon, seed=11)
         rewards = int(trace.rewarded.sum())
         expected = horizon / world.box_means[0]
         assert abs(rewards - expected) < 3 * np.sqrt(expected)
@@ -338,6 +341,25 @@ class TestSimulateAgent:
         oh = trace.one_hot()
         assert np.array_equal(oh.sum(axis=1), np.ones(len(seq)))
 
+    @pytest.mark.parametrize("policy", [
+        pytest.param(lambda mdp: np.full(mdp.n_states, 0.7), id="all-0.7"),
+        pytest.param(lambda mdp: mdp.policy.astype(np.float64), id="solved-as-float"),
+        pytest.param(lambda mdp: mdp.policy > 0, id="bool"),
+    ])
+    def test_non_integer_policy_refused_before_any_draw(self, policy):
+        mdp, _ = solved_planner("m5")
+        bad = policy(mdp)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidConfig) as err:
+            simulate_agent(replace(mdp, policy=bad), 100.0, rng)
+        assert str(err.value) == f"policy actions must be integers, got {bad.dtype}"
+        assert rng.bit_generator.state == before
+
+    def test_unsolved_planner_refused(self):
+        with pytest.raises(SmjpError, match="^planner has no policy; solve it first$"):
+            simulate_agent(build_belief_mdp(WorldConfig(), m_bins=4), 100.0, seed=1)
+
 
 class TestScalarAgentLoop:
     """``simulate_agent`` against the per-step oracle: the event stream and
@@ -345,9 +367,9 @@ class TestScalarAgentLoop:
 
     SEEDS = [*range(10), 42]
 
-    def assert_same_run(self, mdp, horizon, seed, **kwargs):
-        got_seq, got_trace = simulate_agent(mdp, horizon, seed, **kwargs)
-        want_seq, want_trace = simulate_agent_per_step(mdp, horizon, seed, **kwargs)
+    def assert_same_run(self, mdp, horizon, seed):
+        got_seq, got_trace = simulate_agent(mdp, horizon, seed)
+        want_seq, want_trace = simulate_agent_per_step(mdp, horizon, seed)
         for name in ("times", "observations", "actions"):
             assert same_bytes(getattr(got_seq, name), getattr(want_seq, name)), name
         for name in ("times", "z", "location", "rewarded", "belief_bin", "beliefs"):
@@ -360,36 +382,25 @@ class TestScalarAgentLoop:
         for seed in self.SEEDS:
             self.assert_same_run(mdp, 800.0, seed)
 
-    @pytest.mark.parametrize("start_location", [0, 1])
     @pytest.mark.parametrize("policy", ["solved", "all-stay", "all-move", "local-press", "random"])
-    def test_policies_and_start_locations_match_the_oracle(self, policy, start_location):
+    def test_policies_match_the_oracle(self, policy):
         mdp, _ = solved_planner("default")
         by_location = np.array([[A_PRESS_1], [A_PRESS_2]]).repeat(mdp.n_states // 2, axis=1).ravel()
         chosen = {
-            "solved": None,
+            "solved": mdp.policy,
             "all-stay": np.full(mdp.n_states, A_STAY),
             "all-move": np.full(mdp.n_states, A_MOVE),
             "local-press": by_location,
             "random": np.random.default_rng(8).integers(0, mdp.n_actions, mdp.n_states),
         }[policy]
         for seed in self.SEEDS:
-            self.assert_same_run(mdp, 800.0, seed, policy=chosen, start_location=start_location)
+            self.assert_same_run(replace(mdp, policy=chosen), 800.0, seed)
 
     def test_forager_horizon_matches_the_oracle(self):
         # The 6000-s run of criterion 07 and of the forage-pipeline workload.
         mdp, _ = solved_planner("default")
         for seed in (1, 2, 42):
             self.assert_same_run(mdp, 6000.0, seed)
-
-    @pytest.mark.parametrize("start_location", [2, -1, 0.5, float("nan")])
-    def test_bad_start_location_refused_before_any_draw(self, start_location):
-        mdp, _ = solved_planner("m5")
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
-        with pytest.raises(InvalidConfig) as err:
-            simulate_agent(mdp, 100.0, rng, start_location=start_location)
-        assert str(err.value) == f"start_location must be 0 or 1, got {start_location!r}"
-        assert rng.bit_generator.state == before
 
 
 class TestGenerateToy:

@@ -2,11 +2,13 @@
 hooks: every hook must resolve, and a function re-bound into ``smjp.cli``
 or ``smjp.analysis`` must be the very function its layer name points to,
 or a hook would time a copy its caller never calls. Also that every fit
-knob is read by the package."""
+knob is read by the package, and every optional parameter of a public
+function is set by the package or the benchmark."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import itertools
 import os
 import re
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import smjp
+from smjp.cli import RunConfig
 from smjp.switching import FitConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,3 +85,67 @@ def test_every_fit_knob_is_read_outside_its_class():
                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in own}
     names = {f.name for f in fields(FitConfig)}
     assert sorted(names - read) == sorted(UNREAD_FIT_FIELDS)
+
+
+def callee_name(node):
+    """The name a call target or a passed function goes by: ``f`` or ``mod.f``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def calls_by_name(paths):
+    """name -> (positional count, keyword names) of every call of it in the
+    files: direct calls, and calls through a runner that takes the
+    function first and its arguments after it, ``op(label, fn, *args,
+    **kwargs)``."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            keywords = {kw.arg for kw in node.keywords}
+            calls.setdefault(callee_name(node.func), []).append((len(node.args), keywords))
+            for i, arg in enumerate(node.args):
+                calls.setdefault(callee_name(arg), []).append((len(node.args) - i - 1, keywords))
+    return calls
+
+
+# Set through cli._text(save_model, model, metadata), which puts the file
+# handle between the two, so the count of arguments after the function
+# does not reach it.
+SET_THROUGH_TEXT = ["save_model(metadata)"]
+
+
+def test_every_optional_parameter_is_set_outside_the_tests():
+    # An option that only tests set is a knob with no user: it goes, or a
+    # caller in the package or the benchmark starts setting it.
+    paths = [*(ROOT / "src" / "smjp").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    calls = calls_by_name(p for p in paths if not p.name.startswith("test_"))
+    unset = []
+    for name in smjp.__all__:
+        fn = getattr(smjp, name)
+        if not inspect.isfunction(fn):
+            continue
+        for pos, param in enumerate(inspect.signature(fn).parameters.values()):
+            if param.default is inspect.Parameter.empty:
+                continue
+            by_position = param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            sets = [param.name in keywords or (by_position and n_args > pos) for n_args, keywords in calls.get(name, [])]
+            if not any(sets):
+                unset.append(f"{name}({param.name})")
+    assert unset == SET_THROUGH_TEXT
+
+
+@pytest.mark.parametrize("field, fn, param", [
+    ("m_bins", smjp.build_belief_mdp, "m_bins"),
+    ("m_bins", smjp.solve_belief_mdp, "m_bins"),
+    ("diffusion_eps", smjp.build_belief_mdp, "diffusion_eps"),
+    ("diffusion_eps", smjp.solve_belief_mdp, "diffusion_eps"),
+    ("cocluster_restarts", smjp.cocluster, "restarts"),
+    ("cocluster_restarts", smjp.select_cocluster_sizes, "restarts"),
+    ("operator_threshold", smjp.extract_subgraphs, "threshold"),
+    ("persistence_frac", smjp.extract_subgraphs, "persistence_frac"),
+])
+def test_run_config_default_is_the_library_default(field, fn, param):
+    assert getattr(RunConfig, field) == inspect.signature(fn).parameters[param].default

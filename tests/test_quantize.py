@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smjp import quantize
 from smjp.core import SmjpError, derive_rng
 from smjp.quantize import KTooLarge, quantize_locations
 
@@ -42,6 +43,14 @@ class TestQuantizeLocations:
         r2 = quantize_locations(pts, 3, seed=9)
         assert np.array_equal(r1.labels, r2.labels)
         assert np.array_equal(r1.centroids, r2.centroids)
+
+    def test_iteration_cap_stops_lloyd_where_it_is(self, monkeypatch):
+        pts = derive_rng(2).normal(size=(80, 2))
+        free = quantize_locations(pts, 3, seed=9)
+        assert free.iterations > 2
+        monkeypatch.setattr(quantize, "_MAX_ITERATIONS", 1)
+        capped = quantize_locations(pts, 3, seed=9)
+        assert capped.iterations == 1 and capped.inertia >= free.inertia
 
     def test_inertia_never_worse_than_single_cluster(self):
         rng = derive_rng(3)

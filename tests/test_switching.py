@@ -991,6 +991,11 @@ def forager_stream():
     return seq
 
 
+def sharing(index):
+    """The intervals that share each law, as a set of tuples."""
+    return {tuple(np.flatnonzero(index == law).tolist()) for law in np.unique(index)}
+
+
 class TestDistinctLaws:
     """One law per distinct (action, dt), against tests/helpers'
     interval_law_stack, which builds one per interval."""
@@ -1012,11 +1017,12 @@ class TestDistinctLaws:
         assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-12)
         np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-12, atol=1e-15)
 
-    def test_distinct_intervals_keep_their_order_and_bits(self):
+    def test_distinct_intervals_get_a_law_each_and_keep_their_bits(self):
         toy = generate_toy(ToyConfig(expected_length=400), seed=4)
         laws, index = event_laws(toy.model, toy.sequence)
-        assert np.array_equal(index, np.arange(len(toy.sequence) - 1))
-        np.testing.assert_allclose(laws, interval_law_stack(toy.model, toy.sequence), rtol=0, atol=1e-14)
+        assert sharing(index) == {(i,) for i in range(len(toy.sequence) - 1)}
+        assert len(laws) == index.size
+        np.testing.assert_allclose(laws[index], interval_law_stack(toy.model, toy.sequence), rtol=0, atol=1e-14)
         # The scan's score, to the last bit.
         assert held_out_loglik(toy.model, [toy.sequence]) == -231.729276243509
 
@@ -1030,7 +1036,8 @@ class TestDistinctLaws:
         seq = EventSequence("r", np.concatenate([[0.0], np.cumsum(gaps)]), rng.integers(0, 3, 10), acts,
                             model.observations, model.actions)
         laws, index = event_laws(model, seq)
-        assert index.tolist() == [0, 1, 2, 3, 1, 4, 2, 3, 0]
+        assert sharing(index) == {(0, 8), (1, 4), (2, 6), (3, 7), (5,)}
+        assert len(laws) == 5
         np.testing.assert_allclose(laws[index], interval_law_stack(model, seq), rtol=0, atol=1e-14)
         assert held_out_loglik(model, [seq]) == pytest.approx(exact_loglik(model, seq), rel=1e-9)
 
