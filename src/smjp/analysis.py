@@ -22,24 +22,8 @@ from .events import EventSequence
 from .switching import FitConfig, SwitchingSMJP, forward_backward
 
 
-class GridMisalignment(SmjpError):
-    """Posterior streams do not share a time grid."""
-
-
-class DegenerateJoint(SmjpError):
-    """The joint distribution has no usable mass for the requested sizes."""
-
-
-class InvalidAction(SmjpError):
-    """Action index outside the model's alphabet."""
-
-
 class EmptyGraph(SmjpError):
     """Thresholding removed every edge of the operator graph."""
-
-
-class TooFewEvents(SmjpError):
-    """Not enough matching intervals for distribution statistics."""
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +54,7 @@ def state_correspondence(model_posterior: np.ndarray, agent_posterior: np.ndarra
     g = np.asarray(model_posterior, dtype=np.float64)
     z = np.asarray(agent_posterior, dtype=np.float64)
     if g.ndim != 2 or z.ndim != 2 or g.shape[0] != z.shape[0] or g.shape[0] == 0:
-        raise GridMisalignment(f"posterior shapes {g.shape} and {z.shape} do not share a grid")
+        raise SmjpError(f"posterior shapes {g.shape} and {z.shape} do not share a grid")
     for name, arr in (("model", g), ("agent", z)):
         if np.abs(arr.sum(axis=1) - 1.0).max() > 1e-6 or arr.min() < -1e-12:
             raise SmjpError(f"{name} posterior rows must be distributions")
@@ -118,6 +102,9 @@ def _checked_joint(joint: np.ndarray | CorrespondenceMatrix) -> np.ndarray:
     p = joint.joint if isinstance(joint, CorrespondenceMatrix) else np.asarray(joint, dtype=np.float64)
     if p.ndim != 2 or not np.isfinite(p).all() or np.any(p < 0):
         raise SmjpError("joint must be a finite non-negative matrix")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(p.sum()):
+            raise SmjpError("joint's total mass overflows")
     return p
 
 
@@ -125,7 +112,7 @@ def mutual_information(joint: np.ndarray) -> float:
     """MI of a joint distribution in nats; zero cells contribute zero."""
     p = _checked_joint(joint)
     if p.sum() <= 0:
-        raise DegenerateJoint("joint distribution has zero mass")
+        raise SmjpError("joint distribution has zero mass")
     return _mutual_informations(p[None])[0]
 
 
@@ -149,13 +136,13 @@ def _init_assignment(n: int, k: int, live: np.ndarray, rng: np.random.Generator)
     live_idx = np.nonzero(live)[0]
     dead_idx = np.nonzero(~live)[0]
     if n < k:
-        raise DegenerateJoint(f"cannot form {k} clusters from {n} rows")
+        raise SmjpError(f"cannot form {k} clusters from {n} rows")
     perm = rng.permutation(live_idx)
     out[perm[:k]] = np.arange(min(k, perm.size))
     out[perm[k:]] = rng.integers(k, size=max(perm.size - k, 0))
     missing = np.arange(live_idx.size, k)
     if missing.size > dead_idx.size:
-        raise DegenerateJoint(f"only {live_idx.size} rows carry mass; cannot cover {k} clusters")
+        raise SmjpError(f"only {live_idx.size} rows carry mass; cannot cover {k} clusters")
     out[dead_idx[: missing.size]] = missing
     return out
 
@@ -273,7 +260,7 @@ def _coclusterings(
                 raise SmjpError(f"restarts must be at least 1, got {restarts}")
             total = p.sum()
             if total <= 0:
-                raise DegenerateJoint("joint distribution has zero mass")
+                raise SmjpError("joint distribution has zero mass")
             p = p / total
             live_rows = p.sum(axis=1) > 0
             live_cols = p.sum(axis=0) > 0
@@ -401,7 +388,7 @@ class JointOperator:
 
 def joint_operator(model: SwitchingSMJP, i: int, j: int) -> JointOperator:
     if not (0 <= i < model.n_actions and 0 <= j < model.n_actions):
-        raise InvalidAction(f"action pair ({i}, {j}) outside 0..{model.n_actions - 1}")
+        raise SmjpError(f"action pair ({i}, {j}) outside 0..{model.n_actions - 1}")
     product = model.chain_stack[i] @ model.chain_stack[j]
     return JointOperator(i=i, j=j, matrix=StochasticMatrix(product))
 
@@ -520,11 +507,10 @@ def interval_stats(
 
     Raises
     ------
-    TooFewEvents
-        With fewer than 10 matching intervals.
     SmjpError
-        When an explicit ``bin_width`` is not finite and positive, or
-        would need more than ``MAX_HISTOGRAM_BINS`` bins.
+        With fewer than 10 matching intervals, or when an explicit
+        ``bin_width`` is not finite and positive, or would need more than
+        ``MAX_HISTOGRAM_BINS`` bins.
     """
     if bin_width is not None and not 0.0 < bin_width < np.inf:
         raise SmjpError(f"bin_width must be finite and positive, got {float(bin_width)!r}")
@@ -536,7 +522,7 @@ def interval_stats(
     times = seq.times[mask]
     intervals = np.diff(times)
     if intervals.size < 10:
-        raise TooFewEvents(f"only {intervals.size} matching intervals, need at least 10")
+        raise SmjpError(f"only {intervals.size} matching intervals, need at least 10")
     if bin_width is not None:
         n_bins = float(intervals.max()) / bin_width
         if n_bins > MAX_HISTOGRAM_BINS:

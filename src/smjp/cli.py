@@ -8,10 +8,13 @@ deterministic under a fixed ``--seed``, and a command that fails writes
 nothing. The ``SMJP_LOG`` environment variable only controls progress
 chatter on stderr, never results.
 
-Exit codes: 2 usage/config errors, 3 unreadable or malformed input files,
-4 domain validation errors, 5 numeric failures. A malformed input prints
-``error: FILE:LINE: message``, or ``error: FILE: message`` when no single
-line is at fault, and exits 3.
+Exit codes: 2 usage/config errors (``UsageError``), 3 unreadable or
+malformed input files (``InputFormatError``, ``OSError``), 4 domain
+validation errors (``SmjpError``) and allocations the host cannot make
+(``MemoryError``, printed as ``error: out of memory: ...``), 5 numeric
+failures (``NumericError``). A malformed input prints ``error:
+FILE:LINE: message``, or ``error: FILE: message`` when no single line is
+at fault, and exits 3.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     EmptyGraph,
-    GridMisalignment,
     cocluster,
     event_state_posterior,
     extract_subgraphs,
@@ -38,10 +40,9 @@ from .analysis import (
     select_cocluster_sizes,
     state_correspondence,
 )
-from .core import InputFormatError, SmjpError, read_lines, write_text
+from .core import InputFormatError, NumericError, SmjpError, read_lines, write_text
 from .events import parse_event_file, split_chronological, write_event_file
 from .foraging import (
-    NonConvergence,
     ToyConfig,
     WorldConfig,
     check_horizon,
@@ -53,8 +54,6 @@ from .foraging import (
 from .quantize import quantize_locations
 from .switching import (
     FitConfig,
-    NonFiniteLikelihood,
-    ZeroProbabilityObservation,
     fit_best,
     held_out_loglik,
     load_model,
@@ -283,8 +282,9 @@ def cmd_simulate_toy(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
 
 
 def cmd_simulate_foraging(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
-    check_horizon(cfg.horizon)
-    mdp = solve_belief_mdp(cfg.world_config(), cfg.m_bins, cfg.diffusion_eps)
+    world = cfg.world_config()
+    check_horizon(cfg.horizon, world)
+    mdp = solve_belief_mdp(world, cfg.m_bins, cfg.diffusion_eps)
     if not policy_is_nontrivial(mdp):
         print("warning: solved policy is trivial for this configuration", file=sys.stderr)
     seq, trace = simulate_agent(mdp, cfg.horizon, cfg.seed)
@@ -335,6 +335,8 @@ def cmd_select_states(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     n_values = _parse_range("--range", args.range)
     seq = parse_event_file(ws.note_input(args.events))
     selection = select_num_states([seq], n_values, cfg.fit_config())
+    for n, message in selection.failures.items():
+        print(f"warning: n_states={n} failed: {message}", file=sys.stderr)
     lines = ["# smjp-state-selection v1", f"# chosen: {selection.chosen_n}", "n_states,heldout_loglik"]
     lines += [f"{n},{_fmt(ll)}" for n, ll in zip(selection.n_values, selection.heldout_lls)]
     _log(f"select-states: chose {selection.chosen_n}")
@@ -378,7 +380,7 @@ def cmd_correspond(args, cfg: RunConfig, ws: Workspace) -> dict[str, str]:
     seq = parse_event_file(ws.note_input(args.events))
     t_truth, z, n_z = _read_truth(ws.note_input(args.truth))
     if t_truth.shape[0] != len(seq) or not np.array_equal(t_truth, seq.times):
-        raise GridMisalignment("truth timestamps do not match the event sequence")
+        raise SmjpError("truth timestamps do not match the event sequence")
     gamma = event_state_posterior(model, seq)
     onehot = np.zeros((z.shape[0], n_z))
     onehot[np.arange(z.shape[0]), z] = 1.0
@@ -563,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 EXIT_CODES = (
     (UsageError, EXIT_USAGE),
     ((InputFormatError, OSError), EXIT_PARSE),
-    ((NonFiniteLikelihood, NonConvergence, ZeroProbabilityObservation), EXIT_NUMERIC),
+    (NumericError, EXIT_NUMERIC),
     (SmjpError, EXIT_DOMAIN),
 )
 
@@ -578,6 +580,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SmjpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -24,27 +24,13 @@ CLAMP_TOL = 1e-12
 
 
 class SmjpError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; an invalid value
+    or a degenerate dataset (exit 4)."""
 
 
-class NonFinite(SmjpError):
-    """A matrix or vector contains NaN or infinite entries."""
-
-
-class NegativeOffDiagonal(SmjpError):
-    """A rate matrix has a negative off-diagonal entry."""
-
-
-class RowSumNonzero(SmjpError):
-    """A rate matrix row deviates from zero sum beyond repair tolerance."""
-
-
-class DimensionMismatch(SmjpError):
-    """Operands have incompatible shapes."""
-
-
-class NotStochastic(SmjpError):
-    """A probability matrix has entries outside [0, 1] or bad row sums."""
+class NumericError(SmjpError):
+    """A computation that cannot finish: a non-finite likelihood, a
+    planner that does not converge, an impossible observation (exit 5)."""
 
 
 class InputFormatError(SmjpError):
@@ -146,17 +132,17 @@ class GeneratorMatrix:
         object.__setattr__(self, "rates", np.array(self.rates, dtype=np.float64, copy=True))
         r = self.rates
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise DimensionMismatch(f"generator must be square, got {r.shape}")
+            raise SmjpError(f"generator must be square, got {r.shape}")
         if not np.all(np.isfinite(r)):
-            raise NonFinite("generator has non-finite entries")
+            raise SmjpError("generator has non-finite entries")
         off = r[~np.eye(r.shape[0], dtype=bool)]
         if off.size and off.min() < 0:
-            raise NegativeOffDiagonal(f"negative off-diagonal rate {float(off.min())!r}")
+            raise SmjpError(f"negative off-diagonal rate {float(off.min())!r}")
         if np.diag(r).size and np.diag(r).max() > 0:
-            raise RowSumNonzero("positive diagonal entry")
+            raise SmjpError("positive diagonal entry")
         resid = np.abs(r.sum(axis=1)).max() if r.size else 0.0
         if resid > CLAMP_TOL:
-            raise RowSumNonzero(f"row sums deviate from zero by {float(resid)!r}")
+            raise SmjpError(f"row sums deviate from zero by {float(resid)!r}")
         r.setflags(write=False)
 
     @property
@@ -183,14 +169,14 @@ class StochasticMatrix:
         object.__setattr__(self, "probs", np.array(self.probs, dtype=np.float64, copy=True))
         p = self.probs
         if p.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-d matrix, got shape {p.shape}")
+            raise SmjpError(f"expected a 2-d matrix, got shape {p.shape}")
         if not np.all(np.isfinite(p)):
-            raise NonFinite("probability matrix has non-finite entries")
+            raise SmjpError("probability matrix has non-finite entries")
         if p.min(initial=0.0) < 0 or p.max(initial=0.0) > 1 + STOCHASTIC_TOL:
-            raise NotStochastic("entries outside [0, 1]")
+            raise SmjpError("entries outside [0, 1]")
         resid = np.abs(p.sum(axis=1) - 1.0).max() if p.size else 0.0
         if resid > STOCHASTIC_TOL:
-            raise NotStochastic(f"row sums deviate from 1 by {float(resid)!r}")
+            raise SmjpError(f"row sums deviate from 1 by {float(resid)!r}")
         p.setflags(write=False)
 
     @property
@@ -211,25 +197,27 @@ def validate_generator(rates: np.ndarray) -> GeneratorMatrix:
 
     Raises
     ------
-    NonFinite, NegativeOffDiagonal, RowSumNonzero, DimensionMismatch
+    SmjpError
+        If the matrix is not square and finite, or an entry or a row sum
+        is off by more than the repair tolerances.
     """
     r = np.array(rates, dtype=np.float64, copy=True)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise DimensionMismatch(f"generator must be square, got {r.shape}")
+        raise SmjpError(f"generator must be square, got {r.shape}")
     if not np.all(np.isfinite(r)):
-        raise NonFinite("generator has non-finite entries")
+        raise SmjpError("generator has non-finite entries")
     n = r.shape[0]
     offmask = ~np.eye(n, dtype=bool)
     off = r[offmask]
     if off.size and off.min() < -CLAMP_TOL:
         i, j = np.unravel_index(np.argmin(np.where(offmask, r, np.inf)), r.shape)
-        raise NegativeOffDiagonal(f"rate[{i},{j}] = {float(r[i, j])!r} < 0")
+        raise SmjpError(f"rate[{i},{j}] = {float(r[i, j])!r} < 0")
     r[offmask & (r < 0)] = 0.0
     resid = r.sum(axis=1)
     worst = np.abs(resid).max(initial=0.0)
     if worst >= ROW_SUM_REJECT:
         k = int(np.argmax(np.abs(resid)))
-        raise RowSumNonzero(f"row {k} sums to {float(resid[k])!r}")
+        raise SmjpError(f"row {k} sums to {float(resid[k])!r}")
     if worst > CLAMP_TOL:
         # Absorb the drift into the diagonal; residuals already below the
         # construction tolerance are left untouched so repeated validation

@@ -20,18 +20,6 @@ from .events import EventSequence
 MAX_EXPECTED_VIRTUAL = 1e7
 
 
-class OmegaTooSmall(SmjpError):
-    """Uniformization rate below the maximum exit rate (or non-positive)."""
-
-
-class NonMonotoneTimestamps(SmjpError):
-    """Event timestamps are not strictly increasing."""
-
-
-class VirtualTimeOverflow(SmjpError):
-    """Expected virtual-point count in one interval is absurdly large."""
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """A sequence's events plus ``counts[i]`` virtual points in the
@@ -73,10 +61,11 @@ def uniformize(gen: GeneratorMatrix, omega: float) -> StochasticMatrix:
 
     Raises
     ------
-    OmegaTooSmall
+    SmjpError
+        If ``omega`` is not positive or is below the largest exit rate.
     """
     if omega <= 0 or omega < gen.max_exit_rate * (1 - 1e-12):
-        raise OmegaTooSmall(f"omega={omega!r} below max exit rate {gen.max_exit_rate!r}")
+        raise SmjpError(f"omega={omega!r} below max exit rate {gen.max_exit_rate!r}")
     b = np.eye(gen.n_states) + gen.rates / omega
     np.clip(b, 0.0, 1.0, out=b)
     return StochasticMatrix(b)
@@ -89,19 +78,19 @@ def expected_virtual(times: np.ndarray, omega: float, name: str | None = None) -
     more than ``MAX_EXPECTED_VIRTUAL`` points (the refusal names the
     sequence ``name`` when given)."""
     if times.size and not np.all(np.diff(times) > 0):
-        raise NonMonotoneTimestamps("event timestamps must be strictly increasing")
+        raise SmjpError("event timestamps must be strictly increasing")
     lo, hi = times[:-1], times[1:]
     expected = omega * (hi - lo)
     if lo.size:
         if lo[0] < 0:
             raise SmjpError("interval must start at a non-negative time")
         if omega <= 0:
-            raise OmegaTooSmall(f"omega must be positive, got {omega!r}")
+            raise SmjpError(f"omega must be positive, got {omega!r}")
         over = np.flatnonzero(expected > MAX_EXPECTED_VIRTUAL)
         if over.size:
             i = int(over[0])
             where = f"interval {i} " if name is None else f"interval {i} of sequence {name!r} "
-            raise VirtualTimeOverflow(
+            raise SmjpError(
                 f"{expected[i]:.3g} expected virtual points in {where}"
                 f"({float(lo[i])!r}, {float(hi[i])!r}); omega or the interval length is misconfigured"
             )

@@ -20,22 +20,6 @@ FORMAT_HEADER = "# smjp-events v1"
 COLUMNS = "time,observation,action"
 
 
-class EventParseError(InputFormatError):
-    """Base class for event-file parse failures; carries the line number."""
-
-
-class MalformedLine(EventParseError):
-    pass
-
-
-class UnknownSymbol(EventParseError):
-    pass
-
-
-class NonMonotoneTime(EventParseError):
-    pass
-
-
 @dataclass(frozen=True)
 class EventSequence:
     """Time-ordered (timestamp, observation, action) record.
@@ -128,11 +112,13 @@ def parse_event_file(source: str | TextIO) -> EventSequence:
 
     Raises
     ------
-    MalformedLine, UnknownSymbol, NonMonotoneTime
+    InputFormatError
+        With ``.line`` the offending line, or ``None`` when the alphabet
+        declarations are missing.
     """
     name, lines = read_lines(source)
     if not lines or lines[0].rstrip("\r") != FORMAT_HEADER:
-        raise MalformedLine(name, 1, f"expected {FORMAT_HEADER!r} header")
+        raise InputFormatError(name, 1, f"expected {FORMAT_HEADER!r} header")
     seq_id = "events"
     alphabets: dict[str, Alphabet] = {}
     metadata: dict[str, str] = {}
@@ -150,45 +136,45 @@ def parse_event_file(source: str | TextIO) -> EventSequence:
                 seq_id = value.strip()
             elif sep and key in ("observations", "actions"):
                 if saw_columns:
-                    raise MalformedLine(name, lineno, "alphabets must be declared before events")
+                    raise InputFormatError(name, lineno, "alphabets must be declared before events")
                 try:
                     alphabets[key] = Alphabet(key[:-1], tuple(value.split()))
                 except SmjpError as exc:
-                    raise MalformedLine(name, lineno, f"bad alphabet declaration: {exc}") from None
+                    raise InputFormatError(name, lineno, f"bad alphabet declaration: {exc}") from None
             elif key.startswith("meta "):
                 if not sep:
-                    raise MalformedLine(name, lineno, "metadata line needs 'key: value'")
+                    raise InputFormatError(name, lineno, "metadata line needs 'key: value'")
                 metadata[key[len("meta "):].strip()] = value.strip()
             continue  # unrecognized comments are ignored
         if line == COLUMNS:
             saw_columns = True
             if len(alphabets) < 2:
-                raise MalformedLine(name, lineno, "alphabets must be declared before events")
+                raise InputFormatError(name, lineno, "alphabets must be declared before events")
             obs_index = {lab: i for i, lab in enumerate(alphabets["observations"].labels)}
             act_index = {lab: i for i, lab in enumerate(alphabets["actions"].labels)}
             continue
         if not saw_columns:
-            raise MalformedLine(name, lineno, "event rows must follow the column header")
+            raise InputFormatError(name, lineno, "event rows must follow the column header")
         parts = line.split(",")
         if len(parts) != 3:
-            raise MalformedLine(name, lineno, f"expected 3 comma-separated fields, got {len(parts)}")
+            raise InputFormatError(name, lineno, f"expected 3 comma-separated fields, got {len(parts)}")
         try:
             t = float(parts[0])
         except ValueError:
             t = math.nan
         if not math.isfinite(t):
-            raise MalformedLine(name, lineno, f"bad timestamp {parts[0]!r}")
+            raise InputFormatError(name, lineno, f"bad timestamp {parts[0]!r}")
         o, a = parts[1].strip(), parts[2].strip()
         oi, ai = obs_index.get(o), act_index.get(a)
         if oi is None:
-            raise UnknownSymbol(name, lineno, f"observation {o!r} not declared")
+            raise InputFormatError(name, lineno, f"observation {o!r} not declared")
         if ai is None:
-            raise UnknownSymbol(name, lineno, f"action {a!r} not declared")
+            raise InputFormatError(name, lineno, f"action {a!r} not declared")
         if times and t <= times[-1]:
-            raise NonMonotoneTime(name, lineno, f"timestamp {t!r} not greater than {times[-1]!r}")
+            raise InputFormatError(name, lineno, f"timestamp {t!r} not greater than {times[-1]!r}")
         times.append(t)
         observations.append(oi)
         actions.append(ai)
     if len(alphabets) < 2:
-        raise MalformedLine(name, None, "missing alphabet declarations")
+        raise InputFormatError(name, None, "missing alphabet declarations")
     return EventSequence(seq_id, times, observations, actions, alphabets["observations"], alphabets["actions"], metadata)

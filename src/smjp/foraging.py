@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Alphabet, SmjpError, as_rng, index_alphabet
+from .core import Alphabet, NumericError, SmjpError, as_rng, index_alphabet
 from .events import EventSequence
 from .switching import SwitchingSMJP, update_generator
 
@@ -36,27 +36,19 @@ LOCAL_PRESS = (A_PRESS_1, A_PRESS_2)
 # float64s, 128 m^4 bytes, under 512 MiB up to m = 45.
 MAX_M_BINS = 45
 
+# Most decisions a simulation may take: each holds about 280 bytes in the
+# agent's lists and arrays and the written text, under 600 MB in all.
+MAX_DECISIONS = 2_000_000
+
 # Policy-iteration rounds the planner may take before it gives up; the
 # default world converges in 5.
 _ROUND_CAP = 100_000
 
 
-class InvalidConfig(SmjpError):
-    """A world/planner configuration value is out of range."""
-
-
-class InvalidProbability(SmjpError):
-    """A belief must lie in [0, 1]."""
-
-
-class NonConvergence(SmjpError):
-    """The planner hit its round cap; the discount must be < 1."""
-
-
 def _require_finite(**values) -> None:
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
-            raise InvalidConfig(f"{name} must be finite, got {value!r}")
+            raise SmjpError(f"{name} must be finite, got {value!r}")
 
 
 def _check_fields(config, names: tuple[str, ...], ok, wants: str) -> None:
@@ -64,13 +56,20 @@ def _check_fields(config, names: tuple[str, ...], ok, wants: str) -> None:
     for name in names:
         value = getattr(config, name)
         if not ok(value):
-            raise InvalidConfig(f"{name} must be {wants}, got {value!r}")
+            raise SmjpError(f"{name} must be {wants}, got {value!r}")
 
 
-def check_horizon(horizon: float) -> None:
-    """A simulation horizon must be a finite positive number of seconds."""
+def check_horizon(horizon: float, world: WorldConfig) -> None:
+    """A simulation horizon must be a finite positive number of seconds,
+    and ``world``'s shorter step must split it into at most
+    ``MAX_DECISIONS`` decisions."""
     if not 0 < horizon < math.inf:
-        raise InvalidConfig(f"horizon must be finite and positive, got {horizon!r}")
+        raise SmjpError(f"horizon must be finite and positive, got {horizon!r}")
+    name, step = min(("decision_tick", world.decision_tick), ("travel_time", world.travel_time), key=lambda s: s[1])
+    decisions = float(horizon) / float(step)  # Python floats: an overflow is inf, not a warning
+    if decisions > MAX_DECISIONS:
+        raise SmjpError(f"horizon {horizon!r} needs up to {decisions:.3g} decisions of {name} {step!r}, "
+                        f"more than {MAX_DECISIONS}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class WorldConfig:
         _require_finite(box_means=self.box_means, press_cost=self.press_cost, switch_cost=self.switch_cost,
                         reward_value=self.reward_value, travel_time=self.travel_time, decision_tick=self.decision_tick)
         if len(self.box_means) != 2 or min(self.box_means) <= 0:
-            raise InvalidConfig(f"box_means must be two positive durations, got {self.box_means!r}")
+            raise SmjpError(f"box_means must be two positive durations, got {self.box_means!r}")
         _check_fields(self, ("press_cost", "switch_cost"), lambda v: v >= 0, "non-negative")
         _check_fields(self, ("reward_value", "travel_time", "decision_tick"), lambda v: v > 0, "positive")
         _check_fields(self, ("discount",), lambda v: 0 < v < 1, "in (0, 1)")
@@ -110,11 +109,11 @@ def belief_update(belief: float, pressed: bool, rewarded: bool, mean_interval: f
     box was empty, so the belief restarts from zero and accrues over dt.
     """
     if not 0.0 <= belief <= 1.0 or not np.isfinite(belief):
-        raise InvalidProbability(f"belief {belief!r} outside [0, 1]")
+        raise SmjpError(f"belief {belief!r} outside [0, 1]")
     if dt < 0:
-        raise InvalidConfig(f"dt must be non-negative, got {dt!r}")
+        raise SmjpError(f"dt must be non-negative, got {dt!r}")
     if mean_interval <= 0:
-        raise InvalidConfig(f"mean interval must be positive, got {mean_interval!r}")
+        raise SmjpError(f"mean interval must be positive, got {mean_interval!r}")
     accrual = 1.0 - math.exp(-dt / mean_interval)
     if not pressed:
         return belief + (1.0 - belief) * accrual
@@ -187,12 +186,12 @@ def build_belief_mdp(world: WorldConfig, m_bins: int = 10, diffusion_eps: float 
     m x m kernel per box.
     """
     if not (m_bins >= 2 and float(m_bins).is_integer()):
-        raise InvalidConfig(f"m_bins must be an integer of at least 2, got {m_bins!r}")
+        raise SmjpError(f"m_bins must be an integer of at least 2, got {m_bins!r}")
     if m_bins > MAX_M_BINS:
-        raise InvalidConfig(f"m_bins must be at most {MAX_M_BINS}, got {m_bins!r} (the kernel takes 128 m^4 bytes)")
+        raise SmjpError(f"m_bins must be at most {MAX_M_BINS}, got {m_bins!r} (the kernel takes 128 m^4 bytes)")
     m_bins = int(m_bins)
     if not 0.0 <= diffusion_eps <= 0.2:
-        raise InvalidConfig(f"diffusion_eps must be in [0, 0.2], got {diffusion_eps!r}")
+        raise SmjpError(f"diffusion_eps must be in [0, 0.2], got {diffusion_eps!r}")
     bins = np.linspace(0.0, 1.0, m_bins)
     tick, travel = world.decision_tick, world.travel_time
     means = world.box_means
@@ -258,7 +257,7 @@ def value_iteration(mdp: BeliefMDP, tol: float = 1e-8) -> ValueIterationResult:
     only where that beats its current one by more than ``tol``, so ties
     cannot cycle. ``residuals`` has one entry per round and ``sweeps``
     counts the rounds; ``_ROUND_CAP`` rounds without convergence raise
-    ``NonConvergence``.
+    ``NumericError``.
     """
     states = np.arange(mdp.n_states)
     reward, discounts = mdp.reward.T, mdp.step_discounts
@@ -277,7 +276,7 @@ def value_iteration(mdp: BeliefMDP, tol: float = 1e-8) -> ValueIterationResult:
         if residuals[-1] < tol:
             return ValueIterationResult(values, q.argmax(axis=0), tuple(residuals), rounds)
         policy = np.where(gain > tol, q.argmax(axis=0), policy)
-    raise NonConvergence(f"no convergence after {_ROUND_CAP} rounds")
+    raise NumericError(f"no convergence after {_ROUND_CAP} rounds")
 
 
 def solve_belief_mdp(world: WorldConfig, m_bins: int = 10, diffusion_eps: float = 0.05) -> BeliefMDP:
@@ -337,14 +336,14 @@ def simulate_agent(
     Returns the observable event stream and the parallel ground-truth
     trace.
     """
-    check_horizon(horizon)
+    check_horizon(horizon, mdp.world)
     if mdp.policy is None:
         raise SmjpError("planner has no policy; solve it first")
     policy = np.asarray(mdp.policy)
     if policy.dtype.kind not in "iu":
-        raise InvalidConfig(f"policy actions must be integers, got {policy.dtype}")
+        raise SmjpError(f"policy actions must be integers, got {policy.dtype}")
     if policy.shape != (mdp.n_states,) or policy.min() < 0 or policy.max() >= mdp.n_actions:
-        raise InvalidConfig("policy must map every planner state to a valid action")
+        raise SmjpError("policy must map every planner state to a valid action")
     rng = as_rng(seed)
     world = mdp.world
     means = world.box_means
@@ -439,7 +438,7 @@ class ToyConfig:
                       "at least 1")
         if self.n_actions > self.n_observations:
             # Observation-driven actions: the next action is the emitted symbol.
-            raise InvalidConfig(
+            raise SmjpError(
                 f"n_actions must be at most n_observations ({self.n_observations}), got {self.n_actions}"
             )
         _require_finite(event_rate=self.event_rate, concentration=self.concentration)
@@ -491,13 +490,13 @@ def generate_toy(config: ToyConfig, seed: int | np.random.Generator) -> ToyData:
     if config.chains is not None:
         chains = np.stack([np.asarray(c, dtype=np.float64) for c in config.chains])
         if chains.shape != (k, n, n):
-            raise InvalidConfig(f"need {k} chains of shape ({n}, {n})")
+            raise SmjpError(f"need {k} chains of shape ({n}, {n})")
     else:
         chains = np.stack([rng.dirichlet(np.full(n, config.concentration), size=n) for _ in range(k)])
     if config.emission is not None:
         emission = np.asarray(config.emission, dtype=np.float64)
         if emission.shape != (n, o):
-            raise InvalidConfig(f"emission must have shape ({n}, {o})")
+            raise SmjpError(f"emission must have shape ({n}, {o})")
     else:
         emission = rng.dirichlet(np.full(o, config.concentration), size=n)
 

@@ -13,10 +13,6 @@ import numpy as np
 from .core import SmjpError, as_rng
 
 
-class KTooLarge(SmjpError):
-    """Requested more clusters than there are distinct points."""
-
-
 # Lloyd iterations before the assignment is kept as it stands.
 _MAX_ITERATIONS = 300
 
@@ -56,7 +52,7 @@ def quantize_locations(points: np.ndarray, k: int, seed: int | np.random.Generat
 
     Raises
     ------
-    KTooLarge
+    SmjpError
         If ``k`` exceeds the number of distinct points.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -74,7 +70,7 @@ def quantize_locations(points: np.ndarray, k: int, seed: int | np.random.Generat
         raise SmjpError("k must be at least 1")
     distinct = np.unique(pts, axis=0).shape[0]
     if k > distinct:
-        raise KTooLarge(f"k={k} exceeds {distinct} distinct points")
+        raise SmjpError(f"k={k} exceeds {distinct} distinct points")
     rng = as_rng(seed)
     centroids = _seed_centroids(pts, k, rng)
     labels = np.full(pts.shape[0], -1, dtype=np.int64)

@@ -45,7 +45,7 @@ from .core import (
     Alphabet,
     GeneratorMatrix,
     InputFormatError,
-    NotStochastic,
+    NumericError,
     SmjpError,
     StochasticMatrix,
     derive_rng,
@@ -84,7 +84,7 @@ _SERIES_CAP = 32.0
 _SERIES_TAIL = 1e-30
 
 
-class ZeroProbabilityObservation(SmjpError):
+class ZeroProbabilityObservation(NumericError):
     """An observation has probability zero under every reachable state;
     ``step`` is the index of its step when known, which every public path
     names as its event."""
@@ -94,32 +94,12 @@ class ZeroProbabilityObservation(SmjpError):
         self.step = step
 
 
-class InconsistentShapes(SmjpError):
-    """Posterior inputs do not match the model/grid dimensions."""
-
-
-class EmptyStatistics(SmjpError):
-    """No expected counts were accumulated before the update step."""
-
-
-class StructureViolation(SmjpError):
-    """A structurally-zero transition received non-negligible mass."""
-
-
-class NonFiniteLikelihood(SmjpError):
-    """The fitting loop produced a non-finite log-likelihood."""
-
-
-class ModelFormatError(InputFormatError):
-    """A serialized model document is malformed or has an unknown version."""
-
-
 def _stochastic_rows(emission: np.ndarray) -> np.ndarray:
     """``emission`` itself, once every row along its last axis is checked
     to be a distribution (NaN entries fail the check)."""
     rows = emission.reshape(-1, emission.shape[-1])
     if not (rows.min(initial=0.0) >= -1e-12 and np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-10):
-        raise NotStochastic("emission rows must be stochastic")
+        raise SmjpError("emission rows must be stochastic")
     return emission
 
 
@@ -146,13 +126,13 @@ class SwitchingSMJP:
         object.__setattr__(self, "emission", np.array(self.emission, dtype=np.float64, copy=True))
         n, k, o = len(self.states), len(self.actions), len(self.observations)
         if len(self.generators) != k:
-            raise InconsistentShapes(f"expected {k} generators, got {len(self.generators)}")
+            raise SmjpError(f"expected {k} generators, got {len(self.generators)}")
         for g in self.generators:
             if g.n_states != n:
-                raise InconsistentShapes("generator size does not match state alphabet")
+                raise SmjpError("generator size does not match state alphabet")
         e = self.emission
         if e.shape not in ((n, o), (k, n, o)):
-            raise InconsistentShapes(f"emission shape {e.shape} incompatible with (N={n}, K={k}, O={o})")
+            raise SmjpError(f"emission shape {e.shape} incompatible with (N={n}, K={k}, O={o})")
         _stochastic_rows(e)
         e.setflags(write=False)
         if not self.omega > 0:
@@ -162,7 +142,7 @@ class SwitchingSMJP:
         if self.structural_masks is not None:
             masks = tuple(np.array(m, dtype=bool, copy=True) for m in self.structural_masks)
             if len(masks) != k or any(m.shape != (n, n) for m in masks):
-                raise InconsistentShapes("need one NxN mask per action")
+                raise SmjpError("need one NxN mask per action")
             for m in masks:
                 if np.any(np.diag(m)):
                     raise SmjpError("structural masks apply to off-diagonal entries only")
@@ -336,9 +316,9 @@ def _check_alphabets(model: SwitchingSMJP, sequences: Sequence[EventSequence]) -
     """Symbol indices mean the same labels in the sequences as in the model."""
     for seq in sequences:
         if seq.observation_alphabet.labels != model.observations.labels:
-            raise InconsistentShapes(f"sequence {seq.id!r} observation alphabet differs from the model's")
+            raise SmjpError(f"sequence {seq.id!r} observation alphabet differs from the model's")
         if seq.action_alphabet.labels != model.actions.labels:
-            raise InconsistentShapes(f"sequence {seq.id!r} action alphabet differs from the model's")
+            raise SmjpError(f"sequence {seq.id!r} action alphabet differs from the model's")
 
 
 def _emission_table(emission: np.ndarray, seq: EventSequence) -> np.ndarray:
@@ -564,7 +544,7 @@ def forward_backward(model: SwitchingSMJP, seq: EventSequence) -> ForwardBackwar
     its likelihood is :func:`held_out_loglik`'s and ``gamma`` the posterior
     over states at the events."""
     if not isinstance(seq, EventSequence):
-        raise InconsistentShapes(f"forward_backward takes an EventSequence, got {type(seq).__name__}")
+        raise SmjpError(f"forward_backward takes an EventSequence, got {type(seq).__name__}")
     (scaled,) = _on_events(model, [seq], _filter_smooth)
     return ForwardBackwardResult(*scaled)
 
@@ -674,11 +654,11 @@ def m_step(
 
     Raises
     ------
-    EmptyStatistics
+    SmjpError
         If no grid contributed any transition step.
     """
     if stats.action_steps.sum() == 0:
-        raise EmptyStatistics("no expected counts accumulated")
+        raise SmjpError("no expected counts accumulated")
     k, n, _ = chains_old.shape
     new_chains = chains_old.copy()
     untouched = []
@@ -716,14 +696,16 @@ def update_generator(
 
     Raises
     ------
-    StructureViolation, NotStochastic
+    SmjpError
+        If the chain is not square and row-stochastic, ``omega_old`` is
+        not positive, or a masked transition carries mass.
     """
     b = b_new.probs if isinstance(b_new, StochasticMatrix) else np.asarray(b_new, dtype=np.float64)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise InconsistentShapes(f"chain must be square, got {b.shape}")
+        raise SmjpError(f"chain must be square, got {b.shape}")
     sums = b.sum(axis=1)
     if np.abs(sums - 1.0).max(initial=0.0) > 1e-8 or b.min(initial=0.0) < -1e-12:
-        raise NotStochastic("updated chain is not row-stochastic")
+        raise SmjpError("updated chain is not row-stochastic")
     if omega_old <= 0:
         raise SmjpError(f"omega must be positive, got {omega_old!r}")
     b = b / sums[:, None]
@@ -732,7 +714,7 @@ def update_generator(
         off = mask & ~np.eye(b.shape[0], dtype=bool)
         if np.any(b[off] > STRUCTURAL_TOL):
             worst = float(b[off].max())
-            raise StructureViolation(f"masked transition carries probability {worst!r}")
+            raise SmjpError(f"masked transition carries probability {worst!r}")
         b = b.copy()
         moved = np.where(off, b, 0.0).sum(axis=1)
         b[off] = 0.0
@@ -871,7 +853,7 @@ def _on_events(model: SwitchingSMJP, sequences: Sequence[EventSequence], core: C
     peak = 0.0
     for seq in sequences:
         if len(seq) == 0:
-            raise InconsistentShapes(f"sequence {seq.id!r} has no events")
+            raise SmjpError(f"sequence {seq.id!r} has no events")
         peak = max(peak, float(expected_virtual(seq.times, model.omega, seq.id).max(initial=0.0)))
     chains, n, omega = model.chain_stack, model.n_states, model.omega
     peak = min(peak, _SERIES_CAP)
@@ -965,7 +947,7 @@ def fit(init: SwitchingSMJP, sequences: Sequence[EventSequence], config: FitConf
         model = rebuild_model(model, chains, emission)
         hll = held_out_loglik(model, holdout or train)
         if not np.isfinite(hll):
-            raise NonFiniteLikelihood(f"non-finite held-out log-likelihood at outer iteration {outer}")
+            raise NumericError(f"non-finite held-out log-likelihood at outer iteration {outer}")
         train_trace.append(trace[-1])
         inner_traces.append(trace)
         heldout_trace.append(hll)
@@ -1081,7 +1063,7 @@ def select_num_states(
         lls.append(rep.heldout_trace[-1])
     finite = [(n, ll) for n, ll in zip(n_values, lls) if np.isfinite(ll)]
     if not finite:
-        raise NonFiniteLikelihood("every candidate state count failed")
+        raise NumericError("every candidate state count failed")
     values = np.array([ll for _, ll in finite])
     # Floor the plateau width at float resolution of the likelihood so a
     # genuinely flat curve resolves to the smallest candidate.
@@ -1138,7 +1120,7 @@ def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
     a matrix that breaks a model invariant is named by its title line."""
     name, lines = read_lines(source)
     if not lines or lines[0] != MODEL_HEADER:
-        raise ModelFormatError(name, 1, f"expected {MODEL_HEADER!r} on the first line")
+        raise InputFormatError(name, 1, f"expected {MODEL_HEADER!r} on the first line")
     pos = 1  # lines read so far
 
     def peek() -> str:
@@ -1150,9 +1132,9 @@ def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
         pos += 1
         expected = expected or repr(prefix)
         if pos > len(lines):
-            raise ModelFormatError(name, pos, f"file ended early, expected {expected}")
+            raise InputFormatError(name, pos, f"file ended early, expected {expected}")
         if not lines[pos - 1].startswith(prefix):
-            raise ModelFormatError(name, pos, f"expected {expected}, got {lines[pos - 1]!r}")
+            raise InputFormatError(name, pos, f"expected {expected}, got {lines[pos - 1]!r}")
         return lines[pos - 1][len(prefix):].strip()
 
     def read_matrix(rows: int, cols: int) -> np.ndarray:
@@ -1160,11 +1142,11 @@ def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
         for r in range(rows):
             parts = take(expected=f"a row of {cols} numbers").split()
             if len(parts) != cols:
-                raise ModelFormatError(name, pos, f"expected {cols} columns, got {len(parts)}")
+                raise InputFormatError(name, pos, f"expected {cols} columns, got {len(parts)}")
             try:
                 out[r] = [float(x) for x in parts]
             except ValueError:
-                raise ModelFormatError(name, pos, f"bad number in row {lines[pos - 1]!r}") from None
+                raise InputFormatError(name, pos, f"bad number in row {lines[pos - 1]!r}") from None
         return out
 
     def read_block(title: str, rows: int, cols: int, build):
@@ -1175,15 +1157,15 @@ def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
         try:
             return build(matrix)
         except SmjpError as exc:
-            raise ModelFormatError(name, start, f"{title} {exc}") from None
+            raise InputFormatError(name, start, f"{title} {exc}") from None
 
     try:
         states, actions, observations = (Alphabet(kind, tuple(take(f"{kind}s:").split())) for kind in ALPHABET_KINDS)
         omega = float(take("omega:"))
-    except ModelFormatError:
+    except InputFormatError:
         raise
     except (ValueError, SmjpError) as exc:
-        raise ModelFormatError(name, pos, f"bad model header: {exc}") from None
+        raise InputFormatError(name, pos, f"bad model header: {exc}") from None
     n, o = len(states), len(observations)
 
     gens = tuple(read_block(f"generator {label}:", n, n, GeneratorMatrix) for label in actions.labels)
@@ -1198,12 +1180,12 @@ def load_model(source: str | TextIO) -> tuple[SwitchingSMJP, dict[str, str]]:
     while peek().startswith("meta "):
         key, sep, value = take("meta ", "'meta key: value'").partition(":")
         if not sep:
-            raise ModelFormatError(name, pos, f"bad metadata line {lines[pos - 1]!r}")
+            raise InputFormatError(name, pos, f"bad metadata line {lines[pos - 1]!r}")
         metadata[key.strip()] = value.strip()
     if take(expected="'end'") != "end":
-        raise ModelFormatError(name, pos, f"missing 'end' terminator, got {lines[pos - 1]!r}")
+        raise InputFormatError(name, pos, f"missing 'end' terminator, got {lines[pos - 1]!r}")
     try:
         model = SwitchingSMJP(states, actions, observations, gens, emission, omega, masks)
     except SmjpError as exc:
-        raise ModelFormatError(name, None, str(exc)) from None
+        raise InputFormatError(name, None, str(exc)) from None
     return model, metadata

@@ -24,7 +24,6 @@ import numpy as np
 from smjp.analysis import (
     CoClustering,
     CorrespondenceMatrix,
-    DegenerateJoint,
     EmptyGraph,
     SizeSelection,
     _clustered,
@@ -33,9 +32,8 @@ from smjp.analysis import (
 )
 from smjp.core import (
     Alphabet,
-    DimensionMismatch,
     GeneratorMatrix,
-    NonFinite,
+    NumericError,
     SmjpError,
     StochasticMatrix,
     as_rng,
@@ -43,13 +41,7 @@ from smjp.core import (
     index_alphabet,
     validate_generator,
 )
-from smjp.ctmc import (
-    MAX_EXPECTED_VIRTUAL,
-    NonMonotoneTimestamps,
-    OmegaTooSmall,
-    TimeGrid,
-    VirtualTimeOverflow,
-)
+from smjp.ctmc import MAX_EXPECTED_VIRTUAL, TimeGrid
 from smjp.events import EventSequence, parse_event_file
 from smjp.foraging import (
     A_MOVE,
@@ -61,8 +53,6 @@ from smjp.foraging import (
     OBSERVATION_LABELS,
     AgentTrace,
     BeliefMDP,
-    InvalidConfig,
-    NonConvergence,
     ValueIterationResult,
     WorldConfig,
     _belief_bin,
@@ -71,7 +61,6 @@ from smjp.foraging import (
 )
 from smjp.switching import (
     ForwardBackwardResult,
-    InconsistentShapes,
     SwitchingSMJP,
     SufficientStats,
     ZeroProbabilityObservation,
@@ -221,13 +210,13 @@ def enumerate_paths(model, grid):
 
 def _check_grid(model, grid):
     if len(grid) == 0:
-        raise InconsistentShapes("grid is empty")
+        raise SmjpError("grid is empty")
     if grid.actions.min() < 0 or grid.actions.max() >= model.n_actions:
-        raise InconsistentShapes("grid action index outside the model's action alphabet")
+        raise SmjpError("grid action index outside the model's action alphabet")
     obs = grid.observations
     real = obs[obs != NO_OBSERVATION]
     if real.size and (real.min() < 0 or real.max() >= model.n_observations):
-        raise InconsistentShapes("grid observation index outside the model's alphabet")
+        raise SmjpError("grid observation index outside the model's alphabet")
 
 
 def grid_forward_backward(model, grid):
@@ -414,9 +403,9 @@ def log_domain_dot(log_vec: np.ndarray, matrix: StochasticMatrix | np.ndarray) -
     probs = matrix.probs if isinstance(matrix, StochasticMatrix) else np.asarray(matrix, dtype=np.float64)
     v = np.asarray(log_vec, dtype=np.float64)
     if v.ndim != 1 or probs.ndim != 2 or v.shape[0] != probs.shape[0]:
-        raise DimensionMismatch(f"cannot combine vector {v.shape} with matrix {probs.shape}")
+        raise SmjpError(f"cannot combine vector {v.shape} with matrix {probs.shape}")
     if np.any(np.isnan(v)) or np.any(v == np.inf):
-        raise NonFinite("log vector must be finite or -inf")
+        raise SmjpError("log vector must be finite or -inf")
     with np.errstate(divide="ignore"):
         logm = np.log(probs)
     return logsumexp(v[:, None] + logm, axis=0)
@@ -441,9 +430,9 @@ def belief_mdp_per_state(world: WorldConfig, m_bins: int = 10, diffusion_eps: fl
     box pays out, with the payout probability read off the bin center.
     """
     if not (m_bins >= 2 and float(m_bins).is_integer()):
-        raise InvalidConfig(f"m_bins must be an integer of at least 2, got {m_bins!r}")
+        raise SmjpError(f"m_bins must be an integer of at least 2, got {m_bins!r}")
     if not 0.0 <= diffusion_eps <= 0.2:
-        raise InvalidConfig(f"diffusion_eps must be in [0, 0.2], got {diffusion_eps!r}")
+        raise SmjpError(f"diffusion_eps must be in [0, 0.2], got {diffusion_eps!r}")
     bins = np.linspace(0.0, 1.0, m_bins)
     n_states = 2 * m_bins * m_bins
     trans = np.zeros((len(ACTION_LABELS), n_states, n_states))
@@ -526,14 +515,14 @@ def value_iteration_dense(mdp: BeliefMDP, tol: float = 1e-8, sweep_cap: int = 10
         if resid < tol:
             policy = q.argmax(axis=0)
             return ValueIterationResult(values, policy.astype(np.int64), tuple(residuals), sweep + 1)
-    raise NonConvergence(f"no convergence after {sweep_cap} sweeps")
+    raise NumericError(f"no convergence after {sweep_cap} sweeps")
 
 
 def simulate_agent_per_step(mdp, horizon, seed):
     """Per-step reference for ``simulate_agent``: every decision bins the
     beliefs and advances them through the checked ``belief_update``, and
     the rows are collected as tuples."""
-    check_horizon(horizon)
+    check_horizon(horizon, mdp.world)
     rng = as_rng(seed)
     world = mdp.world
     means = world.box_means
@@ -587,7 +576,7 @@ def mutual_information_masked(joint: np.ndarray) -> float:
     p = np.asarray(joint, dtype=np.float64)
     total = p.sum()
     if total <= 0:
-        raise DegenerateJoint("joint distribution has zero mass")
+        raise SmjpError("joint distribution has zero mass")
     p = p / total
     r = p.sum(axis=1)
     c = p.sum(axis=0)
@@ -663,7 +652,7 @@ def init_assignment_by_element(n: int, k: int, live: np.ndarray, rng: np.random.
     live_idx = np.nonzero(live)[0]
     dead_idx = np.nonzero(~live)[0]
     if live_idx.size + dead_idx.size < k:
-        raise DegenerateJoint(f"cannot form {k} clusters from {n} rows")
+        raise SmjpError(f"cannot form {k} clusters from {n} rows")
     perm = rng.permutation(live_idx)
     for pos, idx in enumerate(perm):
         out[idx] = pos % k if pos < k else int(rng.integers(k))
@@ -673,7 +662,7 @@ def init_assignment_by_element(n: int, k: int, live: np.ndarray, rng: np.random.
     for c, idx in zip(missing, dead_idx):
         out[idx] = c
     if len(missing) > dead_idx.size:
-        raise DegenerateJoint(f"only {live_idx.size} rows carry mass; cannot cover {k} clusters")
+        raise SmjpError(f"only {live_idx.size} rows carry mass; cannot cover {k} clusters")
     return out
 
 
@@ -693,7 +682,7 @@ def cocluster_by_restart(joint, k_rows, k_cols, seed, restarts=20, max_sweeps=20
         raise SmjpError(f"restarts must be at least 1, got {restarts}")
     total = p.sum()
     if total <= 0:
-        raise DegenerateJoint("joint distribution has zero mass")
+        raise SmjpError("joint distribution has zero mass")
     p = p / total
     live_rows = p.sum(axis=1) > 0
     live_cols = p.sum(axis=0) > 0
@@ -844,7 +833,7 @@ class LatentTrajectory:
             raise SmjpError("states[0] must equal initial_state")
         if jt.size:
             if not np.all(np.diff(jt) > 0):
-                raise NonMonotoneTimestamps("jump times must be strictly increasing")
+                raise SmjpError("jump times must be strictly increasing")
             if jt[0] <= 0 or jt[-1] >= self.horizon:
                 raise SmjpError("jump times must lie strictly inside (0, horizon)")
             if np.any(np.diff(st) == 0):
@@ -938,10 +927,10 @@ def sample_virtual_times(
     if t_a < 0:
         raise SmjpError("interval must start at a non-negative time")
     if omega <= 0:
-        raise OmegaTooSmall(f"omega must be positive, got {omega!r}")
+        raise SmjpError(f"omega must be positive, got {omega!r}")
     expected = omega * (t_b - t_a)
     if expected > MAX_EXPECTED_VIRTUAL:
-        raise VirtualTimeOverflow(
+        raise SmjpError(
             f"{expected:.3g} expected virtual points in one interval; "
             "omega or the interval length is misconfigured"
         )

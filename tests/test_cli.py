@@ -146,6 +146,28 @@ class TestSelectStates:
         assert len(rows) == 3
         assert any(l.startswith("# chosen:") for l in lines)
 
+    def test_failed_count_warns_and_keeps_its_nan_row(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        run(toy_args(data, seed=5, length=200))
+        flags = ["--events", data / "events.csv", "--range", "2:4", "--seed", 2, "--restarts", 1,
+                 "--inner-iterations", 2, "--outer-cap", 2]
+        assert run(["select-states", "--out", tmp_path / "good"] + flags) == 0
+        real = switching.fit_best
+
+        def fit_best(sequences, n_states, config):
+            if n_states == 3:
+                raise SmjpError("emission rows must be stochastic")
+            return real(sequences, n_states, config)
+
+        monkeypatch.setattr(switching, "fit_best", fit_best)
+        capsys.readouterr()
+        assert run(["select-states", "--out", tmp_path / "bad"] + flags) == 0
+        assert capsys.readouterr().err.splitlines() == ["warning: n_states=3 failed: emission rows must be stochastic"]
+        good = (tmp_path / "good" / "state_selection.csv").read_text().splitlines()
+        bad = (tmp_path / "bad" / "state_selection.csv").read_text().splitlines()
+        assert bad[4] == "3,nan"
+        assert bad[2:4] + bad[5:] == good[2:4] + good[5:]
+
 
 class TestManifest:
     def test_every_output_listed_with_matching_digest(self, tmp_path):
@@ -420,6 +442,17 @@ class TestErrorExitCodes:
         assert capsys.readouterr().err.splitlines() == ["error: joint must be a finite non-negative matrix"]
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cols", ["2", "1:2"])
+    def test_joint_whose_total_overflows(self, tmp_path, capsys, cols):
+        joint = tmp_path / "joint.csv"
+        joint.write_text("# smjp-matrix v1\n# name: joint\n# rows: a b\n# cols: x y\n1e308 1e308\n1e308 1e308\n")
+        out = tmp_path / "co"
+        rc = run(["cocluster", "--out", out, "--joint", joint, "--rows", 2, "--cols", cols, "--seed", 0])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == ["error: joint's total mass overflows"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, message", [
         (["select-states", "--events", "{events}", "--range", "2:x"], "--range: bad range '2:x'"),
         (["cocluster", "--joint", "{joint}", "--rows", "x", "--cols", "2"], "--rows: bad range 'x'"),
@@ -610,6 +643,38 @@ class TestErrorExitCodes:
         rc = run([command, "--out", tmp_path / "x", flag, value, "--seed", 0])
         assert rc == EXIT_DOMAIN
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, setting", [("--decision-tick", "decision_tick"), ("--travel-time", "travel_time")])
+    def test_decisions_above_the_cap_refused_before_planning(self, tmp_path, capsys, monkeypatch, flag, setting):
+        # 1e13 decisions would loop for days and fill memory with the agent's lists.
+        monkeypatch.setattr(cli, "solve_belief_mdp", lambda *a: pytest.fail("planned before checking the horizon"))
+        rc = run(["simulate-foraging", "--out", tmp_path / "x", flag, "1e-9", "--horizon", 10000, "--seed", 0])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: horizon 10000.0 needs up to 1e+13 decisions of {setting} 1e-09, more than 2000000"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, target, name", [
+        ("simulate-toy", cli, "generate_toy"),
+        ("fit", switching, "init_random_model"),
+    ])
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch, command, target, name):
+        # Patched, not allocated: a host that overcommits memory would end
+        # the test run instead of raising.
+        message = "Unable to allocate 298. GiB for an array with shape (200000, 200000) and data type float64"
+
+        def allocate(*args):
+            raise MemoryError(message)
+
+        data = tmp_path / "data"
+        run(toy_args(data, length=120))
+        monkeypatch.setattr(target, name, allocate)
+        capsys.readouterr()
+        args = {"simulate-toy": [], "fit": ["--events", data / "events.csv", "--n-states", 2]}[command]
+        rc = run([command, "--out", tmp_path / "x", "--seed", 0] + args)
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err.splitlines() == [f"error: out of memory: {message}"]
         assert not (tmp_path / "x").exists()
 
     def test_m_bins_above_the_bound(self, tmp_path, capsys):

@@ -12,14 +12,7 @@ from helpers import (
     sample_virtual_times,
 )
 from smjp.core import Alphabet, SmjpError, derive_rng, validate_generator
-from smjp.ctmc import (
-    NonMonotoneTimestamps,
-    OmegaTooSmall,
-    TimeGrid,
-    VirtualTimeOverflow,
-    build_time_grid,
-    uniformize,
-)
+from smjp.ctmc import TimeGrid, build_time_grid, uniformize
 from smjp.events import EventSequence
 
 from test_core import random_generator
@@ -102,9 +95,9 @@ class TestUniformize:
 
     def test_omega_too_small(self):
         g = validate_generator([[-1.0, 1.0], [2.0, -2.0]])
-        with pytest.raises(OmegaTooSmall):
+        with pytest.raises(SmjpError, match=r"^omega=1\.5 below max exit rate 2\.0$"):
             uniformize(g, 1.5)
-        with pytest.raises(OmegaTooSmall):
+        with pytest.raises(SmjpError, match=r"^omega=0\.0 below max exit rate 2\.0$"):
             uniformize(g, 0.0)
 
     def test_default_omega_factor(self):
@@ -190,7 +183,7 @@ class TestSampleVirtualTimes:
         assert times.min() > 3.0 and times.max() < 7.0
 
     def test_overflow_guard(self):
-        with pytest.raises(VirtualTimeOverflow):
+        with pytest.raises(SmjpError, match=r"^1e\+14 expected virtual points in one interval; "):
             sample_virtual_times(1e9, (0.0, 1e5), seed=0)
 
 
@@ -218,7 +211,7 @@ class TestBuildTimeGrid:
     def test_non_monotone_rejected(self):
         seq = make_sequence([1.0, 2.0])
         object.__setattr__(seq, "times", np.array([2.0, 1.0]))
-        with pytest.raises(NonMonotoneTimestamps):
+        with pytest.raises(SmjpError, match="^event timestamps must be strictly increasing$"):
             build_time_grid(seq, 1.0, seed=0)
 
     def test_fresh_seed_fresh_grid(self):
@@ -313,16 +306,16 @@ class TestGridStream:
         before = rng.bit_generator.state
         with pytest.raises(SmjpError, match="non-negative"):
             build_time_grid(make_sequence([-1.0, 1.0]), 1.0, rng)
-        with pytest.raises(OmegaTooSmall):
+        with pytest.raises(SmjpError, match=r"^omega must be positive, got 0\.0$"):
             build_time_grid(make_sequence([0.0, 1.0]), 0.0, rng)
-        with pytest.raises(VirtualTimeOverflow, match="interval 2 "):
+        with pytest.raises(SmjpError, match="^5e\\+07 expected virtual points in interval 2 "):
             build_time_grid(make_sequence([0.0, 1.0, 2.0, 1e6, 2e6]), 50.0, rng)
         np.testing.assert_equal(rng.bit_generator.state, before)
         # With no interval there is nothing to validate or draw.
         assert len(build_time_grid(make_sequence([1.0]), -1.0, rng)) == 1
 
     def test_overflow_message_prints_plain_floats(self):
-        with pytest.raises(VirtualTimeOverflow) as err:
+        with pytest.raises(SmjpError, match="^5e\\+07 expected virtual points") as err:
             build_time_grid(make_sequence([0.0, 1.0, 2.0, 1e6, 2e6]), 50.0, derive_rng(0))
         assert str(err.value) == (
             "5e+07 expected virtual points in interval 2 (2.0, 1000000.0); "

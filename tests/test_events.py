@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import parse_event_text
-from smjp.core import Alphabet, derive_rng
-from smjp.events import (
-    EventParseError,
-    EventSequence,
-    MalformedLine,
-    NonMonotoneTime,
-    UnknownSymbol,
-    event_text,
-    split_chronological,
-)
+from smjp.core import Alphabet, InputFormatError, derive_rng
+from smjp.events import EventSequence, event_text, split_chronological
 
 OBS = Alphabet("observation", ("left", "right", "reward"))
 ACT = Alphabet("action", ("stay", "press"))
@@ -92,30 +84,30 @@ class TestParseErrors:
 
     def test_out_of_order_timestamp_line_number(self):
         text = self.BASE + "1.0,left,stay\n0.5,left,stay\n"
-        with pytest.raises(NonMonotoneTime) as err:
+        with pytest.raises(InputFormatError, match=r"^<stream>:6: timestamp 0\.5 not greater than 1\.0$") as err:
             parse_event_text(text)
         assert err.value.line == 6
 
     def test_unknown_symbol(self):
         text = self.BASE + "1.0,banana,stay\n"
-        with pytest.raises(UnknownSymbol) as err:
+        with pytest.raises(InputFormatError, match="^<stream>:5: observation 'banana' not declared$") as err:
             parse_event_text(text)
         assert err.value.line == 5
 
     def test_malformed_line(self):
         text = self.BASE + "1.0,left\n"
-        with pytest.raises(MalformedLine) as err:
+        with pytest.raises(InputFormatError, match="^<stream>:5: expected 3 comma-separated fields, got 2$") as err:
             parse_event_text(text)
         assert err.value.line == 5
 
     def test_alphabet_declared_after_column_header(self):
         text = self.BASE + "1.0,left,stay\n# observations: right left\n2.0,left,stay\n"
-        with pytest.raises(MalformedLine, match="alphabets must be declared before events") as err:
+        with pytest.raises(InputFormatError, match="^<stream>:6: alphabets must be declared before events$") as err:
             parse_event_text(text)
         assert err.value.line == 6
 
     def test_missing_header(self):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(InputFormatError, match="^<stream>:1: expected '# smjp-events v1' header$"):
             parse_event_text("time,observation,action\n1.0,left,stay\n")
 
     def test_fuzzed_inputs_raise_structured_errors(self):
@@ -126,7 +118,7 @@ class TestParseErrors:
             text = blob.decode("utf-8", errors="replace")
             try:
                 parse_event_text(text)
-            except EventParseError:
+            except InputFormatError:
                 pass
 
     def test_fuzzed_mutations_of_valid_file(self):
@@ -140,7 +132,7 @@ class TestParseErrors:
                 chars[pos] = chr(int(rng.integers(32, 127)))
             try:
                 parse_event_text("".join(chars))
-            except EventParseError:
+            except InputFormatError:
                 pass
 
     def test_fuzzed_body_mutations_keep_header(self):
@@ -157,7 +149,7 @@ class TestParseErrors:
                 chars[pos] = chr(int(rng.integers(32, 127)))
             try:
                 parse_event_text("".join(chars))
-            except EventParseError:
+            except InputFormatError:
                 pass
 
 

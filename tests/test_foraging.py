@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from functools import lru_cache
 
@@ -16,16 +17,13 @@ from helpers import (
     value_iteration_dense,
 )
 from smjp import foraging
-from smjp.core import SmjpError
+from smjp.core import NumericError, SmjpError
 from smjp.foraging import (
     A_MOVE,
     A_PRESS_1,
     A_PRESS_2,
     A_STAY,
     MAX_M_BINS,
-    InvalidConfig,
-    InvalidProbability,
-    NonConvergence,
     ToyConfig,
     WorldConfig,
     belief_update,
@@ -78,7 +76,8 @@ class TestWorldConfig:
         ],
     )
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(InvalidConfig):
+        ((name, value),) = kwargs.items()
+        with pytest.raises(SmjpError, match=f"^{name} must be .+, got {re.escape(repr(value))}$"):
             WorldConfig(**kwargs)
 
 
@@ -104,7 +103,7 @@ class TestBeliefUpdate:
         assert all(0 <= v <= 1 for v in vals)
 
     def test_invalid_probability(self):
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(SmjpError, match=r"^belief 1\.5 outside \[0, 1\]$"):
             belief_update(1.5, False, False, 10.0, 1.0)
 
 
@@ -158,7 +157,7 @@ class TestBuildBeliefMdp:
         ("diffusion_eps", float("inf"), "diffusion_eps must be in [0, 0.2], got inf"),
     ])
     def test_bad_config_names_the_setting_and_value(self, build, setting, value, message):
-        with pytest.raises(InvalidConfig) as err:
+        with pytest.raises(SmjpError, match=f"^{re.escape(message)}$") as err:
             build(WorldConfig(), **{"m_bins": 5, setting: value})
         assert str(err.value) == message
 
@@ -177,7 +176,7 @@ class TestBuildBeliefMdp:
         world = WorldConfig()
         # Without numpy the builder cannot allocate, so the refusal comes first.
         monkeypatch.setattr(foraging, "np", None)
-        with pytest.raises(InvalidConfig) as err:
+        with pytest.raises(SmjpError, match=f"^m_bins must be at most 45, got {re.escape(repr(m_bins))} ") as err:
             build_belief_mdp(world, m_bins)
         assert str(err.value) == f"m_bins must be at most 45, got {m_bins!r} (the kernel takes 128 m^4 bytes)"
 
@@ -221,7 +220,7 @@ class TestValueIteration:
         rounds = value_iteration(mdp).sweeps
         assert rounds > 1
         monkeypatch.setattr(foraging, "_ROUND_CAP", rounds - 1)
-        with pytest.raises(NonConvergence) as err:
+        with pytest.raises(NumericError, match=f"^no convergence after {rounds - 1} rounds$") as err:
             value_iteration(mdp)
         assert str(err.value) == f"no convergence after {rounds - 1} rounds"
         monkeypatch.setattr(foraging, "_ROUND_CAP", rounds)
@@ -341,6 +340,21 @@ class TestSimulateAgent:
         oh = trace.one_hot()
         assert np.array_equal(oh.sum(axis=1), np.ones(len(seq)))
 
+    @pytest.mark.parametrize("world", [WorldConfig(), WorldConfig(travel_time=0.25)], ids=["tick", "travel"])
+    def test_decision_cap_refused_before_any_draw(self, monkeypatch, world):
+        mdp = replace(solved_planner("m5")[0], world=world)
+        name, step = min(("decision_tick", world.decision_tick), ("travel_time", world.travel_time),
+                         key=lambda s: s[1])
+        monkeypatch.setattr(foraging, "MAX_DECISIONS", 100)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(SmjpError, match=f"^horizon {101 * step!r} needs up to 101 decisions of {name} {step!r}, "
+                                            "more than 100$"):
+            simulate_agent(mdp, 101 * step, rng)
+        assert rng.bit_generator.state == before
+        seq, _ = simulate_agent(mdp, 100 * step, rng)
+        assert 0 < len(seq) <= 100
+
     @pytest.mark.parametrize("policy", [
         pytest.param(lambda mdp: np.full(mdp.n_states, 0.7), id="all-0.7"),
         pytest.param(lambda mdp: mdp.policy.astype(np.float64), id="solved-as-float"),
@@ -351,7 +365,7 @@ class TestSimulateAgent:
         bad = policy(mdp)
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        with pytest.raises(InvalidConfig) as err:
+        with pytest.raises(SmjpError, match=f"^policy actions must be integers, got {bad.dtype}$") as err:
             simulate_agent(replace(mdp, policy=bad), 100.0, rng)
         assert str(err.value) == f"policy actions must be integers, got {bad.dtype}"
         assert rng.bit_generator.state == before
@@ -473,9 +487,9 @@ class TestGenerateToy:
             assert got.states.dtype == want.states.dtype and got.states.tobytes() == want.states.tobytes()
 
     def test_bad_configs(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(SmjpError, match=r"^n_actions must be at most n_observations \(2\), got 3$"):
             ToyConfig(n_actions=3, n_observations=2)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(SmjpError, match="^expected_length must be at least 1, got 0$"):
             ToyConfig(expected_length=0)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(SmjpError, match=r"^need 1 chains of shape \(4, 4\)$"):
             generate_toy(ToyConfig(chains=(np.eye(3),), n_states=4, n_actions=1), seed=0)

@@ -2,8 +2,9 @@
 hooks: every hook must resolve, and a function re-bound into ``smjp.cli``
 or ``smjp.analysis`` must be the very function its layer name points to,
 or a hook would time a copy its caller never calls. Also that every fit
-knob is read by the package, and every optional parameter of a public
-function is set by the package or the benchmark."""
+knob is read by the package, every optional parameter of a public
+function is set by the package or the benchmark, and every error class is
+told apart by something."""
 
 import ast
 import importlib
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import smjp
-from smjp.cli import RunConfig
+from smjp.cli import EXIT_CODES, RunConfig
 from smjp.switching import FitConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,3 +150,28 @@ def test_every_optional_parameter_is_set_outside_the_tests():
 ])
 def test_run_config_default_is_the_library_default(field, fn, param):
     assert getattr(RunConfig, field) == inspect.signature(fn).parameters[param].default
+
+
+def exception_names(node):
+    """The class names an ``except`` clause's type names: ``E``, ``mod.E`` or a tuple of them."""
+    nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {callee_name(n) for n in nodes}
+
+
+def test_every_error_class_is_told_apart():
+    # A class earns its place by choosing an exit code, being caught by
+    # name, or carrying its own data; any other subclass is its base under
+    # another name.
+    trees = [ast.parse(path.read_text()) for path in (ROOT / "src" / "smjp").glob("*.py")]
+    classes = {node.name: node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    errors = {"SmjpError"}
+    while new := {name for name, node in classes.items()
+                  if name not in errors and any(callee_name(base) in errors for base in node.bases)}:
+        errors |= new
+    told = {kind.__name__ for kinds, _ in EXIT_CODES for kind in (kinds if isinstance(kinds, tuple) else (kinds,))}
+    told |= {name for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.ExceptHandler) and node.type is not None for name in exception_names(node.type)}
+    told |= {name for name in errors
+             if any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in classes[name].body)}
+    assert len(errors) > 1
+    assert sorted(errors - told) == []

@@ -3,7 +3,7 @@ import pytest
 
 from smjp import quantize
 from smjp.core import SmjpError, derive_rng
-from smjp.quantize import KTooLarge, quantize_locations
+from smjp.quantize import quantize_locations
 
 
 class TestQuantizeLocations:
@@ -33,7 +33,7 @@ class TestQuantizeLocations:
 
     def test_k_too_large(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(KTooLarge):
+        with pytest.raises(SmjpError, match="^k=3 exceeds 2 distinct points$"):
             quantize_locations(pts, 3, seed=0)
 
     def test_deterministic_under_seed(self):
